@@ -100,15 +100,27 @@ class GrowthReport:
 
 
 def irreducible_census(system, max_len: int) -> GrowthReport:
-    """Exhaustive filter: count irreducible words of every length <= max_len."""
-    k = len(system.alphabet)
+    """Count irreducible words of every length <= max_len by transfer matrix.
+
+    A word is irreducible when its walk through the system's obstruction
+    automaton never enters a dead state, so the number of irreducible words
+    of length L ending in each live state follows from length L - 1 by one
+    step along every letter.  Exact integers; O(max_len * states * letters)
+    additions.
+    """
+    automaton = system.automaton
+    live = [
+        [t for t in row if not automaton.dead[t]] for row in automaton.delta
+    ]
+    frontier = {0: 1}
     counts = []
-    for length in range(max_len + 1):
-        total = 0
-        for word in product(range(k), repeat=length):
-            if system.is_irreducible(word):
-                total += 1
-        counts.append(total)
+    for _ in range(max_len + 1):
+        counts.append(sum(frontier.values()))
+        step: dict = {}
+        for state, count in frontier.items():
+            for target in live[state]:
+                step[target] = step.get(target, 0) + count
+        frontier = step
     return GrowthReport(counts)
 
 
@@ -129,12 +141,15 @@ def growth_classify(
     ratios being >= theta.  Otherwise the per-length counts are fitted by
     least squares on a log-log scale; the growth exponent of the cumulative
     dimensions is the rounded slope plus one, accepted when the RMS residual
-    is below 0.1.
+    is below 0.1.  A zero count means every longer word is reducible too, so
+    the quotient is finite-dimensional: polynomial of exponent 0.
     """
     counts = report.counts
     top = len(counts) - 1
     if top < 10:
         raise ValueError("need counts up to length >= 10")
+    if 0 in counts:
+        return Classification("polynomial", exponent=0)
     ratios = [counts[i + 1] / counts[i] for i in range(top - tail, top)]
     if all(r >= theta for r in ratios):
         return Classification("exponential", tail_ratio=min(ratios))

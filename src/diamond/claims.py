@@ -188,7 +188,7 @@ def pbw_suite(max_len: int = 12, oracle_ell: int = 8, slack: int = 2) -> list:
     claims.append(
         _claim(
             "pbw-census",
-            "exhaustive irreducible filter equals the x^i <blocks> a^k "
+            "automaton census of irreducible words equals the x^i <blocks> a^k "
             "enumeration at every length <= 12, degrees 2..5",
             census_ok,
             witness or {"max_len": max_len},

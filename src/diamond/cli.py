@@ -1,8 +1,8 @@
 """Command-line surface: expression parsing, subcommands, JSON reports.
 
-Exit codes: 0 success, 1 failed checks, 2 usage errors.  Report-only
-verdicts never fail a run.  Output is deterministic: identical invocations
-produce identical bytes.
+Exit codes: 0 success, 1 failed checks, 2 usage errors, 3 reduction budget
+(``--budget``) exceeded.  Report-only verdicts never fail a run.  Output is
+deterministic: identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .presentations import (
     build_system,
     build_tensor_presentation,
 )
-from .rewrite import check_confluence, normal_form
+from .rewrite import ReductionBudgetExceeded, check_confluence, normal_form
 from .scalars import QQ, CyclotomicField, parse_q_poly
 
 
@@ -487,6 +487,10 @@ def run_command(argv) -> int:
     except (ExprError, UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ReductionBudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        _write_json(args, {"error": "budget_exceeded", "message": str(exc)})
+        return 3
 
 
 def main() -> None:

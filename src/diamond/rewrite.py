@@ -11,9 +11,9 @@ not merely of the strategy.
 from __future__ import annotations
 
 import heapq
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .freealg import Alphabet, NcPoly, Word, render_word
 from .ordering import check_compatibility
@@ -61,10 +61,6 @@ class ReductionStats:
     steps: int = 0
     max_support: int = 0
 
-    def merge(self, other: "ReductionStats"):
-        self.steps += other.steps
-        self.max_support = max(self.max_support, other.max_support)
-
 
 def _find_subword(word: Word, pattern: Word) -> int:
     n, m = len(word), len(pattern)
@@ -73,6 +69,59 @@ def _find_subword(word: Word, pattern: Word) -> int:
         if word[i] == first and word[i : i + m] == pattern:
             return i
     return -1
+
+
+class ObstructionAutomaton:
+    """Aho-Corasick automaton of a set of left sides (Aho & Corasick 1975),
+    completed to a DFA over the letters ``0 .. k-1``.
+
+    State 0 is the empty prefix; ``delta[s][c]`` is the state after reading
+    letter ``c`` in state ``s``.  A state is dead when it, or a state on its
+    failure chain, ends a left side: a word is irreducible exactly when its
+    walk from state 0 never enters a dead state.
+    """
+
+    __slots__ = ("delta", "dead")
+
+    def __init__(self, patterns, k: int):
+        goto = [{}]
+        dead = [False]
+        for word in patterns:
+            state = 0
+            for c in word:
+                nxt = goto[state].get(c)
+                if nxt is None:
+                    nxt = len(goto)
+                    goto[state][c] = nxt
+                    goto.append({})
+                    dead.append(False)
+                state = nxt
+            dead[state] = True
+        fail = [0] * len(goto)
+        delta = [None] * len(goto)
+        delta[0] = [goto[0].get(c, 0) for c in range(k)]
+        # breadth first, so a failure target is complete before it is used
+        queue = deque(goto[0].values())
+        while queue:
+            state = queue.popleft()
+            back = delta[fail[state]]
+            dead[state] = dead[state] or dead[fail[state]]
+            delta[state] = [goto[state].get(c, back[c]) for c in range(k)]
+            for c, child in goto[state].items():
+                fail[child] = back[c]
+                queue.append(child)
+        self.delta = delta
+        self.dead = dead
+
+    def avoids(self, word) -> bool:
+        """True when no pattern occurs in the word."""
+        delta, dead = self.delta, self.dead
+        state = 0
+        for c in word:
+            state = delta[state][c]
+            if dead[state]:
+                return False
+        return True
 
 
 class ReductionSystem:
@@ -115,8 +164,13 @@ class ReductionSystem:
         self._match_cache[word] = found
         return found
 
+    @cached_property
+    def automaton(self) -> ObstructionAutomaton:
+        """The obstruction automaton of the left sides, built on first use."""
+        return ObstructionAutomaton((rule.lhs for rule in self.rules), len(self.alphabet))
+
     def is_irreducible(self, word: Word) -> bool:
-        return self.match(tuple(word)) is None
+        return self.automaton.avoids(word)
 
     def describe(self) -> str:
         return self.name or f"system({len(self.rules)} rules)"
@@ -381,31 +435,8 @@ class ConfluenceReport:
         }
 
 
-def _thread_count() -> int:
-    value = os.environ.get("DIAMOND_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
-def check_confluence(system: ReductionSystem, threads: int | None = None) -> ConfluenceReport:
-    """Resolve every ambiguity; aggregation order is the deterministic
-    ambiguity order regardless of completion order."""
-    ambiguities = find_ambiguities(system)
-    if threads is None:
-        threads = _thread_count()
+def check_confluence(system: ReductionSystem) -> ConfluenceReport:
+    """Resolve every ambiguity in the deterministic ambiguity order."""
     stats = ReductionStats()
-    if threads > 1 and len(ambiguities) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_amb = [ReductionStats() for _ in ambiguities]
-            futures = [
-                pool.submit(resolve_ambiguity, amb, system, st)
-                for amb, st in zip(ambiguities, per_amb)
-            ]
-            resolutions = [f.result() for f in futures]
-        for st in per_amb:
-            stats.merge(st)
-    else:
-        resolutions = [resolve_ambiguity(amb, system, stats) for amb in ambiguities]
+    resolutions = [resolve_ambiguity(amb, system, stats) for amb in find_ambiguities(system)]
     return ConfluenceReport(system, resolutions, stats)

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamond.analysis import (
     GrowthReport,
@@ -22,9 +25,17 @@ from diamond.analysis import (
     quotient_dimension_tensor,
     random_defining_polynomial,
 )
-from diamond.freealg import NcPoly, bidegree_sum
-from diamond.presentations import AX, DefiningPolynomial, build_system
-from diamond.rewrite import normal_form
+from diamond.freealg import Alphabet, NcPoly, bidegree_sum
+from diamond.ordering import GrlexPlus
+from diamond.presentations import (
+    AX,
+    DefiningPolynomial,
+    build_quantum_plane,
+    build_system,
+    build_tensor_presentation,
+)
+from diamond.rewrite import ReductionSystem, Rule, normal_form
+from diamond.scalars import CyclotomicField
 
 A, X = 0, 1
 
@@ -52,12 +63,56 @@ def test_pbw_words_small():
     assert per_len == [ell + 1 for ell in range(7)]
 
 
+def exhaustive_census(system, max_len):
+    """Test oracle: filter every word of each length through ``match``,
+    which scans for each left side and never uses the automaton."""
+    k = len(system.alphabet)
+    return [
+        sum(1 for word in product(range(k), repeat=length) if system.match(word) is None)
+        for length in range(max_len + 1)
+    ]
+
+
+def test_census_matches_exhaustive_filter():
+    rng = random.Random(53)
+    systems = [
+        build_system(random_defining_polynomial(rng, rng.randint(2, 7))).system
+        for _ in range(8)
+    ]
+    q = CyclotomicField(8).q
+    systems.append(build_system(DefiningPolynomial.from_coefficients((0, q**2, 0, 1))).system)
+    systems.append(build_quantum_plane(5))
+    for system in systems:
+        assert irreducible_census(system, 10).counts == exhaustive_census(system, 10)
+    tensor = build_tensor_presentation(power_poly(2), power_poly(3)).system
+    assert irreducible_census(tensor, 6).counts == exhaustive_census(tensor, 6)
+
+
+ABC = Alphabet(("a", "b", "c"))
+patterns = st.sets(
+    st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple), min_size=1, max_size=5
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(patterns)
+def test_census_matches_exhaustive_filter_random_patterns(lhs_set):
+    # left sides with arbitrary overlaps and inclusions exercise the
+    # failure links; a zero right side is compatible with every order
+    order = GrlexPlus(ABC, weight_letter=0, lex_top=0)
+    rules = [Rule(lhs, NcPoly.zero(ABC), f"r{i}") for i, lhs in enumerate(sorted(lhs_set))]
+    system = ReductionSystem(ABC, order, rules)
+    assert irreducible_census(system, 7).counts == exhaustive_census(system, 7)
+    for word in product(range(3), repeat=6):
+        assert system.is_irreducible(word) == (system.match(word) is None)
+
+
 def test_census_equals_pbw_enumeration():
-    for n in range(2, 6):
+    for n in range(2, 8):
         system = build_system(power_poly(n)).system
-        census = irreducible_census(system, 8)
-        words = pbw_words(n, 8)
-        per_len = [0] * 9
+        census = irreducible_census(system, 14)
+        words = pbw_words(n, 14)
+        per_len = [0] * 15
         for w in words:
             per_len[len(w)] += 1
         assert per_len == census.counts
@@ -69,7 +124,7 @@ def test_census_degree_four_series_oracle():
     # independent check: the census matches the power series of
     # 1 / ((1-s)^2 (1 - s^2 - 2 s^3)), the length generating function of
     # words x^i <blocks> a^k with blocks {ax, a^2x, ax^2}
-    L = 12
+    L = 60
     d = [0] * (L + 1)
     d[0] = 1
     for ell in range(1, L + 1):
@@ -224,3 +279,17 @@ def test_growth_classification():
         assert growth_classify(census).kind == "exponential"
     with pytest.raises(ValueError):
         growth_classify(GrowthReport([1, 2, 3]))
+
+
+def test_growth_classification_finite_dimensional():
+    # a zero count means every longer word is reducible as well
+    cls = growth_classify(GrowthReport([1, 2] + [0] * 10))
+    assert cls.kind == "polynomial" and cls.exponent == 0
+    system = ReductionSystem(
+        AX,
+        GrlexPlus(AX, weight_letter=X, lex_top=A),
+        [Rule(lhs, NcPoly.zero(AX), str(lhs)) for lhs in ((A, A), (X, X), (A, X), (X, A))],
+    )
+    census = irreducible_census(system, 12)
+    assert census.counts == [1, 2] + [0] * 11
+    assert growth_classify(census).exponent == 0

@@ -110,6 +110,35 @@ def test_cmd_growth(capsys):
     assert "polynomial, exponent 2" in out
 
 
+def test_cmd_growth_long(tmp_path, capsys):
+    # counts of x^i <blocks> a^k for blocks a^p x^q (p, q > 0, p + q < 5):
+    # the block products d obey d_l = d_(l-2) + 2 d_(l-3) + 3 d_(l-4), and
+    # the census is their second running sum
+    L = 200
+    out = tmp_path / "growth.json"
+    assert run_command(["growth", "--n", "5", "--max-len", str(L), "--json", str(out)]) == 0
+    d = [1] + [0] * L
+    for ell in range(1, L + 1):
+        d[ell] = sum(c * d[ell - t] for t, c in ((2, 1), (3, 2), (4, 3)) if ell >= t)
+    e = [sum(d[: ell + 1]) for ell in range(L + 1)]
+    expected = [sum(e[: ell + 1]) for ell in range(L + 1)]
+    doc = json.loads(out.read_text())
+    assert doc["counts"] == expected
+    assert doc["classification"] == "exponential"
+
+
+def test_budget_exceeded_exit_code(tmp_path, capsys):
+    out = tmp_path / "error.json"
+    argv = ["confluence", "--g", "x^4", "--budget", "2", "--json", str(out)]
+    assert run_command(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: exceeded 2 elementary reductions")
+    assert json.loads(out.read_text())["error"] == "budget_exceeded"
+    argv = ["nf", "--g", "x^2", "--expr", "a*x*a*x", "--budget", "1"]
+    assert run_command(argv) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_cmd_central(capsys):
     assert run_command(["central", "--g", "x^3", "--expr", "a^3"]) == 0
     assert run_command(["central", "--g", "x^2", "--expr", "a"]) == 1

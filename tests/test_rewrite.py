@@ -87,6 +87,8 @@ def test_is_irreducible():
     assert not sys4.is_irreducible((A, A, X, X))  # is itself a left side
     sys5 = system_for(0, 0, 0, 0, 1)
     assert sys5.is_irreducible((A, A, X, X))  # shorter than every left side
+    # the automaton walk leaves the match cache alone
+    assert not (sys3._match_cache or sys4._match_cache or sys5._match_cache)
 
 
 def test_find_ambiguities_census():
@@ -302,16 +304,6 @@ def test_branches_separate_for_non_confluent_system():
         if len(_branch_normal_forms(word, system, AB)) > 1
     ]
     assert (0, 1, 0) in split  # the word a b a reduces to both 0 and a^2
-
-
-def test_threaded_confluence_matches_sequential():
-    system = system_for(0, 0, 0, 0, 1)
-    sequential = check_confluence(system, threads=1)
-    threaded = check_confluence(system, threads=4)
-    assert [r.verdict for r in sequential.resolutions] == [
-        r.verdict for r in threaded.resolutions
-    ]
-    assert sequential.stats.steps == threaded.stats.steps
 
 
 def test_strategy_rewrites_strictly_descending():
