@@ -43,7 +43,6 @@ from .rewrite import (
     find_ambiguities,
     ideal_membership,
     normal_form,
-    reduce_once,
     resolve_ambiguity,
 )
 from .scalars import (
@@ -87,7 +86,6 @@ __all__ = [
     "ProductGrlex",
     "QQ",
     "Rational",
-    "reduce_once",
     "ReductionBudgetExceeded",
     "ReductionSystem",
     "render_word",

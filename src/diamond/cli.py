@@ -39,6 +39,11 @@ class UsageError(Exception):
     """Bad flag combination; maps to exit code 2."""
 
 
+#: resource guard for ``basis``: the enumeration and the printed list grow
+#: exponentially in --max-len (342,092 words for n = 5 at length 20)
+MAX_BASIS_WORDS = 100_000
+
+
 _OPS = set("+-*^()/")
 
 
@@ -235,7 +240,7 @@ def _cmd_confluence(args, argv) -> int:
     field = _field_from_args(args)
     g = parse_defining(args.g, "x", field)
     pres = build_system(g)
-    if args.budget:
+    if args.budget is not None:
         pres.system.budget = args.budget
     report = check_confluence(pres.system)
     doc = report.to_json_dict()
@@ -275,7 +280,7 @@ def _build_expression_context(args):
 def _cmd_nf(args, argv) -> int:
     pres, field = _build_expression_context(args)
     poly = parse_expr(args.expr, pres.alphabet, field)
-    if args.budget:
+    if args.budget is not None:
         pres.system.budget = args.budget
     nf = normal_form(poly, pres.system)
     print(nf.render(pres.system.order))
@@ -290,7 +295,18 @@ def _cmd_nf(args, argv) -> int:
     return 0
 
 
+def _power_system(n: int):
+    return build_system(DefiningPolynomial.from_coefficients((0,) * (n - 1) + (1,))).system
+
+
 def _cmd_basis(args, argv) -> int:
+    # the census counts the same words as pbw_words, in milliseconds
+    total = sum(irreducible_census(_power_system(args.n), args.max_len).counts)
+    if total > MAX_BASIS_WORDS:
+        raise UsageError(
+            f"resource guard: the basis has {total} words, more than {MAX_BASIS_WORDS}; "
+            "lower --max-len"
+        )
     words = pbw_words(args.n, args.max_len)
     counts = [0] * (args.max_len + 1)
     for word in words:
@@ -311,9 +327,7 @@ def _cmd_basis(args, argv) -> int:
 
 
 def _cmd_growth(args, argv) -> int:
-    g = DefiningPolynomial.from_coefficients((0,) * (args.n - 1) + (1,))
-    pres = build_system(g)
-    census = irreducible_census(pres.system, args.max_len)
+    census = irreducible_census(_power_system(args.n), args.max_len)
     classification = growth_classify(census)
     print(f"counts: {census.counts}")
     if classification.kind == "polynomial":
@@ -403,6 +417,16 @@ def _cmd_verify(args, argv) -> int:
     return 1 if failed else 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diamond",
@@ -428,13 +452,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("confluence", help="enumerate and resolve all ambiguities")
     common(p)
-    p.add_argument("--budget", type=int, help="elementary reduction budget")
+    p.add_argument("--budget", type=_positive_int, help="elementary reduction budget")
     p.set_defaults(handler=_cmd_confluence)
 
     p = sub.add_parser("nf", help="reduce an expression to normal form")
     common(p, f=True, expr=True)
     p.add_argument("--order", choices=("grlex+", "product"))
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.set_defaults(handler=_cmd_nf)
 
     p = sub.add_parser("basis", help="enumerate the standard-word basis")

@@ -68,17 +68,13 @@ def coproduct(poly: NcPoly, ctx: CoalgebraContext) -> TensorPoly:
     """Algebra-map extension of the generator coproducts."""
     if poly.alphabet != ctx.alphabet:
         raise ValueError("alphabet mismatch")
-    total = TensorPoly.zero(ctx.alphabet)
-    cache: dict = {}
+    terms = []
     for word, coeff in poly.items():
-        value = cache.get(word)
-        if value is None:
-            value = TensorPoly.one(ctx.alphabet)
-            for letter in word:
-                value = value * _letter_coproduct(ctx, letter)
-            cache[word] = value
-        total = total + value.scale(coeff)
-    return total
+        value = TensorPoly.one(ctx.alphabet)
+        for letter in word:
+            value = value * _letter_coproduct(ctx, letter)
+        terms.extend((key, coeff * c) for key, c in value.items())
+    return TensorPoly(ctx.alphabet, terms)
 
 
 def counit(poly: NcPoly, ctx: CoalgebraContext):
@@ -124,49 +120,60 @@ def check_coproduct_bidegree(
     return lhs == rhs
 
 
-def tensor_normal_form(tensor: TensorPoly, system: ReductionSystem) -> TensorPoly:
-    """Reduce every left and right leg word to normal form and recombine.
+def tensor_normal_form(
+    tensor: TensorPoly,
+    system: ReductionSystem,
+    right_system: ReductionSystem | None = None,
+) -> TensorPoly:
+    """Reduce every left leg word under ``system`` and every right leg word
+    under ``right_system`` (default: the same system), and recombine.
 
-    This computes the image in (F/I) (x) (F/I); its kernel is exactly
-    I (x) F + F (x) I.  Representative-independence needs confluence.
+    With one system this computes the image in (F/I) (x) (F/I); its kernel
+    is exactly I (x) F + F (x) I.  Representative-independence needs
+    confluence.
     """
-    out = TensorPoly.zero(tensor.alphabet)
+    if right_system is None:
+        right_system = system
+    terms = []
     for (left, right), coeff in tensor.items():
-        nf_left = normal_form(NcPoly.monomial(tensor.alphabet, left), system)
-        nf_right = normal_form(NcPoly.monomial(tensor.alphabet, right), system)
-        out = out + TensorPoly.of(nf_left, nf_right).scale(coeff)
-    return out
+        nf_left = normal_form(NcPoly.monomial(system.alphabet, left), system)
+        nf_right = normal_form(NcPoly.monomial(right_system.alphabet, right), right_system)
+        terms.extend(
+            ((wl, wr), coeff * (cl * cr))
+            for wl, cl in nf_left.items()
+            for wr, cr in nf_right.items()
+        )
+    return TensorPoly(tensor.alphabet, terms)
 
 
 def coassociativity_holds(poly: NcPoly, ctx: CoalgebraContext) -> bool:
-    """(Delta (x) id) Delta = (id (x) Delta) Delta, exactly."""
+    """(Delta (x) id) Delta = (id (x) Delta) Delta, exactly; both sides are
+    term maps on word triples."""
+
+    def leg(word):
+        return coproduct(NcPoly.monomial(ctx.alphabet, word), ctx).items()
+
     delta = coproduct(poly, ctx)
-    left: dict = {}
-    right: dict = {}
-    for (u, v), coeff in delta.items():
-        for (u1, u2), c2 in coproduct(NcPoly.monomial(ctx.alphabet, u), ctx).items():
-            key = (u1, u2, v)
-            left[key] = left.get(key, 0) + coeff * c2
-        for (v1, v2), c2 in coproduct(NcPoly.monomial(ctx.alphabet, v), ctx).items():
-            key = (u, v1, v2)
-            right[key] = right.get(key, 0) + coeff * c2
-    left = {k: c for k, c in left.items() if c}
-    right = {k: c for k, c in right.items() if c}
+    left = NcPoly(
+        ctx.alphabet,
+        [((u1, u2, v), coeff * c) for (u, v), coeff in delta.items() for (u1, u2), c in leg(u)],
+    )
+    right = NcPoly(
+        ctx.alphabet,
+        [((u, v1, v2), coeff * c) for (u, v), coeff in delta.items() for (v1, v2), c in leg(v)],
+    )
     return left == right
 
 
 def counit_laws_hold(poly: NcPoly, ctx: CoalgebraContext) -> bool:
     """(eps (x) id) Delta(p) = p = (id (x) eps) Delta(p)."""
+
+    def eps(word):
+        return counit(NcPoly.monomial(ctx.alphabet, word), ctx)
+
     delta = coproduct(poly, ctx)
-    left = NcPoly.zero(ctx.alphabet)
-    right = NcPoly.zero(ctx.alphabet)
-    for (u, v), coeff in delta.items():
-        eps_u = counit(NcPoly.monomial(ctx.alphabet, u), ctx)
-        if eps_u:
-            left = left + NcPoly.monomial(ctx.alphabet, v, coeff * eps_u)
-        eps_v = counit(NcPoly.monomial(ctx.alphabet, v), ctx)
-        if eps_v:
-            right = right + NcPoly.monomial(ctx.alphabet, u, coeff * eps_v)
+    left = NcPoly(ctx.alphabet, ((v, coeff * eps(u)) for (u, v), coeff in delta.items()))
+    right = NcPoly(ctx.alphabet, ((u, coeff * eps(v)) for (u, v), coeff in delta.items()))
     return left == poly and right == poly
 
 

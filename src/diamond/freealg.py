@@ -2,8 +2,8 @@
 
 A word is a tuple of generator indices; the empty tuple is 1.  ``NcPoly``
 maps words to nonzero exact scalars and is treated as immutable after
-construction.  ``TensorPoly`` does the same for pairs of words and models
-the tensor square of the free algebra.
+construction.  ``TensorPoly`` is the same map on pairs of words, with the
+componentwise key product; it models the tensor square of the free algebra.
 
 The module also provides the two families of structured sums this package
 revolves around: ``bidegree_sum(j, i)``, the sum of all words containing
@@ -77,29 +77,42 @@ def render_word(alphabet: Alphabet, word: Word) -> str:
 
 
 class NcPoly:
-    """A finitely supported map word -> nonzero scalar; an element of k<X>."""
+    """A finitely supported map word -> nonzero scalar; an element of k<X>.
+
+    The keys need not be words: ``TensorPoly`` reuses the whole map with
+    keys that are pairs of words and changes only the key product.
+    """
 
     __slots__ = ("alphabet", "_terms")
 
     def __init__(self, alphabet: Alphabet, terms=None):
+        """``terms`` is a dict or an iterable of (key, scalar) pairs; repeated
+        keys are summed and zero scalars dropped."""
         object.__setattr__(self, "alphabet", alphabet)
         clean = {}
         if terms:
-            for word, coeff in terms.items():
+            for key, coeff in terms.items() if isinstance(terms, dict) else terms:
                 if coeff:
-                    clean[word] = clean[word] + coeff if word in clean else coeff
-                    if not clean[word]:
-                        del clean[word]
+                    clean[key] = clean[key] + coeff if key in clean else coeff
+                    if not clean[key]:
+                        del clean[key]
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, *_):
-        raise AttributeError("NcPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _make(self, terms: dict):
+        # wrap an already clean dict in the caller's class, without copying
+        out = object.__new__(type(self))
+        object.__setattr__(out, "alphabet", self.alphabet)
+        object.__setattr__(out, "_terms", terms)
+        return out
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> "NcPoly":
-        return cls(alphabet, {})
+        return cls(alphabet)
 
     @classmethod
     def one(cls, alphabet: Alphabet) -> "NcPoly":
@@ -140,6 +153,10 @@ class NcPoly:
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other: "NcPoly"):
+        if type(self) is not type(other):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
 
@@ -148,20 +165,16 @@ class NcPoly:
             return NotImplemented
         self._check(other)
         terms = dict(self._terms)
-        for w, c in other._terms.items():
-            s = terms.get(w, 0) + c
+        for k, c in other._terms.items():
+            s = terms.get(k, 0) + c
             if s:
-                terms[w] = s
-            elif w in terms:
-                del terms[w]
-        out = NcPoly.zero(self.alphabet)
-        object.__setattr__(out, "_terms", terms)
-        return out
+                terms[k] = s
+            elif k in terms:
+                del terms[k]
+        return self._make(terms)
 
     def __neg__(self):
-        out = NcPoly.zero(self.alphabet)
-        object.__setattr__(out, "_terms", {w: -c for w, c in self._terms.items()})
-        return out
+        return self._make({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, NcPoly):
@@ -180,9 +193,7 @@ class NcPoly:
                         terms[w] = s
                     elif w in terms:
                         del terms[w]
-            out = NcPoly.zero(self.alphabet)
-            object.__setattr__(out, "_terms", terms)
-            return out
+            return self._make(terms)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -191,17 +202,13 @@ class NcPoly:
 
     def scale(self, coeff) -> "NcPoly":
         if not coeff:
-            return NcPoly.zero(self.alphabet)
-        out = NcPoly.zero(self.alphabet)
-        object.__setattr__(
-            out, "_terms", {w: coeff * c for w, c in self._terms.items()}
-        )
-        return out
+            return self._make({})
+        return self._make({k: coeff * c for k, c in self._terms.items()})
 
     def __pow__(self, exponent: int) -> "NcPoly":
         if exponent < 0:
             raise ValueError("negative powers are not defined in the free algebra")
-        result = NcPoly.one(self.alphabet)
+        result = type(self).one(self.alphabet)
         for _ in range(exponent):
             result = result * self
         return result
@@ -209,7 +216,11 @@ class NcPoly:
     def __eq__(self, other):
         if not isinstance(other, NcPoly):
             return NotImplemented
-        return self.alphabet == other.alphabet and self._terms == other._terms
+        return (
+            type(self) is type(other)
+            and self.alphabet == other.alphabet
+            and self._terms == other._terms
+        )
 
     def __hash__(self):
         return hash((self.alphabet, frozenset(self._terms.items())))
@@ -248,7 +259,7 @@ class NcPoly:
         return " ".join(parts)
 
     def __repr__(self):
-        return f"NcPoly({self.render()})"
+        return f"{type(self).__name__}({self.render()})"
 
 
 def bidegree_sum(alphabet: Alphabet, j: int, i: int, pair=(0, 1)) -> NcPoly:
@@ -397,32 +408,15 @@ def check_splitting_identity(
     return lhs == rhs
 
 
-class TensorPoly:
+class TensorPoly(NcPoly):
     """A finitely supported map (word, word) -> nonzero scalar.
 
-    Multiplication is bilinear on simple tensors:
+    Everything but the key product is inherited from ``NcPoly``;
+    multiplication is bilinear on simple tensors:
     (u (x) v) * (u' (x) v') = uu' (x) vv'.
     """
 
-    __slots__ = ("alphabet", "_terms")
-
-    def __init__(self, alphabet: Alphabet, terms=None):
-        object.__setattr__(self, "alphabet", alphabet)
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    clean[key] = clean[key] + coeff if key in clean else coeff
-                    if not clean[key]:
-                        del clean[key]
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("TensorPoly is immutable")
-
-    @classmethod
-    def zero(cls, alphabet: Alphabet) -> "TensorPoly":
-        return cls(alphabet, {})
+    __slots__ = ()
 
     @classmethod
     def one(cls, alphabet: Alphabet) -> "TensorPoly":
@@ -436,55 +430,13 @@ class TensorPoly:
     def of(cls, left: NcPoly, right: NcPoly) -> "TensorPoly":
         if left.alphabet != right.alphabet:
             raise ValueError("alphabet mismatch")
-        terms = {}
-        for wl, cl in left.items():
-            for wr, cr in right.items():
-                terms[(wl, wr)] = cl * cr
-        return cls(left.alphabet, terms)
-
-    def items(self):
-        return self._terms.items()
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __len__(self):
-        return len(self._terms)
-
-    def _check(self, other: "TensorPoly"):
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        self._check(other)
-        terms = dict(self._terms)
-        for k, c in other._terms.items():
-            s = terms.get(k, 0) + c
-            if s:
-                terms[k] = s
-            elif k in terms:
-                del terms[k]
-        out = TensorPoly.zero(self.alphabet)
-        object.__setattr__(out, "_terms", terms)
-        return out
-
-    def __neg__(self):
-        out = TensorPoly.zero(self.alphabet)
-        object.__setattr__(out, "_terms", {k: -c for k, c in self._terms.items()})
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self + (-other)
+        return cls(
+            left.alphabet,
+            {(wl, wr): cl * cr for wl, cl in left.items() for wr, cr in right.items()},
+        )
 
     def __mul__(self, other):
-        if isinstance(other, TensorPoly):
+        if isinstance(other, NcPoly):
             self._check(other)
             terms = {}
             for (l1, r1), c1 in self._terms.items():
@@ -495,36 +447,8 @@ class TensorPoly:
                         terms[key] = s
                     elif key in terms:
                         del terms[key]
-            out = TensorPoly.zero(self.alphabet)
-            object.__setattr__(out, "_terms", terms)
-            return out
+            return self._make(terms)
         return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, coeff) -> "TensorPoly":
-        if not coeff:
-            return TensorPoly.zero(self.alphabet)
-        out = TensorPoly.zero(self.alphabet)
-        object.__setattr__(
-            out, "_terms", {k: coeff * c for k, c in self._terms.items()}
-        )
-        return out
-
-    def __pow__(self, exponent: int) -> "TensorPoly":
-        result = TensorPoly.one(self.alphabet)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.alphabet, frozenset(self._terms.items())))
 
     def render(self) -> str:
         from .scalars import scalar_str
@@ -538,6 +462,3 @@ class TensorPoly:
             body = f"{render_word(self.alphabet, wl)}(x){render_word(self.alphabet, wr)}"
             bits.append(f"{scalar_str(c)}*{body}")
         return " + ".join(bits)
-
-    def __repr__(self):
-        return f"TensorPoly({self.render()})"

@@ -191,39 +191,14 @@ class _Rev:
         return self.key > other.key
 
 
-def reduce_once(poly: NcPoly, system: ReductionSystem):
-    """One elementary reduction of the order-largest reducible monomial.
-
-    Returns (new_poly, changed).
-    """
-    target = None
-    target_key = None
-    for word in poly.support():
-        if system.match(word) is not None:
-            key = system.order.sort_key(word)
-            if target is None or key > target_key:
-                target, target_key = word, key
-    if target is None:
-        return poly, False
-    rule, pos = system.match(target)
-    coeff = poly.coeff(target)
-    replacement = {}
-    for rword, rcoeff in rule.rhs.items():
-        new_word = target[:pos] + rword + target[pos + len(rule.lhs) :]
-        replacement[new_word] = replacement.get(new_word, 0) + coeff * rcoeff
-    out = poly - NcPoly.monomial(poly.alphabet, target, coeff) + NcPoly(
-        poly.alphabet, replacement
-    )
-    return out, True
-
-
 def normal_form(
     poly: NcPoly,
     system: ReductionSystem,
     budget: int | None = None,
     stats: ReductionStats | None = None,
 ) -> NcPoly:
-    """Fixed point of reduce_once under the deterministic strategy.
+    """Reduce to normal form under the deterministic strategy: each step
+    rewrites the order-largest reducible monomial.
 
     Terminates for every compatible system by the descending chain
     condition; the step budget is a diagnostic guard against misuse with

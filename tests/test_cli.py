@@ -102,6 +102,11 @@ def test_cmd_basis(capsys):
     assert run_command(["basis", "--n", "3", "--max-len", "3"]) == 0
     out = capsys.readouterr().out
     assert "counts per length: [1, 2, 4, 6]" in out
+    # 342,092 words: refused from the census count before enumerating
+    assert run_command(["basis", "--n", "5", "--max-len", "20"]) == 2
+    err = capsys.readouterr().err
+    assert "resource guard: the basis has 342092 words" in err
+    assert run_command(["basis", "--n", "3", "--max-len", "-1"]) == 2
 
 
 def test_cmd_growth(capsys):
@@ -164,7 +169,10 @@ def test_usage_errors(capsys):
     assert run_command(["nonsense"]) == 2
     assert run_command(["nf", "--g", "x^2", "--expr", "a x"]) == 2
     assert run_command(["present", "--g", "x"]) == 2  # degree must be >= 2
-    capsys.readouterr()
+    for budget in ("0", "-1"):
+        assert run_command(["nf", "--g", "x^2", "--expr", "a*x", "--budget", budget]) == 2
+        assert run_command(["confluence", "--g", "x^3", "--budget", budget]) == 2
+        assert "--budget: expected a positive integer" in capsys.readouterr().err
 
 
 def test_cyclotomic_flag(capsys):

@@ -145,6 +145,25 @@ def test_tensor_examples():
     assert t * t == square
     uv = TensorPoly.simple(AX, (A, X), (X,))
     assert uv * TensorPoly.one(AX) == uv
+    assert uv ** 0 == TensorPoly.one(AX) and uv ** 2 == uv * uv
+    with pytest.raises(ValueError):
+        uv ** -1
+
+
+def test_term_map_shared_by_words_and_pairs():
+    # pairs are summed per key and zero sums dropped, in both classes
+    pairs = [((A,), Fraction(1)), ((X,), Fraction(2)), ((A,), Fraction(-1)), ((), 0)]
+    assert NcPoly(AX, pairs) == NcPoly(AX, iter(pairs)) == 2 * mono(X)
+    tensor = TensorPoly(AX, [(((A,), ()), 3), (((), (X,)), 1), (((A,), ()), -3)])
+    assert dict(tensor.items()) == {((), (X,)): 1}
+    assert type(-tensor) is type(tensor + tensor) is type(tensor.scale(2)) is TensorPoly
+    word_poly = NcPoly.one(AX)
+    assert word_poly != TensorPoly.one(AX)
+    for op in (lambda p, t: p + t, lambda p, t: t + p, lambda p, t: p * t, lambda p, t: t * p):
+        with pytest.raises(TypeError):
+            op(word_poly, tensor)
+    with pytest.raises(AttributeError):
+        tensor.alphabet = AX
 
 
 def test_render():

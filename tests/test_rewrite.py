@@ -20,7 +20,6 @@ from diamond.rewrite import (
     find_ambiguities,
     ideal_membership,
     normal_form,
-    reduce_once,
     resolve_ambiguity,
 )
 
@@ -48,25 +47,18 @@ def sign_count_normal_form(word):
     return NcPoly.monomial(AX, (X,) * p + (A,) * q, Fraction(-1) ** inversions)
 
 
-def test_reduce_once_examples():
-    sys2 = system_for(0, 1)  # single rule ax -> -xa
-    out, changed = reduce_once(mono(A, X), sys2)
-    assert changed and out == -mono(X, A)
-    out, changed = reduce_once(mono(X, A), sys2)
-    assert not changed and out == mono(X, A)
-    sys3 = system_for(0, 0, 1)
-    out, changed = reduce_once(mono(A, X, X), sys3)
-    assert changed and out == -mono(X, A, X) - mono(X, X, A)
-
-
 def test_normal_form_sign_oracle():
-    sys2 = system_for(0, 1)
+    sys2 = system_for(0, 1)  # single rule ax -> -xa
+    assert normal_form(mono(A, X), sys2) == -mono(X, A)
+    assert normal_form(mono(X, A), sys2) == mono(X, A)
     assert normal_form(mono(A, X, A, X), sys2) == -mono(X, X, A, A)
     assert normal_form(mono(A, A, X), sys2) == mono(X, A, A)
     rng = random.Random(11)
     for _ in range(60):
         word = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 10)))
         assert normal_form(NcPoly.monomial(AX, word), sys2) == sign_count_normal_form(word)
+    sys3 = system_for(0, 0, 1)
+    assert normal_form(mono(A, X, X), sys3) == -mono(X, A, X) - mono(X, X, A)
 
 
 def test_relations_reduce_to_zero():
@@ -304,21 +296,3 @@ def test_branches_separate_for_non_confluent_system():
         if len(_branch_normal_forms(word, system, AB)) > 1
     ]
     assert (0, 1, 0) in split  # the word a b a reduces to both 0 and a^2
-
-
-def test_strategy_rewrites_strictly_descending():
-    # the key of the rewritten monomial strictly decreases step by step
-    sys3 = system_for(0, 0, 1)
-    order = sys3.order
-    p = mono(A, A, X, X) + mono(A, X, X, A) - mono(X, A, A, X)
-    keys = []
-    while True:
-        before = {w for w in p.support() if not sys3.is_irreducible(w)}
-        if not before:
-            break
-        target = max(before, key=order.sort_key)
-        keys.append(order.sort_key(target))
-        p, changed = reduce_once(p, sys3)
-        assert changed
-    assert keys == sorted(keys, reverse=True)
-    assert all(k1 > k2 for k1, k2 in zip(keys, keys[1:]))

@@ -1,0 +1,61 @@
+"""``benchmarks/tracer.py`` patches functions and class methods of ``diamond``
+by name (``--trace 1``).  These checks load it unchanged and keep its
+targets resolvable, so a refactor cannot silently break the traced run."""
+
+import fractions
+import importlib.util
+from pathlib import Path
+
+from diamond import coalgebra
+from diamond.freealg import bidegree_sum
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bindings(tracer) -> dict:
+    """Every object the tracer may replace, keyed by where it is bound."""
+    from diamond import claims
+
+    modules = tracer.diamond_modules()
+    out = {(name, attr): value for name, m in modules.items() for attr, value in vars(m).items()}
+    classes = [fractions.Fraction] + [
+        getattr(modules[f"diamond.{m}"], cls) for m, cls, _, _ in tracer.METHODS
+    ]
+    out.update({(cls, attr): value for cls in classes for attr, value in vars(cls).items()})
+    out.update({("SUITES", suite): fn for suite, fn in claims.SUITES.items()})
+    return out
+
+
+def test_tracer_targets_resolve_and_uninstall_restores():
+    tracer = load_tracer()
+    modules = tracer.diamond_modules()
+    for module_name, fn_name, _ in tracer.FUNCTIONS:
+        assert callable(getattr(modules[f"diamond.{module_name}"], fn_name))
+    for module_name, cls_name, methods, _ in tracer.METHODS:
+        cls = getattr(modules[f"diamond.{module_name}"], cls_name)
+        for method in methods:
+            # probes replace cls.__dict__[method]; an inherited method is missed
+            assert method in vars(cls), f"{cls_name}.{method} must be defined in its class body"
+
+    before = bindings(tracer)
+    probe = tracer.Tracer()
+    probe.install()
+    try:
+        # looked up on the module, where the probe is bound
+        ctx = coalgebra.AX_CONTEXT
+        coalgebra.coproduct(bidegree_sum(ctx.alphabet, 1, 2), ctx)
+    finally:
+        probe.uninstall()
+    after = bindings(tracer)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+    # tensor additions count under the inherited NcPoly.__add__
+    for name in ("coalgebra.coproduct", "freealg.tensorpoly_mul", "freealg.ncpoly_add"):
+        assert probe.stats[name].calls > 0
