@@ -47,18 +47,26 @@ def sign_count_normal_form(word):
     return NcPoly.monomial(AX, (X,) * p + (A,) * q, Fraction(-1) ** inversions)
 
 
-def test_normal_form_sign_oracle():
+def test_reduce_once_examples():
+    # one-rewrite examples; each one-step result is already a normal form
     sys2 = system_for(0, 1)  # single rule ax -> -xa
+    assert not sys2.is_irreducible((A, X))
     assert normal_form(mono(A, X), sys2) == -mono(X, A)
+    assert sys2.is_irreducible((X, A))
     assert normal_form(mono(X, A), sys2) == mono(X, A)
+    sys3 = system_for(0, 0, 1)
+    assert not sys3.is_irreducible((A, X, X))
+    assert normal_form(mono(A, X, X), sys3) == -mono(X, A, X) - mono(X, X, A)
+
+
+def test_normal_form_sign_oracle():
+    sys2 = system_for(0, 1)
     assert normal_form(mono(A, X, A, X), sys2) == -mono(X, X, A, A)
     assert normal_form(mono(A, A, X), sys2) == mono(X, A, A)
     rng = random.Random(11)
     for _ in range(60):
         word = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 10)))
         assert normal_form(NcPoly.monomial(AX, word), sys2) == sign_count_normal_form(word)
-    sys3 = system_for(0, 0, 1)
-    assert normal_form(mono(A, X, X), sys3) == -mono(X, A, X) - mono(X, X, A)
 
 
 def test_relations_reduce_to_zero():
