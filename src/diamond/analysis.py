@@ -7,14 +7,25 @@ space, row-reduces exactly over the integers, and reads filtration
 dimensions off the pivot profile.  Agreement with the irreducible census is
 then a machine proof, at these sizes, that the irreducible words really are
 a basis of the quotient.
+
+The echelon is built once per g, level by level in t = |u| + |v|: the rows
+of level t are a and x times the rows of level t - 1, plus sigma_j * v with
+|v| = t.  Columns are ordered by length, then x-count, then
+lexicographically, and prepending a letter keeps that order, so the
+prefixed rows of an echelon basis of level t - 1 still have distinct
+leading words and need no reduction; only the rows sigma_j * v are reduced.
+The pivot profile after level t is the profile at bound t + n, so one build
+serves every bound, extended only when a larger bound is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import product
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from itertools import islice
+from weakref import WeakKeyDictionary
 from math import gcd, log
 
 from .coalgebra import tensor_normal_form
@@ -190,23 +201,36 @@ def _strip_content(row: dict) -> dict:
 
 def _reduce_row(row: dict, pivots: dict) -> dict:
     """Eliminate a row against the pivot table; fraction-free combinations
-    with content stripping keep the integers small."""
-    while row:
-        lead = min(row)
+    with content stripping keep the integers small.
+
+    Works on a copy, updated in place.  A pivot touches only columns at or
+    after its lead, so an eliminated column never returns, and a heap of
+    the row's columns yields each next lead without a scan of the row.
+    """
+    row = dict(row)
+    heap = list(row)
+    heapify(heap)
+    while heap:
+        lead = heappop(heap)
+        if lead not in row:
+            continue
         pivot = pivots.get(lead)
         if pivot is None:
             return _strip_content(row)
         a, b = row[lead], pivot[lead]
         g = gcd(a, b)
         fa, fb = b // g, a // g
-        new = {k: fa * v for k, v in row.items()}
+        if fa != 1:
+            for k in row:
+                row[k] *= fa
         for k, v in pivot.items():
-            value = new.get(k, 0) - fb * v
-            if value:
-                new[k] = value
-            elif k in new:
-                del new[k]
-        row = new
+            value = row.get(k, 0) - fb * v
+            if not value:
+                del row[k]
+            else:
+                if k not in row:
+                    heappush(heap, k)
+                row[k] = value
     return row
 
 
@@ -214,79 +238,188 @@ def _row_echelon(rows) -> dict:
     """Sparse row echelon form; returns {leading column: pivot row}."""
     pivots: dict = {}
     for row in sorted(rows, key=min):
-        reduced = _reduce_row(dict(row), pivots)
+        reduced = _reduce_row(row, pivots)
         if reduced:
             pivots[min(reduced)] = reduced
     return pivots
 
 
-def _integer_row(terms, rank_of: dict) -> dict:
+def _integer_row(terms, column) -> dict:
+    """Clear the denominators of {key: rational} and rename each key by
+    ``column``; the result is a row {column: int}."""
     for coeff in terms.values():
         if not isinstance(coeff, (int, Fraction)):
             raise TypeError("the exact-rank oracle works over rational scalars only")
     denominators = [c.denominator for c in terms.values() if isinstance(c, Fraction)]
     scale = reduce(lambda acc, d: acc * d // gcd(acc, d), denominators, 1)
     row = {}
-    for word, coeff in terms.items():
+    for key, coeff in terms.items():
         value = coeff * scale
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 raise ArithmeticError("denominator clearing failed")
             value = value.numerator
-        row[rank_of[word]] = value
+        row[column(key)] = value
     return row
 
 
 _MEMBERSHIP_BOUND = 10
 
 
-def _all_words(max_len: int, k: int = 2) -> list:
-    out = []
-    for length in range(max_len + 1):
-        out.extend(product(range(k), repeat=length))
-    return out
+def _column(length: int, xcount: int, bits: int) -> int:
+    """Column of the word over {a, x} with this length, this number of x and
+    its letters read as binary digits (a = 0, x = 1, first letter highest).
+
+    Columns fall as words rise in the order (length, x-count,
+    lexicographic), so a row's leading word is its smallest column, and no
+    column depends on a bound.  Within length L the codes
+    (L + xcount - 1) * 2^L + bits fill a block that ends where length L + 1
+    begins.
+    """
+    return -(((length + xcount - 1) << length) + bits + 1)
 
 
-def _word_ranks(bound: int):
-    # columns ordered longest word first, so every length split is a block split
-    order_key = lambda w: (len(w), sum(1 for c in w if c == 1), tuple(w))
-    words = sorted(_all_words(bound), key=order_key, reverse=True)
-    return {w: i for i, w in enumerate(words)}, [len(w) for w in words]
+def _word_bits(word: Word) -> int:
+    bits = 0
+    for letter in word:
+        bits = 2 * bits + letter
+    return bits
 
 
-def _ideal_rows(gm: DefiningPolynomial, bound: int, rank_of: dict):
-    n = gm.degree
-    sigmas = [list(defining_relation(gm, j).items()) for j in range(1, n)]
-    for total in range(bound - n + 1):
-        for left_len in range(total + 1):
-            for u in product((0, 1), repeat=left_len):
-                for v in product((0, 1), repeat=total - left_len):
-                    for sigma in sigmas:
-                        yield _integer_row(
-                            {u + word + v: coeff for word, coeff in sigma}, rank_of
-                        )
+def _word_column(word: Word) -> int:
+    return _column(len(word), sum(word), _word_bits(word))
+
+
+def _column_word(column: int) -> tuple:
+    """(length, xcount, bits) of a column; inverse of ``_column``."""
+    code = -column - 1
+    length = 0
+    while code >= length << (length + 1):
+        length += 1
+    return length, (code >> length) - length + 1, code & ((1 << length) - 1)
+
+
+class _IdealEchelon:
+    """Row echelon of the ideal of one monic g, built level by level.
+
+    Level t holds W_t, the span of the rows u * sigma_j * v with
+    |u| + |v| = t.  Splitting off the first letter of u gives
+
+        W_t = a * W_{t-1} + x * W_{t-1} + span{ sigma_j * v : |v| = t }.
+
+    Prepending a letter keeps the column order, so the rows a * E and x * E
+    of an echelon basis E of W_{t-1} keep distinct leads and enter the
+    echelon of W_t with no arithmetic; only the (n - 1) * 2^t rows
+    sigma_j * v are reduced.  Each level is then merged into the cumulative
+    pivot table of W_0 + ... + W_t, the row space at bound t + n.  The merge
+    is free when every row keeps its top length, as for g = x^n; lower terms
+    of g can cancel it, and such rows are reduced against the table.
+    """
+
+    def __init__(self, gm: DefiningPolynomial):
+        self.n = gm.degree
+        self.sigmas = []  # each sigma_j as [(length, xcount, bits, coeff)]
+        for j in range(1, self.n):
+            row = _integer_row(dict(defining_relation(gm, j).items()), lambda w: w)
+            self.sigmas.append(
+                [(len(w), sum(w), _word_bits(w), c) for w, c in row.items()]
+            )
+        self.basis: dict = {}  # echelon basis of the last level's W_t
+        self.pivots: dict = {}  # echelon of W_0 + ... + W_t, level by level
+        self.sizes: list = []  # len(self.pivots) after each level
+        self.profiles: list = []  # pivot counts per lead length after each level
+
+    def profile(self, level: int) -> list:
+        self._extend(level)
+        return list(self.profiles[level])
+
+    def pivots_at(self, level: int) -> dict:
+        """The pivot table of W_0 + ... + W_level.  Pivots are added level
+        by level and never changed, so it is a prefix of the current table;
+        later levels are left out, as lower terms of g may reduce their rows
+        to shorter lengths."""
+        self._extend(level)
+        size = self.sizes[level]
+        if size == len(self.pivots):
+            return self.pivots
+        return dict(islice(self.pivots.items(), size))
+
+    def _extend(self, level: int) -> None:
+        while len(self.sizes) <= level:
+            self._add_level(len(self.sizes))
+
+    def _add_level(self, t: int) -> None:
+        shift = {}
+        for row in self.basis.values():
+            for column in row:
+                if column not in shift:
+                    length, xcount, bits = _column_word(column)
+                    shift[column] = (
+                        _column(length + 1, xcount, bits),
+                        _column(length + 1, xcount + 1, bits | (1 << length)),
+                    )
+        basis = {}
+        for letter in (0, 1):
+            for lead, row in self.basis.items():
+                basis[shift[lead][letter]] = {shift[k][letter]: v for k, v in row.items()}
+        rows = []
+        for v in range(1 << t):
+            vx = v.bit_count()
+            for sigma in self.sigmas:
+                rows.append(
+                    {
+                        _column(length + t, xcount + vx, (bits << t) | v): coeff
+                        for length, xcount, bits, coeff in sigma
+                    }
+                )
+        # in the order generated, v ascending: largest lead first, as in
+        # _row_echelon, took 2 to 6 times more elimination steps on x^2,
+        # x^3 and x + 2x^2 + x^3 at bounds 10 to 12
+        for row in rows:
+            reduced = _reduce_row(row, basis)
+            if reduced:
+                basis[min(reduced)] = reduced
+        self.basis = basis
+        profile = list(self.profiles[-1]) if self.profiles else []
+        profile.extend([0] * (t + self.n + 1 - len(profile)))
+        for lead, row in basis.items():
+            if lead in self.pivots:
+                row = _reduce_row(row, self.pivots)
+                if not row:
+                    continue
+                lead = min(row)
+            self.pivots[lead] = row
+            profile[_column_word(lead)[0]] += 1
+        self.sizes.append(len(self.pivots))
+        self.profiles.append(tuple(profile))
+
+
+# One build per g serves every bound.  A build lives only as long as the
+# caller's g: a finished suite frees it (about 2.5 MiB at bound 12) before
+# the next suite allocates, which keeps the peak of ``verify all`` down.
+_ECHELONS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _echelon(g: DefiningPolynomial) -> _IdealEchelon:
+    build = _ECHELONS.get(g)
+    if build is None:
+        build = _ECHELONS[g] = _IdealEchelon(g.monic())
+    return build
 
 
 def ideal_filtration_profile(g: DefiningPolynomial, bound: int) -> list:
     """Pivot counts per word length for the row space spanned by
     u * sigma_j * v with |u| + |v| + n <= bound.
 
-    Columns are all words of length <= bound ordered longest first, so the
-    pivot profile simultaneously yields dim(span cap F_ell) for every
-    ell <= bound.
+    The columns are all words, ordered by length, then x-count, then
+    lexicographically, so the pivot profile yields dim(span cap F_ell) for
+    every ell <= bound at once.  The rows come from one level-by-level
+    echelon per g (see ``_IdealEchelon``): the profile at bound b is the
+    one after level b - n, and a larger bound only adds levels.
     """
-    return _profile(g.monic(), bound)
-
-
-# one ``verify all`` asks for 33 profiles; 64 holds them all
-@lru_cache(maxsize=64)
-def _profile(gm: DefiningPolynomial, bound: int) -> list:
-    rank_of, length_of_rank = _word_ranks(bound)
-    pivots = _row_echelon(_ideal_rows(gm, bound, rank_of))
-    profile = [0] * (bound + 1)
-    for lead in pivots:
-        profile[length_of_rank[lead]] += 1
-    return profile
+    if bound < g.degree:
+        return [0] * (bound + 1)
+    return _echelon(g).profile(bound - g.degree)
 
 
 def _dimension_at(profile: list, ell: int) -> int:
@@ -310,10 +443,12 @@ class DimOracleResult:
 def dimension_oracle(g: DefiningPolynomial, ell: int, slack: int = 2) -> DimOracleResult:
     """Filtration dimension of the quotient at degree <= ell, via exact rank.
 
-    Runs the row space at bounds ell+slack, ell+slack+1, ell+slack+2; the
+    Reads the row space at bounds ell+slack, ell+slack+1, ell+slack+2; the
     value is certified (``stable``) only when all three agree, since the
-    free algebra gives no a-priori degree bound on ideal elements.  Every
-    bound is capped at 12 words of length, as a resource guard.
+    free algebra gives no a-priori degree bound on ideal elements.  The
+    three bounds are three levels of one level-by-level build of g, shared
+    with every other call for the same g.  Every bound is capped at 12
+    words of length, as a resource guard.
     """
     if ell < 0 or slack < 0:
         raise ValueError("ell and slack must be nonnegative")
@@ -341,16 +476,12 @@ def ideal_span_contains(g: DefiningPolynomial, poly: NcPoly, bound: int | None =
         bound = poly.degree()
     if bound > _MEMBERSHIP_BOUND:
         raise ValueError(f"resource guard: membership bound must be <= {_MEMBERSHIP_BOUND}")
-    rank_of, pivots = _membership_pivots(g.monic(), bound)
-    vector = _integer_row(dict(poly.items()), rank_of)
-    return not _reduce_row(vector, pivots)
-
-
-# a pivot table at bound 10 takes about 8 MiB, so keep only a few
-@lru_cache(maxsize=2)
-def _membership_pivots(gm: DefiningPolynomial, bound: int):
-    rank_of, _ = _word_ranks(bound)
-    return rank_of, _row_echelon(_ideal_rows(gm, bound, rank_of))
+    if len(poly.alphabet) != 2:
+        raise ValueError("membership is defined for the two-letter alphabet {a, x}")
+    vector = _integer_row(dict(poly.items()), _word_column)
+    if bound < g.degree:
+        return False
+    return not _reduce_row(vector, _echelon(g).pivots_at(bound - g.degree))
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +564,8 @@ BY = Alphabet(("b", "y"))
 class TensorAlgebra:
     """Tensor product of the two factor quotients.  Its elements are
     ``TensorPoly`` maps (factor-1 word, factor-2 word) -> scalar; the map's
-    alphabet is the first factor's, and ``reduce`` brings both legs to
-    factor normal form."""
+    alphabet is the first factor's, ``render`` names the second leg in
+    ``BY``, and ``reduce`` brings both legs to factor normal form."""
 
     def __init__(self, g: DefiningPolynomial, f: DefiningPolynomial):
         self.g, self.f = g, f
@@ -457,6 +588,9 @@ class TensorAlgebra:
 
     def reduce(self, element: TensorPoly) -> TensorPoly:
         return tensor_normal_form(element, self.left.system, self.right.system)
+
+    def render(self, element: TensorPoly) -> str:
+        return element.render(BY)
 
 
 @dataclass
@@ -577,7 +711,7 @@ def quotient_dimension_tensor(
         for z in (z_curve, z_group):
             element = algebra.reduce(basis_el * z)
             if not element.is_zero():
-                rows.append(_integer_row(dict(element.items()), rank_of))
+                rows.append(_integer_row(dict(element.items()), rank_of.__getitem__))
     pivots = _row_echelon(rows)
     pivot_by_degree = [0] * (max_degree + 1)
     for lead in pivots:

@@ -43,6 +43,11 @@ class UsageError(Exception):
 #: exponentially in --max-len (342,092 words for n = 5 at length 20)
 MAX_BASIS_WORDS = 100_000
 
+#: resource guard for ``growth``: the counts of an exponential system have
+#: Theta(L) digits, so time, memory and output grow as --max-len squared
+#: (8.8 MB printed for n = 6 at length 8,000)
+MAX_GROWTH_LEN = 1_000
+
 
 _OPS = set("+-*^()/")
 
@@ -327,6 +332,10 @@ def _cmd_basis(args, argv) -> int:
 
 
 def _cmd_growth(args, argv) -> int:
+    if args.max_len > MAX_GROWTH_LEN:
+        raise UsageError(
+            f"resource guard: --max-len must be <= {MAX_GROWTH_LEN}, got {args.max_len}"
+        )
     census = irreducible_census(_power_system(args.n), args.max_len)
     classification = growth_classify(census)
     print(f"counts: {census.counts}")

@@ -450,15 +450,21 @@ class TensorPoly(NcPoly):
             return self._make(terms)
         return self.scale(other)
 
-    def render(self) -> str:
+    def degree(self) -> int:
+        raise TypeError("a tensor has a bidegree, not a word length")
+
+    def render(self, right: Alphabet | None = None) -> str:
+        """Terms as ``c*u(x)v``; the right leg is named in ``right``, by
+        default the map's own alphabet."""
         from .scalars import scalar_str
 
         if not self._terms:
             return "0"
+        right = right or self.alphabet
         bits = []
         for (wl, wr), c in sorted(
             self._terms.items(), key=lambda kv: (len(kv[0][0]) + len(kv[0][1]), kv[0])
         ):
-            body = f"{render_word(self.alphabet, wl)}(x){render_word(self.alphabet, wr)}"
+            body = f"{render_word(self.alphabet, wl)}(x){render_word(right, wr)}"
             bits.append(f"{scalar_str(c)}*{body}")
         return " + ".join(bits)

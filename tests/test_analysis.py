@@ -7,15 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamond.analysis import (
+    BY,
     GrowthReport,
     TensorAlgebra,
     TensorQuotientReport,
+    _column_word,
+    _echelon,
+    _integer_row,
+    _reduce_row,
+    _row_echelon,
     cubic_centre_elements,
     cubic_centre_suite,
     degree_three_centre_element,
     degree_two_suite,
     dimension_oracle,
     growth_classify,
+    ideal_filtration_profile,
     ideal_span_contains,
     irreducible_census,
     is_central,
@@ -25,7 +32,7 @@ from diamond.analysis import (
     quotient_dimension_tensor,
     random_defining_polynomial,
 )
-from diamond.freealg import Alphabet, NcPoly, bidegree_sum
+from diamond.freealg import Alphabet, NcPoly, TensorPoly, bidegree_sum
 from diamond.ordering import GrlexPlus
 from diamond.presentations import (
     AX,
@@ -33,11 +40,13 @@ from diamond.presentations import (
     build_quantum_plane,
     build_system,
     build_tensor_presentation,
+    defining_relation,
 )
 from diamond.rewrite import ReductionSystem, Rule, normal_form
 from diamond.scalars import CyclotomicField
 
 A, X = 0, 1
+B, Y = 0, 1
 
 
 def power_poly(n):
@@ -135,6 +144,101 @@ def test_census_degree_four_series_oracle():
     assert census.counts == expected
 
 
+def all_rows_echelon(g, bound):
+    """Test oracle: the build the level recursion replaced.  Every row
+    u * sigma_j * v with |u| + |v| + n <= bound is reduced from scratch,
+    over columns ranked for this bound (longest word first, then most x,
+    then lexicographically largest).  Returns (rank_of, pivots)."""
+    gm = g.monic()
+    n = gm.degree
+    words = [w for length in range(bound + 1) for w in product((A, X), repeat=length)]
+    words.sort(key=lambda w: (len(w), w.count(X), w), reverse=True)
+    rank_of = {w: i for i, w in enumerate(words)}
+    rows = []
+    for j in range(1, n):
+        sigma = dict(defining_relation(gm, j).items())
+        for total in range(bound - n + 1):
+            for left_len in range(total + 1):
+                for u in product((A, X), repeat=left_len):
+                    for v in product((A, X), repeat=total - left_len):
+                        terms = {u + w + v: c for w, c in sigma.items()}
+                        rows.append(_integer_row(terms, rank_of.__getitem__))
+    return rank_of, _row_echelon(rows)
+
+
+def all_rows_leads(g, bound):
+    rank_of, pivots = all_rows_echelon(g, bound)
+    word_of = {rank: w for w, rank in rank_of.items()}
+    return {word_of[lead] for lead in pivots}
+
+
+def level_build_leads(g, bound):
+    # both builds order columns alike, so a span has one set of leading words
+    if bound < g.degree:
+        return set()
+    leads = set()
+    for lead in _echelon(g).pivots_at(bound - g.degree):
+        length, _, bits = _column_word(lead)
+        leads.add(tuple((bits >> (length - 1 - i)) & 1 for i in range(length)))
+    return leads
+
+
+def assert_level_build_matches(g, bound):
+    leads = all_rows_leads(g, bound)
+    profile = [sum(1 for w in leads if len(w) == ell) for ell in range(bound + 1)]
+    assert ideal_filtration_profile(g, bound) == profile
+    assert level_build_leads(g, bound) == leads
+
+
+def test_level_build_matches_all_rows_oracle():
+    for coeffs in ((0, 1), (0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 0, 1), (1, 1, 1), (1, 2, 1)):
+        g = DefiningPolynomial.from_coefficients(coeffs)
+        for bound in range(9):
+            assert_level_build_matches(g, bound)
+
+
+monic_rational = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=1, max_size=3
+).map(lambda low: DefiningPolynomial.from_coefficients((*low, 1)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(monic_rational, st.permutations(range(9)))
+def test_level_build_matches_all_rows_oracle_random_g(g, bounds):
+    # bounds in any order: a build extended further still answers lower bounds
+    for bound in bounds:
+        assert_level_build_matches(g, bound)
+
+
+def test_ideal_span_contains_matches_all_rows_oracle():
+    rng = random.Random(59)
+    answers = set()
+    for coeffs in ((0, 1), (0, 0, 1), (1, 1, 1), (1, 2, 1), (2, -1, 3, 1)):
+        g = DefiningPolynomial.from_coefficients(coeffs)
+        n = g.degree
+        sigmas = [defining_relation(g.monic(), j) for j in range(1, n)]
+        for bound in range(n, 9):
+            rank_of, pivots = all_rows_echelon(g, bound)
+            for _ in range(12):
+                poly = NcPoly.zero(AX)
+                for _ in range(rng.randint(0, 3)):
+                    left = rng.randint(0, bound - n)
+                    u = tuple(rng.randint(0, 1) for _ in range(left))
+                    v = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, bound - n - left)))
+                    poly = poly + rng.randint(-3, 3) * (
+                        NcPoly.monomial(AX, u) * rng.choice(sigmas) * NcPoly.monomial(AX, v)
+                    )
+                if rng.random() < 0.5:
+                    word = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, bound)))
+                    poly = poly + NcPoly.monomial(AX, word, Fraction(rng.randint(1, 3), 2))
+                expected = poly.is_zero() or not _reduce_row(
+                    _integer_row(dict(poly.items()), rank_of.__getitem__), pivots
+                )
+                assert ideal_span_contains(g, poly, bound) == expected
+                answers.add(expected)
+    assert answers == {True, False}
+
+
 def test_dimension_oracle_examples():
     assert dimension_oracle(power_poly(2), 4).dimension == 15
     assert dimension_oracle(power_poly(3), 4).dimension == 22
@@ -173,6 +277,8 @@ def test_ideal_span_soundness():
     assert not ideal_span_contains(power_poly(2), NcPoly.monomial(AX, (X, X, A)))
     with pytest.raises(ValueError):
         ideal_span_contains(power_poly(2), NcPoly.monomial(AX, (X,) * 11))
+    with pytest.raises(ValueError):
+        ideal_span_contains(power_poly(2), NcPoly.monomial(ABC, (2,)))
 
 
 def test_is_central():
@@ -244,6 +350,18 @@ def test_tensor_algebra_multiplication():
     assert dict(algebra.reduce(xa * one).items()) == {((X, A), ()): Fraction(-1)}
     left = algebra.embed_left(NcPoly.monomial(AX, (A, X)))
     assert dict(left.items()) == {((X, A), ()): Fraction(-1)}
+
+
+def test_tensor_algebra_render_names_each_leg():
+    g = DefiningPolynomial.from_coefficients((0, 1))
+    algebra = TensorAlgebra(g, g)
+    y = algebra.embed_right(NcPoly.generator(BY, X))
+    assert algebra.render(y) == "1*1(x)y"
+    assert algebra.render(algebra.monomial((A, X), (Y, B))) == "1*a*x(x)y*b"
+    # a tensor of one alphabet names both legs in it
+    assert TensorPoly.simple(AX, (A,), (X,)).render() == "1*a(x)x"
+    with pytest.raises(TypeError):
+        y.degree()
 
 
 def test_power_chain_report():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamond.cli import ExprError, parse_defining, parse_expr, run_command
+from diamond.cli import MAX_GROWTH_LEN, ExprError, parse_defining, parse_expr, run_command
 from diamond.freealg import Alphabet, NcPoly, bidegree_sum
 from diamond.presentations import AX
 from diamond.scalars import CyclotomicField
@@ -173,6 +173,10 @@ def test_usage_errors(capsys):
         assert run_command(["nf", "--g", "x^2", "--expr", "a*x", "--budget", budget]) == 2
         assert run_command(["confluence", "--g", "x^3", "--budget", budget]) == 2
         assert "--budget: expected a positive integer" in capsys.readouterr().err
+    too_long = str(MAX_GROWTH_LEN + 1)
+    assert run_command(["growth", "--n", "6", "--max-len", too_long]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"<= {MAX_GROWTH_LEN}" in err
 
 
 def test_cyclotomic_flag(capsys):
