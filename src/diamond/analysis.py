@@ -115,15 +115,14 @@ def irreducible_census(system, max_len: int) -> GrowthReport:
     """Count irreducible words of every length <= max_len by transfer matrix.
 
     A word is irreducible when its walk through the system's obstruction
-    automaton never enters a dead state, so the number of irreducible words
-    of length L ending in each live state follows from length L - 1 by one
-    step along every letter.  Exact integers; O(max_len * states * letters)
-    additions.
+    automaton only visits live states, where no left side ends, so the
+    number of irreducible words of length L ending in each live state
+    follows from length L - 1 by one step along every letter.  Exact
+    integers; O(max_len * states * letters) additions.
     """
     automaton = system.automaton
-    live = [
-        [t for t in row if not automaton.dead[t]] for row in automaton.delta
-    ]
+    rank, none = automaton.rank, len(automaton.rules)
+    live = [[t for t in row if rank[t] == none] for row in automaton.delta]
     frontier = {0: 1}
     counts = []
     for _ in range(max_len + 1):

@@ -6,6 +6,10 @@ applicable left side.  Equality of the two normal forms of an ambiguity
 certifies resolvability; inequality exhibits two distinct normal forms of
 the same word and therefore certifies non-confluence of the system itself,
 not merely of the strategy.
+
+One mechanism finds left sides in a word: a walk of the system's
+obstruction automaton answers ``match`` and ``is_irreducible``, and the
+same automaton drives the census of irreducible words in ``analysis``.
 """
 
 from __future__ import annotations
@@ -72,31 +76,36 @@ def _find_subword(word: Word, pattern: Word) -> int:
 
 
 class ObstructionAutomaton:
-    """Aho-Corasick automaton of a set of left sides (Aho & Corasick 1975),
+    """Aho-Corasick automaton of a system's left sides (Aho & Corasick 1975),
     completed to a DFA over the letters ``0 .. k-1``.
 
-    State 0 is the empty prefix; ``delta[s][c]`` is the state after reading
-    letter ``c`` in state ``s``.  A state is dead when it, or a state on its
-    failure chain, ends a left side: a word is irreducible exactly when its
-    walk from state 0 never enters a dead state.
+    ``rules`` come in rank order, rank 0 first: ``ReductionSystem`` ranks
+    its rules by descending left side, ties in rule order.  State 0 is the
+    empty prefix; ``delta[s][c]`` is the state after reading letter ``c``
+    in state ``s``; ``rank[s]`` is the smallest rank of a left side that
+    ends at ``s``, on ``s`` itself or on its failure chain, and
+    ``len(rules)`` when none does.  A word is irreducible exactly when its
+    walk from state 0 stays on states of rank ``len(rules)``.
     """
 
-    __slots__ = ("delta", "dead")
+    __slots__ = ("rules", "delta", "rank")
 
-    def __init__(self, patterns, k: int):
+    def __init__(self, rules, k: int):
+        self.rules = tuple(rules)
+        none = len(self.rules)
         goto = [{}]
-        dead = [False]
-        for word in patterns:
+        rank = [none]
+        for r, rule in enumerate(self.rules):
             state = 0
-            for c in word:
+            for c in rule.lhs:
                 nxt = goto[state].get(c)
                 if nxt is None:
                     nxt = len(goto)
                     goto[state][c] = nxt
                     goto.append({})
-                    dead.append(False)
+                    rank.append(none)
                 state = nxt
-            dead[state] = True
+            rank[state] = r
         fail = [0] * len(goto)
         delta = [None] * len(goto)
         delta[0] = [goto[0].get(c, 0) for c in range(k)]
@@ -105,23 +114,13 @@ class ObstructionAutomaton:
         while queue:
             state = queue.popleft()
             back = delta[fail[state]]
-            dead[state] = dead[state] or dead[fail[state]]
+            rank[state] = min(rank[state], rank[fail[state]])
             delta[state] = [goto[state].get(c, back[c]) for c in range(k)]
             for c, child in goto[state].items():
                 fail[child] = back[c]
                 queue.append(child)
         self.delta = delta
-        self.dead = dead
-
-    def avoids(self, word) -> bool:
-        """True when no pattern occurs in the word."""
-        delta, dead = self.delta, self.dead
-        state = 0
-        for c in word:
-            state = delta[state][c]
-            if dead[state]:
-                return False
-        return True
+        self.rank = rank
 
 
 class ReductionSystem:
@@ -140,52 +139,57 @@ class ReductionSystem:
         self.alphabet = alphabet
         self.order = order
         self.rules = tuple(rules)
+        # the automaton's rank order (a stable sort keeps ties in rule
+        # order); sorted here so the lazy build spends no sort_key calls
+        self._ranked = sorted(rules, key=lambda r: order.sort_key(r.lhs), reverse=True)
         self.name = name
         self.budget = budget
-        # rules sorted by descending left side so the first match wins
-        self._by_size = sorted(
-            range(len(rules)), key=lambda i: order.sort_key(rules[i].lhs), reverse=True
-        )
-        self._match_cache: dict = {}
-
-    def match(self, word: Word):
-        """(rule, position) for the order-largest applicable left side at its
-        leftmost occurrence, or None when the word is irreducible."""
-        hit = self._match_cache.get(word, _MISS)
-        if hit is not _MISS:
-            return hit
-        found = None
-        for idx in self._by_size:
-            rule = self.rules[idx]
-            pos = _find_subword(word, rule.lhs)
-            if pos >= 0:
-                found = (rule, pos)
-                break
-        self._match_cache[word] = found
-        return found
 
     @cached_property
     def automaton(self) -> ObstructionAutomaton:
         """The obstruction automaton of the left sides, built on first use."""
-        return ObstructionAutomaton((rule.lhs for rule in self.rules), len(self.alphabet))
+        return ObstructionAutomaton(self._ranked, len(self.alphabet))
+
+    def match(self, word: Word):
+        """(rule, position) for the order-largest applicable left side at its
+        leftmost occurrence, or None when the word is irreducible.
+
+        One walk of the automaton: keep the smallest rank seen and the first
+        position where it ends (strict ``<``, so a later occurrence of the
+        same left side never replaces it); rank 0 cannot be beaten and stops
+        the walk.
+        """
+        automaton = self.automaton
+        delta, rank = automaton.delta, automaton.rank
+        best = none = len(automaton.rules)
+        end = state = 0
+        for i, c in enumerate(word):
+            state = delta[state][c]
+            r = rank[state]
+            if r < best:
+                best, end = r, i
+                if not r:
+                    break
+        if best == none:
+            return None
+        rule = automaton.rules[best]
+        return rule, end + 1 - len(rule.lhs)
 
     def is_irreducible(self, word: Word) -> bool:
-        return self.automaton.avoids(word)
+        return self.match(word) is None
 
     def describe(self) -> str:
         return self.name or f"system({len(self.rules)} rules)"
 
 
-_MISS = object()
-
-
 class _Rev:
-    # max-heap adaptor for heapq
-    __slots__ = ("key", "word")
+    # max-heap adaptor for heapq; carries the word's match, found on push
+    __slots__ = ("key", "word", "found")
 
-    def __init__(self, key, word):
+    def __init__(self, key, word, found):
         self.key = key
         self.word = word
+        self.found = found
 
     def __lt__(self, other):
         return self.key > other.key
@@ -207,20 +211,23 @@ def normal_form(
     if budget is None:
         budget = system.budget
     order = system.order
+    match = system.match
     terms = dict(poly.items())
     heap = []
     for word in terms:
-        if system.match(word) is not None:
-            heapq.heappush(heap, _Rev(order.sort_key(word), word))
+        found = match(word)
+        if found is not None:
+            heapq.heappush(heap, _Rev(order.sort_key(word), word, found))
     steps = 0
     max_support = len(terms)
     while heap:
-        word = heapq.heappop(heap).word
+        item = heapq.heappop(heap)
+        word = item.word
         coeff = terms.get(word)
         if not coeff:
             terms.pop(word, None)
             continue
-        rule, pos = system.match(word)
+        rule, pos = item.found
         del terms[word]
         steps += 1
         if steps > budget:
@@ -240,8 +247,9 @@ def normal_form(
                 value = coeff * rcoeff
                 if value:
                     terms[new_word] = value
-                    if system.match(new_word) is not None:
-                        heapq.heappush(heap, _Rev(order.sort_key(new_word), new_word))
+                    found = match(new_word)
+                    if found is not None:
+                        heapq.heappush(heap, _Rev(order.sort_key(new_word), new_word, found))
         if len(terms) > max_support:
             max_support = len(terms)
     if stats is not None:

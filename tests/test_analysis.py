@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diamond.analysis import (
@@ -72,48 +72,110 @@ def test_pbw_words_small():
     assert per_len == [ell + 1 for ell in range(7)]
 
 
+def scan_match(system, word):
+    """Test oracle for ``match``: the first rule, in stable descending-key
+    order, that occurs in the word, at its leftmost position.  One scan per
+    rule; it never uses the automaton."""
+    key = system.order.sort_key
+    for rule in sorted(system.rules, key=lambda r: key(r.lhs), reverse=True):
+        m = len(rule.lhs)
+        for pos in range(len(word) - m + 1):
+            if word[pos : pos + m] == rule.lhs:
+                return rule, pos
+    return None
+
+
+def all_words(k, max_len):
+    for length in range(max_len + 1):
+        yield from product(range(k), repeat=length)
+
+
 def exhaustive_census(system, max_len):
-    """Test oracle: filter every word of each length through ``match``,
-    which scans for each left side and never uses the automaton."""
+    """Test oracle: filter every word of each length through ``scan_match``."""
     k = len(system.alphabet)
     return [
-        sum(1 for word in product(range(k), repeat=length) if system.match(word) is None)
+        sum(1 for word in product(range(k), repeat=length) if scan_match(system, word) is None)
         for length in range(max_len + 1)
     ]
 
 
-def test_census_matches_exhaustive_filter():
+def oracle_systems():
+    """(system, max_len) pairs for the census and match oracles: random
+    rational g of degree 2-7, a Q(zeta_8) system, the quantum plane and a
+    four-letter tensor system."""
     rng = random.Random(53)
     systems = [
-        build_system(random_defining_polynomial(rng, rng.randint(2, 7))).system
+        (build_system(random_defining_polynomial(rng, rng.randint(2, 7))).system, 10)
         for _ in range(8)
     ]
     q = CyclotomicField(8).q
-    systems.append(build_system(DefiningPolynomial.from_coefficients((0, q**2, 0, 1))).system)
-    systems.append(build_quantum_plane(5))
-    for system in systems:
-        assert irreducible_census(system, 10).counts == exhaustive_census(system, 10)
-    tensor = build_tensor_presentation(power_poly(2), power_poly(3)).system
-    assert irreducible_census(tensor, 6).counts == exhaustive_census(tensor, 6)
+    systems.append((build_system(DefiningPolynomial.from_coefficients((0, q**2, 0, 1))).system, 10))
+    systems.append((build_quantum_plane(5), 10))
+    systems.append((build_tensor_presentation(power_poly(2), power_poly(3)).system, 6))
+    return systems
+
+
+def test_census_matches_exhaustive_filter():
+    for system, max_len in oracle_systems():
+        assert irreducible_census(system, max_len).counts == exhaustive_census(system, max_len)
+
+
+def test_match_matches_scan_oracle():
+    for system, max_len in oracle_systems():
+        for word in all_words(len(system.alphabet), max_len):
+            assert system.match(word) == scan_match(system, word)
 
 
 ABC = Alphabet(("a", "b", "c"))
-patterns = st.sets(
-    st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple), min_size=1, max_size=5
+# a rule list over three letters; under the order below b and c weigh the
+# same, so equal-length left sides without a often share a sort key
+patterns = st.lists(
+    st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple),
+    min_size=1,
+    max_size=5,
+    unique=True,
 )
+# overlaps (ab/ba, bc/cb), inclusions (ab and bc inside abc), key ties (bc ~ cb)
+MIXED = [(0, 1), (1, 0), (1, 2), (2, 1), (0, 1, 2)]
+
+
+def pattern_system(lhs_list):
+    # a zero right side is compatible with every order
+    order = GrlexPlus(ABC, weight_letter=0, lex_top=0)
+    rules = [Rule(lhs, NcPoly.zero(ABC), f"r{i}") for i, lhs in enumerate(lhs_list)]
+    return ReductionSystem(ABC, order, rules)
 
 
 @settings(max_examples=60, deadline=None)
 @given(patterns)
-def test_census_matches_exhaustive_filter_random_patterns(lhs_set):
+@example(MIXED)
+def test_census_matches_exhaustive_filter_random_patterns(lhs_list):
     # left sides with arbitrary overlaps and inclusions exercise the
-    # failure links; a zero right side is compatible with every order
-    order = GrlexPlus(ABC, weight_letter=0, lex_top=0)
-    rules = [Rule(lhs, NcPoly.zero(ABC), f"r{i}") for i, lhs in enumerate(sorted(lhs_set))]
-    system = ReductionSystem(ABC, order, rules)
+    # failure links
+    system = pattern_system(lhs_list)
     assert irreducible_census(system, 7).counts == exhaustive_census(system, 7)
     for word in product(range(3), repeat=6):
-        assert system.is_irreducible(word) == (system.match(word) is None)
+        assert system.is_irreducible(word) == (scan_match(system, word) is None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(patterns)
+@example(MIXED)
+@example(MIXED[::-1])
+def test_match_matches_scan_oracle_random_patterns(lhs_list):
+    # ties between left sides go to the earlier rule, as in the scan
+    system = pattern_system(lhs_list)
+    for word in all_words(3, 7):
+        assert system.match(word) == scan_match(system, word)
+
+
+def test_match_breaks_key_ties_by_rule_order():
+    for lhs_list in (MIXED, MIXED[::-1]):
+        system = pattern_system(lhs_list)
+        # bc and cb share a sort key; both occur in bcb, cb first ends
+        rule, pos = system.match((1, 2, 1))
+        first = next(lhs for lhs in lhs_list if lhs in ((1, 2), (2, 1)))
+        assert rule.lhs == first and pos == (0 if first == (1, 2) else 1)
 
 
 def test_census_equals_pbw_enumeration():

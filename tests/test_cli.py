@@ -1,12 +1,22 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamond.cli import MAX_GROWTH_LEN, ExprError, parse_defining, parse_expr, run_command
+from diamond.cli import (
+    MAX_DEGREE,
+    MAX_EXPR_LETTERS,
+    MAX_EXPR_TERMS,
+    MAX_GROWTH_LEN,
+    ExprError,
+    parse_defining,
+    parse_expr,
+    run_command,
+)
 from diamond.freealg import Alphabet, NcPoly, bidegree_sum
 from diamond.presentations import AX
 from diamond.scalars import CyclotomicField
@@ -177,6 +187,49 @@ def test_usage_errors(capsys):
     assert run_command(["growth", "--n", "6", "--max-len", too_long]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and f"<= {MAX_GROWTH_LEN}" in err
+    # build_system creates 2^n - 2 words, so every way in to a degree is capped
+    big = str(MAX_DEGREE + 1)
+    coefficient_list = ", ".join(["0"] * MAX_DEGREE + ["1"])
+    for argv in (
+        ["present", "--g", f"x^{big}"],
+        ["confluence", "--g", coefficient_list],
+        ["nf", "--g", "x^2", "--f", f"y^{big}", "--expr", "a"],
+        ["tensor", "--g", "x^2", "--f", f"y^{big}"],
+        ["growth", "--n", big],
+        ["basis", "--n", big],
+    ):
+        assert run_command(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"degree must be <= {MAX_DEGREE}" in err
+    # --cyclotomic 0 used to fall back to Q silently
+    for order in ("0", "-3"):
+        assert run_command(["present", "--g", "x^2", "--cyclotomic", order]) == 2
+        assert "--cyclotomic: expected a positive integer" in capsys.readouterr().err
+
+
+def test_parser_size_guard(capsys):
+    for text in ("(a+x)^20", "x^32000", "(a+x)^9*(a+x)^8", "a^600*x^401", "2^1001"):
+        start = time.monotonic()
+        with pytest.raises(ExprError, match="resource guard"):
+            parse_expr(text, AX)
+        assert time.monotonic() - start < 5
+    start = time.monotonic()
+    assert run_command(["nf", "--g", "x^2", "--expr", "(a+x)^20"]) == 2
+    assert run_command(["present", "--g", "x^100000"]) == 2
+    assert time.monotonic() - start < 5
+    assert capsys.readouterr().err.count("error: resource guard") == 2
+    # both caps are inclusive
+    assert len(parse_expr("(a+x)^16", AX)) == MAX_EXPR_TERMS
+    assert parse_expr(f"x^{MAX_EXPR_LETTERS}", AX).degree() == MAX_EXPR_LETTERS
+
+
+def test_unwritable_json_path(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "report.json")
+    assert run_command(["verify", "growth", "--json", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "report.json" in err
+    assert run_command(["present", "--g", "x^2", "--json", missing]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cyclotomic_flag(capsys):

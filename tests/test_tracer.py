@@ -59,3 +59,22 @@ def test_tracer_targets_resolve_and_uninstall_restores():
     # tensor additions count under the inherited NcPoly.__add__
     for name in ("coalgebra.coproduct", "freealg.tensorpoly_mul", "freealg.ncpoly_add"):
         assert probe.stats[name].calls > 0
+
+
+def test_tracer_counts_repeated_matches_in_confluence():
+    # every ambiguity of x^5 reduces some word more than once, so the
+    # walks outnumber the distinct words matched
+    from diamond import presentations, rewrite
+
+    tracer = load_tracer()
+    g = presentations.DefiningPolynomial.from_coefficients((0, 0, 0, 0, 1))
+    system = presentations.build_system(g).system
+    probe = tracer.Tracer()
+    probe.install()
+    try:
+        rewrite.check_confluence(system)
+    finally:
+        probe.uninstall()
+    assert probe.stats["rewrite.match"].calls > 0
+    assert probe.stats["rewrite.check_confluence"].calls == 1
+    assert probe.metrics()["rewrite.match_distinct_ratio"] < 1
