@@ -1,5 +1,10 @@
-"""PBW enumeration, growth census, the independent linear-algebra dimension
-oracle, centrality checks, tensor-quotient counts, and the claim suites.
+"""PBW enumeration, the growth census and its exact classification, the
+independent linear-algebra dimension oracle, centrality checks,
+tensor-quotient counts, and the claim suites.
+
+The census counts the walks of the obstruction automaton's live states, and
+the classification reads polynomial or exponential growth, with its
+exponent, off the strongly connected components of the same graph.
 
 The dimension oracle deliberately avoids the rewriting engine: it spans the
 ideal by explicit rows u * relation * v inside the word-indexed vector
@@ -26,7 +31,7 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from weakref import WeakKeyDictionary
-from math import gcd, log
+from math import gcd
 
 from .coalgebra import tensor_normal_form
 from .freealg import (
@@ -99,9 +104,13 @@ def pbw_words(n: int, max_len: int, pair=(0, 1)) -> list:
 
 @dataclass
 class GrowthReport:
-    """Number of irreducible words at each length 0..L."""
+    """Number of irreducible words at each length 0..L, and the live part of
+    the obstruction automaton whose walks they are: ``live[s]`` lists, one
+    entry per letter, the targets of state ``s`` on which no left side ends.
+    """
 
     counts: list
+    live: list
 
     def cumulative(self) -> list:
         out, total = [], 0
@@ -132,51 +141,74 @@ def irreducible_census(system, max_len: int) -> GrowthReport:
             for target in live[state]:
                 step[target] = step.get(target, 0) + count
         frontier = step
-    return GrowthReport(counts)
+    return GrowthReport(counts, live)
 
 
 @dataclass
 class Classification:
-    kind: str  # "polynomial" | "exponential" | "inconclusive"
+    kind: str  # "polynomial" | "exponential"
     exponent: int | None = None
-    tail_ratio: float | None = None
-    residual: float | None = None
 
 
-def growth_classify(
-    report: GrowthReport, fit_from: int = 6, tail: int = 4, theta: float = 1.2
-) -> Classification:
-    """Classify a census as polynomial or exponential growth.
+def growth_classify(report: GrowthReport) -> Classification:
+    """Decide the growth of the irreducible words exactly, from the strongly
+    connected components of the live automaton (Ufnarovski 1982).
 
-    Exponential is certified by every one of the last ``tail`` per-length
-    ratios being >= theta.  Otherwise the per-length counts are fitted by
-    least squares on a log-log scale; the growth exponent of the cumulative
-    dimensions is the rounded slope plus one, accepted when the RMS residual
-    is below 0.1.  A zero count means every longer word is reducible too, so
-    the quotient is finite-dimensional: polynomial of exponent 0.
+    The irreducible words are the walks from state 0, so only the states
+    reachable from it count.  A component with more internal edges than
+    states carries two distinct cycles through a common state, and the
+    counts grow exponentially.  Otherwise each component is one cycle or
+    none, and the words of length <= L number Theta(L^d), where d is the
+    largest number of cyclic components on one walk: polynomial growth of
+    exponent d, which is 0 for a finite-dimensional quotient.  The length
+    of the census plays no part.
+
+    Components come from an iterative Tarjan pass, which finishes each
+    component after every component it reaches, so its chain depth is known
+    when it is popped.  O(states * letters).
     """
-    counts = report.counts
-    top = len(counts) - 1
-    if top < 10:
-        raise ValueError("need counts up to length >= 10")
-    if 0 in counts:
-        return Classification("polynomial", exponent=0)
-    ratios = [counts[i + 1] / counts[i] for i in range(top - tail, top)]
-    if all(r >= theta for r in ratios):
-        return Classification("exponential", tail_ratio=min(ratios))
-    xs = [log(ell) for ell in range(fit_from, top + 1)]
-    ys = [log(counts[ell]) for ell in range(fit_from, top + 1)]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    var = sum((x - mean_x) ** 2 for x in xs)
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = cov / var
-    intercept = mean_y - slope * mean_x
-    rss = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    residual = (rss / len(xs)) ** 0.5
-    if residual < 0.1:
-        return Classification("polynomial", exponent=round(slope) + 1, residual=residual)
-    return Classification("inconclusive", residual=residual)
+    live = report.live
+    number = [0] * len(live)  # discovery number from 1; 0 while unvisited
+    low = [0] * len(live)
+    component = [-1] * len(live)
+    depth: list = []  # per finished component: most cyclic components on a walk from it
+    number[0] = low[0] = visited = 1
+    path = [0]
+    work = [(0, iter(live[0]))]
+    while work:
+        state, targets = work[-1]
+        for target in targets:
+            if not number[target]:
+                visited += 1
+                number[target] = low[target] = visited
+                path.append(target)
+                work.append((target, iter(live[target])))
+                break
+            if component[target] < 0:
+                low[state] = min(low[state], number[target])
+        else:
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[state])
+            if low[state] < number[state]:
+                continue
+            done = len(depth)
+            members = []
+            while not members or members[-1] != state:
+                members.append(path.pop())
+                component[members[-1]] = done
+            edges = below = 0
+            for member in members:
+                for target in live[member]:
+                    if component[target] == done:
+                        edges += 1
+                    else:
+                        below = max(below, depth[component[target]])
+            if edges > len(members):
+                return Classification("exponential")
+            depth.append(below + 1 if edges == len(members) else below)
+    return Classification("polynomial", exponent=depth[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -247,6 +248,17 @@ def _field_from_args(args):
     return QQ
 
 
+def _check_json_path(path) -> None:
+    """Refuse a --json path that cannot be written before any work is done:
+    its directory is missing or not writable, or it is a directory itself.
+    Failures this cannot see surface as OSError when the report is written."""
+    if not path or path == "-":
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise UsageError(f"cannot write the JSON report to {path!r}")
+
+
 def _write_json(args, document: dict):
     if getattr(args, "json", None):
         payload = json.dumps(document, indent=2, sort_keys=True) + "\n"
@@ -385,10 +397,8 @@ def _cmd_growth(args, argv) -> int:
     print(f"counts: {census.counts}")
     if classification.kind == "polynomial":
         print(f"classification: polynomial, exponent {classification.exponent}")
-    elif classification.kind == "exponential":
-        print(f"classification: exponential, tail ratio {classification.tail_ratio:.3f}")
     else:
-        print("classification: inconclusive")
+        print("classification: exponential")
     _write_json(
         args,
         {
@@ -520,7 +530,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(handler=_cmd_basis)
 
-    p = sub.add_parser("growth", help="irreducible-word census and classification")
+    p = sub.add_parser(
+        "growth",
+        help="irreducible-word census and its exact growth classification "
+        "(polynomial with exponent, or exponential)",
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-len", type=int, default=12)
     p.add_argument("--json", metavar="PATH")
@@ -560,6 +574,7 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_json_path(getattr(args, "json", None))
         return args.handler(args, argv)
     except (ExprError, UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

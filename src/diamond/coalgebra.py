@@ -94,12 +94,14 @@ def check_coproduct_powers(ell: int, ctx: CoalgebraContext = AX_CONTEXT, pair=(0
     """
     x = pair[1]
     lhs = coproduct(NcPoly.monomial(ctx.alphabet, (x,) * ell), ctx)
-    rhs = TensorPoly.zero(ctx.alphabet)
-    for s in range(ell + 1):
-        rhs = rhs + TensorPoly.of(
-            NcPoly.monomial(ctx.alphabet, (x,) * s),
-            bidegree_sum(ctx.alphabet, s, ell - s, pair),
-        )
+    rhs = TensorPoly(
+        ctx.alphabet,
+        (
+            (((x,) * s, word), coeff)
+            for s in range(ell + 1)
+            for word, coeff in bidegree_sum(ctx.alphabet, s, ell - s, pair).items()
+        ),
+    )
     return lhs == rhs
 
 
@@ -111,13 +113,14 @@ def check_coproduct_bidegree(
         Delta(P(j, t)) = sum_l  P(j, l) (x) P(j + l, t - l).
     """
     lhs = coproduct(bidegree_sum(ctx.alphabet, j, t, pair), ctx)
-    rhs = TensorPoly.zero(ctx.alphabet)
+    terms = []
     for ell in range(t + 1):
-        rhs = rhs + TensorPoly.of(
-            bidegree_sum(ctx.alphabet, j, ell, pair),
-            bidegree_sum(ctx.alphabet, j + ell, t - ell, pair),
+        left = bidegree_sum(ctx.alphabet, j, ell, pair)
+        right = bidegree_sum(ctx.alphabet, j + ell, t - ell, pair)
+        terms.extend(
+            ((wl, wr), cl * cr) for wl, cl in left.items() for wr, cr in right.items()
         )
-    return lhs == rhs
+    return lhs == TensorPoly(ctx.alphabet, terms)
 
 
 def tensor_normal_form(

@@ -44,9 +44,6 @@ class Alphabet:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    def weight(self, i: int) -> int:
-        return self.weights[i] if self.weights else 1
-
     def word(self, text: str) -> Word:
         """Build a word from ``*``-separated letter names with optional
         ``^`` exponents, e.g. ``a*x^2``; single-character names may also be
@@ -291,27 +288,17 @@ def bidegree_rest(alphabet: Alphabet, m: int, q: int, pair=(0, 1)) -> NcPoly:
     return bidegree_sum(alphabet, m, q, pair) - NcPoly.monomial(alphabet, sorted_word)
 
 
-#: Splitting identities for the bidegree sums.  Each peels letters off the
-#: head and/or tail of every word: "tail1" is the one-letter recursion
-#: P(r,s) = P(r,s-1)x + P(r-1,s)a, "q_tail1" its companion for the rest-sums,
-#: and the remaining kinds split to depth two or three on either side.
-IDENTITY_KINDS = (
-    "tail1",
-    "q_tail1",
-    "tail2",
-    "head2",
-    "head1_tail1",
-    "tail3",
-    "head3",
-    "head2_tail1",
-    "head1_tail2",
-)
-
-
 def check_splitting_identity(
     kind: str, r: int, s: int, alphabet: Alphabet | None = None, pair=(0, 1)
 ) -> bool:
-    """Exact polynomial check of one splitting identity at indices (r, s)."""
+    """Exact polynomial check of one splitting identity at indices (r, s).
+
+    Each identity peels letters off the head and/or tail of every word of a
+    bidegree sum: "tail1" is the one-letter recursion
+    P(r,s) = P(r,s-1)x + P(r-1,s)a, "q_tail1" its companion for the
+    rest-sums, and "tail2", "head2", "head1_tail1", "tail3", "head3",
+    "head2_tail1" and "head1_tail2" split to depth two or three.
+    """
     if alphabet is None:
         alphabet = Alphabet(("a", "x"))
     if r < 0 or s < 0:

@@ -117,15 +117,9 @@ class CompatibilityReport:
         }
 
 
-def check_compatibility(order, rules=None) -> CompatibilityReport:
+def check_compatibility(order, rules) -> CompatibilityReport:
     """Every monomial of every right side must sit strictly below the rule's
-    left side; the report lists all violators.
-
-    Accepts either (order, rules) or a ReductionSystem-like object carrying
-    both.
-    """
-    if rules is None:
-        order, rules = order.order, order.rules
+    left side; the report lists all violators."""
     violations = []
     for rule in rules:
         lhs_key = order.sort_key(rule.lhs)

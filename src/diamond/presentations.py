@@ -64,10 +64,6 @@ class DefiningPolynomial:
             return self.coefficients[i - 1]
         return Fraction(0)
 
-    @property
-    def is_monic(self) -> bool:
-        return self.coefficients[-1] == 1
-
     def monic(self) -> "DefiningPolynomial":
         """Divide through by the top coefficient; the relation ideal is
         unchanged because every relation is linear in the coefficients."""
@@ -173,6 +169,21 @@ class Presentation:
         }
 
 
+def _skew_primitive_rules(gm: DefiningPolynomial, name: str, alphabet: Alphabet, pair):
+    """The family of monic ``gm`` in the letters ``pair``: for j = 1..n-1 the
+    rule a^j x^(n-j) -> a^j x^(n-j) - sigma_j and the relation sigma_j, both
+    labelled ``name_j``.  Returns (rules, relations)."""
+    first, second = pair
+    n = gm.degree
+    rules, relations = [], []
+    for j in range(1, n):
+        sigma = defining_relation(gm, j, alphabet, pair)
+        lhs = (first,) * j + (second,) * (n - j)
+        rules.append(Rule(lhs, NcPoly.monomial(alphabet, lhs) - sigma, f"{name}_{j}"))
+        relations.append((f"{name}_{j}", sigma))
+    return rules, relations
+
+
 def build_system(g: DefiningPolynomial, alphabet: Alphabet = AX, pair=(0, 1)) -> Presentation:
     """Orient the relations of g into rules a^j x^(n-j) -> lower terms.
 
@@ -190,15 +201,7 @@ def build_system(g: DefiningPolynomial, alphabet: Alphabet = AX, pair=(0, 1)) ->
     gm = g.monic()
     first, second = pair
     order = GrlexPlus(alphabet, weight_letter=second, lex_top=first)
-    rules = []
-    relations = []
-    for j in range(1, n):
-        sigma = defining_relation(gm, j, alphabet, pair)
-        lhs = (first,) * j + (second,) * (n - j)
-        rhs = NcPoly.monomial(alphabet, lhs) - sigma
-        label = f"sigma_{j}"
-        rules.append(Rule(lhs, rhs, label))
-        relations.append((label, sigma))
+    rules, relations = _skew_primitive_rules(gm, "sigma", alphabet, pair)
     system = ReductionSystem(
         alphabet, order, rules, name=f"Sigma[{gm.render(alphabet.names[second])}]"
     )
@@ -311,16 +314,10 @@ def build_tensor_presentation(g: DefiningPolynomial, f: DefiningPolynomial) -> P
         rules.append(Rule(lhs, mono(*rhs), label))
         relations.append((label, mono(*lhs) - mono(*rhs)))
 
-    for j in range(1, n):
-        sigma = defining_relation(gm, j, alphabet, (a, x))
-        lhs = (a,) * j + (x,) * (n - j)
-        rules.append(Rule(lhs, mono(*lhs) - sigma, f"sigma_{j}"))
-        relations.append((f"sigma_{j}", sigma))
-    for p in range(1, m):
-        tau = defining_relation(fm, p, alphabet, (b, y))
-        lhs = (b,) * p + (y,) * (m - p)
-        rules.append(Rule(lhs, mono(*lhs) - tau, f"tau_{p}"))
-        relations.append((f"tau_{p}", tau))
+    sigma_rules, sigma_relations = _skew_primitive_rules(gm, "sigma", alphabet, (a, x))
+    tau_rules, tau_relations = _skew_primitive_rules(fm, "tau", alphabet, (b, y))
+    rules += sigma_rules + tau_rules
+    relations += sigma_relations + tau_relations
 
     group_lhs = (b,) * m
     rules.append(Rule(group_lhs, mono(*((a,) * n)), "group"))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from diamond.analysis import (
     BY,
-    GrowthReport,
+    Classification,
     TensorAlgebra,
     TensorQuotientReport,
     _column_word,
@@ -454,22 +454,115 @@ def test_growth_classification():
         census = irreducible_census(build_system(power_poly(n)).system, 12)
         cls = growth_classify(census)
         assert cls.kind == kind and cls.exponent == exponent
-    for n in (4, 5):
+    for n in range(4, 17):
         census = irreducible_census(build_system(power_poly(n)).system, 12)
-        assert growth_classify(census).kind == "exponential"
-    with pytest.raises(ValueError):
-        growth_classify(GrowthReport([1, 2, 3]))
+        assert growth_classify(census) == Classification("exponential")
+
+
+def monomial_system(*left_sides):
+    # zero right sides are compatible with every order
+    return ReductionSystem(
+        AX,
+        GrlexPlus(AX, weight_letter=X, lex_top=A),
+        [Rule(AX.word(lhs), NcPoly.zero(AX), lhs) for lhs in left_sides],
+    )
+
+
+# (left sides, kind, exponent, {length: count}); a fit of the counts up to
+# length 12 gets each of these wrong
+GROWTH_WITNESSES = [
+    (("aaax", "aaxax", "axxa", "axxx"), "polynomial", 4, {200: 237_472, 400: 1_838_278}),
+    (
+        ("aaa", "xaxax", "xx", "xxxx"),
+        "exponential",
+        None,
+        {400: 14_519_437_096_269_061_177_796_675_159_367},
+    ),
+    (("aaxa", "xax", "xxaa"), "polynomial", 2, {100: 583, 200: 1_183, 400: 2_383}),
+]
+
+
+def test_growth_classification_monomial_witnesses():
+    for left_sides, kind, exponent, counts in GROWTH_WITNESSES:
+        census = irreducible_census(monomial_system(*left_sides), 400)
+        assert growth_classify(census) == Classification(kind, exponent)
+        assert all(census.counts[ell] == c for ell, c in counts.items())
+
+
+def test_growth_classification_ignores_census_length():
+    systems = [build_system(power_poly(n)).system for n in range(2, 6)]
+    systems += [monomial_system(*witness[0]) for witness in GROWTH_WITNESSES]
+    for system in systems:
+        assert growth_classify(irreducible_census(system, 0)) == growth_classify(
+            irreducible_census(system, 40)
+        )
+
+
+def test_growth_classification_long_cycle_is_iterative():
+    # a^2000 over {a, x}: one component of 2,000 live states and 4,000
+    # edges, deeper than the recursion limit
+    system = monomial_system("a^2000")
+    assert len(system.automaton.delta) == 2001
+    assert growth_classify(irreducible_census(system, 0)) == Classification("exponential")
 
 
 def test_growth_classification_finite_dimensional():
-    # a zero count means every longer word is reducible as well
-    cls = growth_classify(GrowthReport([1, 2] + [0] * 10))
-    assert cls.kind == "polynomial" and cls.exponent == 0
-    system = ReductionSystem(
-        AX,
-        GrlexPlus(AX, weight_letter=X, lex_top=A),
-        [Rule(lhs, NcPoly.zero(AX), str(lhs)) for lhs in ((A, A), (X, X), (A, X), (X, A))],
-    )
+    # every word of length 2 is reducible, so every longer word is as well
+    system = monomial_system("aa", "xx", "ax", "xa")
     census = irreducible_census(system, 12)
     assert census.counts == [1, 2] + [0] * 11
-    assert growth_classify(census).exponent == 0
+    assert growth_classify(census) == Classification("polynomial", 0)
+
+
+def components_oracle(live):
+    """Test oracle for ``growth_classify``: components by mutual
+    reachability, in quadratic time."""
+
+    def reach(state):
+        # the ends of the walks of one letter or more from ``state``
+        seen, todo = set(), list(live[state])
+        while todo:
+            s = todo.pop()
+            if s not in seen:
+                seen.add(s)
+                todo.extend(live[s])
+        return seen
+
+    after = {s: reach(s) for s in reach(0) | {0}}
+    closure = {s: after[s] | {s} for s in after}
+    components = {frozenset(t for t in closure[s] if s in closure[t]) for s in after}
+    for comp in components:
+        if sum(t in comp for s in comp for t in live[s]) > len(comp):
+            return Classification("exponential")
+    # a component reached from another has a strictly smaller closure
+    depth = {}
+    for comp in sorted(components, key=lambda c: len(closure[min(c)])):
+        s = min(comp)
+        reached = [depth[d] for d in depth if min(d) in closure[s]]
+        depth[comp] = (s in after[s]) + max(reached, default=0)
+    return Classification("polynomial", max(depth.values()))
+
+
+def test_components_oracle_examples():
+    for left_sides, kind, exponent, _ in GROWTH_WITNESSES:
+        census = irreducible_census(monomial_system(*left_sides), 0)
+        assert components_oracle(census.live) == Classification(kind, exponent)
+    for n, expected in ((2, Classification("polynomial", 2)), (4, Classification("exponential"))):
+        census = irreducible_census(build_system(power_poly(n)).system, 0)
+        assert components_oracle(census.live) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(patterns)
+@example(MIXED)
+def test_growth_classify_matches_components_oracle_patterns(lhs_list):
+    census = irreducible_census(pattern_system(lhs_list), 0)
+    assert growth_classify(census) == components_oracle(census.live)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 2**32))
+def test_growth_classify_matches_components_oracle_rational(degree, seed):
+    g = random_defining_polynomial(random.Random(seed), degree)
+    census = irreducible_census(build_system(g).system, 0)
+    assert growth_classify(census) == components_oracle(census.live)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diamond import cli
 from diamond.cli import (
     MAX_DEGREE,
     MAX_EXPR_LETTERS,
@@ -123,6 +124,11 @@ def test_cmd_growth(capsys):
     assert run_command(["growth", "--n", "2", "--max-len", "12"]) == 0
     out = capsys.readouterr().out
     assert "polynomial, exponent 2" in out
+    # the classification reads the automaton, not the counts
+    assert run_command(["growth", "--n", "3", "--max-len", "3"]) == 0
+    assert "classification: polynomial, exponent 3" in capsys.readouterr().out
+    assert run_command(["growth", "--n", "5"]) == 0
+    assert "classification: exponential\n" in capsys.readouterr().out
 
 
 def test_cmd_growth_long(tmp_path, capsys):
@@ -223,9 +229,13 @@ def test_parser_size_guard(capsys):
     assert parse_expr(f"x^{MAX_EXPR_LETTERS}", AX).degree() == MAX_EXPR_LETTERS
 
 
-def test_unwritable_json_path(tmp_path, capsys):
+def test_unwritable_json_path(tmp_path, capsys, monkeypatch):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran before the --json path was checked")
+
+    monkeypatch.setattr(cli, "run_claim_suites", no_suite)
     missing = str(tmp_path / "missing" / "report.json")
-    assert run_command(["verify", "growth", "--json", missing]) == 2
+    assert run_command(["verify", "all", "--json", missing]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and "report.json" in err
     assert run_command(["present", "--g", "x^2", "--json", missing]) == 2

@@ -73,7 +73,6 @@ def test_max_word_of_zero_raises():
 def test_compatibility_good_and_bad():
     pres = build_system(DefiningPolynomial.from_coefficients((0, 0, 1)))
     assert check_compatibility(pres.system.order, pres.system.rules).ok
-    assert check_compatibility(pres.system).ok  # system-argument form
     bad = Rule(
         (A, X),
         NcPoly.monomial(AX, (X, A)) + NcPoly.monomial(AX, (A, X, X)),

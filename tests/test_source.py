@@ -1,0 +1,44 @@
+"""Checks on the source of ``diamond`` itself.
+
+Every verdict is exact, so no module may compute with floating point: no
+float literal, no call to ``float`` and nothing from ``math`` but ``gcd``.
+"""
+
+import ast
+from pathlib import Path
+
+import diamond
+
+SOURCES = sorted(Path(diamond.__file__).resolve().parent.glob("*.py"))
+
+
+def float_uses(tree) -> list:
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            out.append((node.lineno, f"literal {node.value!r}"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            out.append((node.lineno, "call to float"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            names = [alias.name for alias in node.names if alias.name != "gcd"]
+            out.extend((node.lineno, f"math.{name}") for name in names)
+        elif isinstance(node, ast.Import):
+            if any(alias.name == "math" for alias in node.names):
+                out.append((node.lineno, "import math"))
+    return out
+
+
+def test_no_floating_point_in_src():
+    assert {path.name for path in SOURCES} >= {"analysis.py", "cli.py", "rewrite.py"}
+    for path in SOURCES:
+        assert float_uses(ast.parse(path.read_text(), str(path))) == [], path.name
+
+
+def test_float_uses_detects_each_kind():
+    code = "from math import gcd, log\nimport math\ny = float(1) + 0.5\n"
+    assert sorted(float_uses(ast.parse(code))) == [
+        (1, "math.log"),
+        (2, "import math"),
+        (3, "call to float"),
+        (3, "literal 0.5"),
+    ]
