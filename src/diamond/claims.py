@@ -28,7 +28,6 @@ from .analysis import (
 from .coalgebra import (
     AX_CONTEXT,
     check_coproduct_bidegree,
-    check_coproduct_powers,
     coassociativity_holds,
     counit_laws_hold,
     hopf_ideal_check,
@@ -309,7 +308,7 @@ def centrality_suite(samples: int = 200, cubic_samples: int = 50, seed: int = 20
 
 def coalgebra_suite(max_index: int = 8, seed: int = 2024) -> list:
     rng = random.Random(seed)
-    powers_ok = all(check_coproduct_powers(ell) for ell in range(max_index + 1))
+    # j = 0 covers the powers x^t, since P(0, t) = x^t
     bidegree_ok = all(
         check_coproduct_bidegree(j, t)
         for j in range(max_index + 1)
@@ -337,7 +336,7 @@ def coalgebra_suite(max_index: int = 8, seed: int = 2024) -> list:
             "coproduct-closed-forms",
             "closed forms for the coproducts of powers and bidegree sums up "
             "to total degree 8",
-            powers_ok and bidegree_ok,
+            bidegree_ok,
             {"max_index": max_index},
         ),
         _claim(

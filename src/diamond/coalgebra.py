@@ -87,30 +87,15 @@ def counit(poly: NcPoly, ctx: CoalgebraContext):
     return total
 
 
-def check_coproduct_powers(ell: int, ctx: CoalgebraContext = AX_CONTEXT, pair=(0, 1)) -> bool:
-    """Closed form for the coproduct of x^ell:
-
-        Delta(x^ell) = sum_s  x^s (x) bidegree_sum(s, ell - s).
-    """
-    x = pair[1]
-    lhs = coproduct(NcPoly.monomial(ctx.alphabet, (x,) * ell), ctx)
-    rhs = TensorPoly(
-        ctx.alphabet,
-        (
-            (((x,) * s, word), coeff)
-            for s in range(ell + 1)
-            for word, coeff in bidegree_sum(ctx.alphabet, s, ell - s, pair).items()
-        ),
-    )
-    return lhs == rhs
-
-
 def check_coproduct_bidegree(
     j: int, t: int, ctx: CoalgebraContext = AX_CONTEXT, pair=(0, 1)
 ) -> bool:
     """Closed form for the coproduct of a bidegree sum:
 
         Delta(P(j, t)) = sum_l  P(j, l) (x) P(j + l, t - l).
+
+    At j = 0 this is the closed form for the powers of the skew-primitive
+    letter, since P(0, t) = x^t.
     """
     lhs = coproduct(bidegree_sum(ctx.alphabet, j, t, pair), ctx)
     terms = []

@@ -6,19 +6,27 @@ construction.  ``TensorPoly`` is the same map on pairs of words, with the
 componentwise key product; it models the tensor square of the free algebra.
 
 The module also provides the two families of structured sums this package
-revolves around: ``bidegree_sum(j, i)``, the sum of all words containing
-j copies of one letter and i of another, and ``bidegree_rest``, the same
-sum with its fully sorted word removed.  The splitting identities these
-sums satisfy (peeling letters off either end to any depth up to three) are
-exposed through ``check_splitting_identity`` so they can be property-tested
-wholesale.
+revolves around: ``bidegree_sum(j, i)``, the sum P(j, i) of all words
+containing j copies of one letter a and i of another x, and
+``bidegree_rest``, the same sum with its fully sorted word removed.  The
+splitting identities peel h letters off the head and t off the tail of
+every word of a bidegree sum, all instances of one formula,
+
+    P(r,s) = sum_{u in {a,x}^h, v in {a,x}^t} u * P(r - #a(uv), s - #x(uv)) * v,
+
+with (h, t) = (0, 1) for "tail1", (0, 2) "tail2", (2, 0) "head2",
+(1, 1) "head1_tail1", (0, 3) "tail3", (3, 0) "head3", (2, 1)
+"head2_tail1" and (1, 2) "head1_tail2" (the table ``PEELS``), plus
+"q_tail1", the one-letter recursion of the rest-sums.
+``check_splitting_identity`` checks any of them exactly, so they can be
+property-tested wholesale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 Word = tuple  # tuple[int, ...]
 
@@ -268,11 +276,12 @@ def bidegree_sum(alphabet: Alphabet, j: int, i: int, pair=(0, 1)) -> NcPoly:
     if i < 0 or j < 0:
         return NcPoly.zero(alphabet)
     first, second = pair
+    one = Fraction(1)  # immutable, so every word shares it
     terms = {}
     for positions in combinations(range(i + j), j):
         chosen = set(positions)
         word = tuple(first if k in chosen else second for k in range(i + j))
-        terms[word] = Fraction(1)
+        terms[word] = one
     return NcPoly(alphabet, terms)
 
 
@@ -288,111 +297,62 @@ def bidegree_rest(alphabet: Alphabet, m: int, q: int, pair=(0, 1)) -> NcPoly:
     return bidegree_sum(alphabet, m, q, pair) - NcPoly.monomial(alphabet, sorted_word)
 
 
+#: the splitting identities: kind -> (h, t), the letters peeled off the head
+#: and the tail of every word of a bidegree sum
+PEELS = {
+    "tail1": (0, 1),
+    "tail2": (0, 2),
+    "head2": (2, 0),
+    "head1_tail1": (1, 1),
+    "tail3": (0, 3),
+    "head3": (3, 0),
+    "head2_tail1": (2, 1),
+    "head1_tail2": (1, 2),
+}
+
+
 def check_splitting_identity(
     kind: str, r: int, s: int, alphabet: Alphabet | None = None, pair=(0, 1)
 ) -> bool:
     """Exact polynomial check of one splitting identity at indices (r, s).
 
-    Each identity peels letters off the head and/or tail of every word of a
-    bidegree sum: "tail1" is the one-letter recursion
-    P(r,s) = P(r,s-1)x + P(r-1,s)a, "q_tail1" its companion for the
-    rest-sums, and "tail2", "head2", "head1_tail1", "tail3", "head3",
-    "head2_tail1" and "head1_tail2" split to depth two or three.
+    Every kind in ``PEELS`` instantiates one identity: with (h, t) = PEELS[kind],
+
+        P(r,s) = sum_{u in {a,x}^h, v in {a,x}^t} u * P(r - #a(uv), s - #x(uv)) * v,
+
+    where a, x = pair and P = ``bidegree_sum``.  It holds exactly when
+    r + s >= h + t; below that the left side is nonzero and the right side
+    zero.  "tail1", with (h, t) = (0, 1), is the one-letter recursion
+    P(r,s) = P(r,s-1)x + P(r-1,s)a, and "q_tail1" is its companion for the
+    rest-sums, Q(r,s) = Q(r,s-1)x + P(r-1,s)a with Q = ``bidegree_rest``,
+    which fails exactly when s = 0 < r (the right side is then a^r).
     """
     if alphabet is None:
         alphabet = Alphabet(("a", "x"))
     if r < 0 or s < 0:
         raise ValueError("indices must be nonnegative")
     first, second = pair
-
-    def P(rr, ss):
-        return bidegree_sum(alphabet, rr, ss, pair)
-
-    def Q(rr, ss):
-        return bidegree_rest(alphabet, rr, ss, pair)
-
-    def mono(*letters):
-        return NcPoly.monomial(alphabet, letters)
-
-    a, x = mono(first), mono(second)
-
-    if kind == "tail1":
-        lhs, rhs = P(r, s), P(r, s - 1) * x + P(r - 1, s) * a
-    elif kind == "q_tail1":
-        lhs, rhs = Q(r, s), Q(r, s - 1) * x + P(r - 1, s) * a
-    elif kind == "tail2":
-        lhs = P(r, s)
-        rhs = (
-            P(r - 1, s - 1) * (x * a)
-            + P(r - 1, s - 1) * (a * x)
-            + P(r - 2, s) * (a * a)
-            + P(r, s - 2) * (x * x)
-        )
-    elif kind == "head2":
-        lhs = P(r, s)
-        rhs = (
-            (x * a) * P(r - 1, s - 1)
-            + (a * x) * P(r - 1, s - 1)
-            + (a * a) * P(r - 2, s)
-            + (x * x) * P(r, s - 2)
-        )
-    elif kind == "head1_tail1":
-        lhs = P(r, s)
-        rhs = (
-            x * P(r - 1, s - 1) * a
-            + a * P(r - 1, s - 1) * x
-            + a * P(r - 2, s) * a
-            + x * P(r, s - 2) * x
-        )
-    elif kind == "tail3":
-        lhs = P(r, s)
-        rhs = (
-            P(r - 3, s) * (a ** 3)
-            + P(r - 2, s - 1) * P(2, 1)
-            + P(r - 1, s - 2) * P(1, 2)
-            + P(r, s - 3) * (x ** 3)
-        )
-    elif kind == "head3":
-        lhs = P(r, s)
-        rhs = (
-            (a ** 3) * P(r - 3, s)
-            + P(2, 1) * P(r - 2, s - 1)
-            + P(1, 2) * P(r - 1, s - 2)
-            + (x ** 3) * P(r, s - 3)
-        )
-    elif kind == "head2_tail1":
-        lhs = P(r, s)
-        inner_a = (
-            (x * x) * P(r - 1, s - 2)
-            + (a * x) * P(r - 2, s - 1)
-            + (x * a) * P(r - 2, s - 1)
-            + (a * a) * P(r - 3, s)
-        )
-        inner_x = (
-            (x * x) * P(r, s - 3)
-            + (a * x) * P(r - 1, s - 2)
-            + (x * a) * P(r - 1, s - 2)
-            + (a * a) * P(r - 2, s - 1)
-        )
-        rhs = inner_a * a + inner_x * x
-    elif kind == "head1_tail2":
-        lhs = P(r, s)
-        inner_a = (
-            P(r - 1, s - 2) * (x * x)
-            + P(r - 2, s - 1) * (a * x)
-            + P(r - 2, s - 1) * (x * a)
-            + P(r - 3, s) * (a * a)
-        )
-        inner_x = (
-            P(r, s - 3) * (x * x)
-            + P(r - 1, s - 2) * (a * x)
-            + P(r - 1, s - 2) * (x * a)
-            + P(r - 2, s - 1) * (a * a)
-        )
-        rhs = a * inner_a + x * inner_x
-    else:
+    if kind == "q_tail1":
+        a, x = (NcPoly.monomial(alphabet, (c,)) for c in pair)
+        rhs = bidegree_rest(alphabet, r, s - 1, pair) * x + bidegree_sum(
+            alphabet, r - 1, s, pair
+        ) * a
+        return bidegree_rest(alphabet, r, s, pair) == rhs
+    if kind not in PEELS:
         raise ValueError(f"unknown identity kind {kind!r}")
-    return lhs == rhs
+    h, t = PEELS[kind]
+    rhs = NcPoly(
+        alphabet,
+        (
+            (u + w + v, c)
+            for u in product(pair, repeat=h)
+            for v in product(pair, repeat=t)
+            for w, c in bidegree_sum(
+                alphabet, r - (u + v).count(first), s - (u + v).count(second), pair
+            ).items()
+        ),
+    )
+    return bidegree_sum(alphabet, r, s, pair) == rhs
 
 
 class TensorPoly(NcPoly):

@@ -66,15 +66,6 @@ class ReductionStats:
     max_support: int = 0
 
 
-def _find_subword(word: Word, pattern: Word) -> int:
-    n, m = len(word), len(pattern)
-    first = pattern[0]
-    for i in range(n - m + 1):
-        if word[i] == first and word[i : i + m] == pattern:
-            return i
-    return -1
-
-
 class ObstructionAutomaton:
     """Aho-Corasick automaton of a system's left sides (Aho & Corasick 1975),
     completed to a DFA over the letters ``0 .. k-1``.
@@ -303,20 +294,14 @@ def find_ambiguities(system: ReductionSystem) -> list:
                             OVERLAP, i, j, wi[: len(wi) - blen], wj[:blen], wj[blen:]
                         )
                     )
-            # inclusions: wj occurs properly inside wi
-            if i != j and len(wj) < len(wi):
-                start = 0
-                while True:
-                    pos = _find_subword(wi[start:], wj)
-                    if pos < 0:
-                        break
-                    pos += start
-                    out.append(
-                        Ambiguity(
-                            INCLUSION, i, j, wi[:pos], wj, wi[pos + len(wj) :]
+            # inclusions: wj occurs inside wi, properly since left sides are
+            # distinct
+            if i != j:
+                for pos in range(len(wi) - len(wj) + 1):
+                    if wi[pos : pos + len(wj)] == wj:
+                        out.append(
+                            Ambiguity(INCLUSION, i, j, wi[:pos], wj, wi[pos + len(wj) :])
                         )
-                    )
-                    start = pos + 1
     return out
 
 

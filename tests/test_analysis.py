@@ -32,6 +32,7 @@ from diamond.analysis import (
     quotient_dimension_tensor,
     random_defining_polynomial,
 )
+from diamond.cli import _power_system
 from diamond.freealg import Alphabet, NcPoly, TensorPoly, bidegree_sum
 from diamond.ordering import GrlexPlus
 from diamond.presentations import (
@@ -343,6 +344,39 @@ def test_ideal_span_soundness():
         ideal_span_contains(power_poly(2), NcPoly.monomial(ABC, (2,)))
 
 
+ax_words = st.lists(st.integers(0, 1), max_size=8).map(tuple)
+rational_polys = st.dictionaries(
+    ax_words, st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=4
+).map(lambda terms: NcPoly(AX, terms))
+monic_rational_2_5 = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=1, max_size=4
+).map(lambda low: DefiningPolynomial.from_coefficients((*low, 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(monic_rational_2_5, rational_polys)
+def test_normal_form_irreducible_and_congruent_rational(g, p):
+    system = build_system(g).system
+    nf = normal_form(p, system)
+    assert all(scan_match(system, word) is None for word in nf.support())
+    # the default bound, the longest word of the difference, is at most 8
+    assert ideal_span_contains(g, nf - p)
+
+
+ZETA8 = CyclotomicField(8).q
+zeta8_polys = st.dictionaries(
+    ax_words, st.tuples(st.integers(-3, 3), st.integers(0, 7)), max_size=4
+).map(lambda terms: NcPoly(AX, {w: c * ZETA8**e for w, (c, e) in terms.items()}))
+
+
+@settings(max_examples=30, deadline=None)
+@given(zeta8_polys)
+def test_normal_form_irreducible_cyclotomic(p):
+    system = build_system(DefiningPolynomial.from_coefficients((0, ZETA8**2, 0, 1))).system
+    nf = normal_form(p, system)
+    assert all(scan_match(system, word) is None for word in nf.support())
+
+
 def test_is_central():
     rng = random.Random(43)
     for _ in range(10):
@@ -450,12 +484,13 @@ def test_degree_two_suite():
 
 
 def test_growth_classification():
+    # the left sides alone, as `diamond growth` builds them
     for n, kind, exponent in ((2, "polynomial", 2), (3, "polynomial", 3)):
-        census = irreducible_census(build_system(power_poly(n)).system, 12)
+        census = irreducible_census(_power_system(n), 12)
         cls = growth_classify(census)
         assert cls.kind == kind and cls.exponent == exponent
     for n in range(4, 17):
-        census = irreducible_census(build_system(power_poly(n)).system, 12)
+        census = irreducible_census(_power_system(n), 12)
         assert growth_classify(census) == Classification("exponential")
 
 

@@ -2,6 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,9 @@ from diamond.cli import (
     parse_expr,
     run_command,
 )
+from diamond.claims import run_claim_suites
 from diamond.freealg import Alphabet, NcPoly, bidegree_sum
-from diamond.presentations import AX
+from diamond.presentations import AX, DefiningPolynomial, build_system
 from diamond.scalars import CyclotomicField
 
 A, X = 0, 1
@@ -129,6 +131,21 @@ def test_cmd_growth(capsys):
     assert "classification: polynomial, exponent 3" in capsys.readouterr().out
     assert run_command(["growth", "--n", "5"]) == 0
     assert "classification: exponential\n" in capsys.readouterr().out
+    for n in ("1", "0", "-3"):
+        assert run_command(["growth", "--n", n]) == 2
+        assert run_command(["basis", "--n", n]) == 2
+    assert "--n must be >= 2" in capsys.readouterr().err
+
+
+def test_power_system_keeps_the_automaton_of_build_system():
+    # growth and basis build only the left sides; the census and the
+    # classification read nothing else
+    for n in range(2, 9):
+        full = build_system(DefiningPolynomial.from_coefficients((0,) * (n - 1) + (1,))).system
+        left = cli._power_system(n)
+        assert [r.lhs for r in left.rules] == [r.lhs for r in full.rules]
+        assert left.automaton.delta == full.automaton.delta
+        assert left.automaton.rank == full.automaton.rank
 
 
 def test_cmd_growth_long(tmp_path, capsys):
@@ -296,3 +313,13 @@ def test_determinism_across_processes():
         subprocess.run(cmd, capture_output=True, check=True).stdout for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+GOLDEN_CLAIMS = Path(__file__).parent / "golden" / "verify_claims.json"
+
+
+def test_verify_claims_match_golden():
+    # the claims of `diamond verify all --json`, byte for byte; a change that
+    # alters any id, statement, verdict or witness must update the file
+    text = json.dumps(run_claim_suites(), indent=2, sort_keys=True) + "\n"
+    assert text == GOLDEN_CLAIMS.read_text(encoding="utf-8")

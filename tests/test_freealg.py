@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamond.freealg import (
+    PEELS,
     Alphabet,
     NcPoly,
     TensorPoly,
@@ -120,16 +121,39 @@ def test_splitting_ranges():
                 assert check_splitting_identity(kind, r, s)
 
 
+#: letters each kind peels off every word, listed by hand to pin the table
+PEEL_DEPTH = {
+    "tail1": 1,
+    "tail2": 2,
+    "head2": 2,
+    "head1_tail1": 2,
+    "tail3": 3,
+    "head3": 3,
+    "head2_tail1": 3,
+    "head1_tail2": 3,
+}
+
+
 def test_splitting_degenerate_corners():
-    # the one-letter recursion fails only at (0, 0): left side 1, right side 0
-    assert not check_splitting_identity("tail1", 0, 0)
-    # the rest-sum recursion needs s > 0: at s = 0 the right side is a^r
-    assert not check_splitting_identity("q_tail1", 3, 0)
+    # below h + t letters the left side is nonzero and every right-side sum
+    # has a negative index, so each identity fails exactly there
+    assert set(PEEL_DEPTH) == set(PEELS)
+    for kind, depth in PEEL_DEPTH.items():
+        for r in range(7):
+            for s in range(7):
+                assert check_splitting_identity(kind, r, s) == (r + s >= depth)
+    # the rest-sum recursion fails exactly at s = 0 < r: its right side is a^r
+    for r in range(7):
+        for s in range(7):
+            assert check_splitting_identity("q_tail1", r, s) == (s > 0 or r == 0)
 
 
 def test_unknown_identity_kind():
     with pytest.raises(ValueError):
         check_splitting_identity("sideways", 1, 1)
+    for kind in ("tail2", "q_tail1"):
+        with pytest.raises(ValueError):
+            check_splitting_identity(kind, -1, 2)
 
 
 def test_tensor_examples():

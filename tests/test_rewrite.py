@@ -149,6 +149,20 @@ def test_inclusion_detection():
     assert INCLUSION in kinds
 
 
+def test_inclusion_occurring_twice_overlapping_itself():
+    # aa occurs in aaax at positions 0 and 1, overlapping itself; each
+    # occurrence is its own inclusion, in order, before the overlaps
+    order = GrlexPlus(AX, weight_letter=X, lex_top=A)
+    rules = [Rule((A, A, A, X), NcPoly.zero(AX), "outer"), Rule((A, A), NcPoly.zero(AX), "inner")]
+    system = ReductionSystem(AX, order, rules)
+    assert find_ambiguities(system) == [
+        Ambiguity(INCLUSION, 0, 1, (), (A, A), (A, X)),
+        Ambiguity(INCLUSION, 0, 1, (A,), (A, A), (X,)),
+        Ambiguity(OVERLAP, 1, 0, (A,), (A,), (A, A, X)),
+        Ambiguity(OVERLAP, 1, 1, (A,), (A,), (A,)),
+    ]
+
+
 def test_toy_not_confluent():
     # two rules ab -> 0, ba -> a over letters (a, b)
     AB = Alphabet(("a", "b"))
