@@ -574,7 +574,7 @@ def degree_three_centre_element(g: DefiningPolynomial) -> NcPoly:
         raise ValueError("need a degree-3 defining polynomial")
     a, x = 0, 1
 
-    def mono(word, coeff=Fraction(1)):
+    def mono(word, coeff=1):
         return NcPoly.monomial(AX, word, coeff)
 
     return (
@@ -614,7 +614,7 @@ class TensorAlgebra:
         nf = normal_form(poly, self.right.system)
         return TensorPoly(AX, {((), w): c for w, c in nf.items()})
 
-    def monomial(self, left_word: Word, right_word: Word, coeff=Fraction(1)) -> TensorPoly:
+    def monomial(self, left_word: Word, right_word: Word, coeff=1) -> TensorPoly:
         return TensorPoly.simple(AX, left_word, right_word, coeff)
 
     def reduce(self, element: TensorPoly) -> TensorPoly:

@@ -13,7 +13,6 @@ refuses to certify otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .freealg import Alphabet, NcPoly, TensorPoly, bidegree_sum
 from .presentations import DefiningPolynomial, Presentation, build_system
@@ -80,7 +79,7 @@ def coproduct(poly: NcPoly, ctx: CoalgebraContext) -> TensorPoly:
 def counit(poly: NcPoly, ctx: CoalgebraContext):
     """Multiplicative-linear extension: a word counts 1 unless it contains a
     skew-primitive letter."""
-    total = Fraction(0)
+    total = 0
     for word, coeff in poly.items():
         if all(ctx.is_grouplike(c) for c in word):
             total = total + coeff

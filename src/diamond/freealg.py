@@ -4,6 +4,9 @@ A word is a tuple of generator indices; the empty tuple is 1.  ``NcPoly``
 maps words to nonzero exact scalars and is treated as immutable after
 construction.  ``TensorPoly`` is the same map on pairs of words, with the
 componentwise key product; it models the tensor square of the free algebra.
+Neither fixes a coefficient domain: their units are the plain integers 1
+and 0, which ``Fraction`` and ``Cyclotomic`` absorb, so a system with
+integral rules computes in ``int`` end to end.
 
 The module also provides the two families of structured sums this package
 revolves around: ``bidegree_sum(j, i)``, the sum P(j, i) of all words
@@ -25,7 +28,6 @@ property-tested wholesale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
 Word = tuple  # tuple[int, ...]
@@ -121,10 +123,10 @@ class NcPoly:
 
     @classmethod
     def one(cls, alphabet: Alphabet) -> "NcPoly":
-        return cls(alphabet, {(): Fraction(1)})
+        return cls(alphabet, {(): 1})
 
     @classmethod
-    def monomial(cls, alphabet: Alphabet, word: Word, coeff=Fraction(1)) -> "NcPoly":
+    def monomial(cls, alphabet: Alphabet, word: Word, coeff=1) -> "NcPoly":
         return cls(alphabet, {tuple(word): coeff})
 
     @classmethod
@@ -140,7 +142,7 @@ class NcPoly:
         return self._terms.keys()
 
     def coeff(self, word: Word):
-        return self._terms.get(tuple(word), Fraction(0))
+        return self._terms.get(tuple(word), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -276,12 +278,11 @@ def bidegree_sum(alphabet: Alphabet, j: int, i: int, pair=(0, 1)) -> NcPoly:
     if i < 0 or j < 0:
         return NcPoly.zero(alphabet)
     first, second = pair
-    one = Fraction(1)  # immutable, so every word shares it
     terms = {}
     for positions in combinations(range(i + j), j):
         chosen = set(positions)
         word = tuple(first if k in chosen else second for k in range(i + j))
-        terms[word] = one
+        terms[word] = 1
     return NcPoly(alphabet, terms)
 
 
@@ -367,10 +368,10 @@ class TensorPoly(NcPoly):
 
     @classmethod
     def one(cls, alphabet: Alphabet) -> "TensorPoly":
-        return cls(alphabet, {((), ()): Fraction(1)})
+        return cls(alphabet, {((), ()): 1})
 
     @classmethod
-    def simple(cls, alphabet: Alphabet, left: Word, right: Word, coeff=Fraction(1)):
+    def simple(cls, alphabet: Alphabet, left: Word, right: Word, coeff=1):
         return cls(alphabet, {(tuple(left), tuple(right)): coeff})
 
     @classmethod

@@ -22,18 +22,26 @@ AX = Alphabet(("a", "x"))
 
 @dataclass(frozen=True)
 class DefiningPolynomial:
-    """A polynomial sum r_i t^i, i = 1..n, with r_n != 0 and no constant term."""
+    """A polynomial sum r_i t^i, i = 1..n, with r_n != 0 and no constant term.
+
+    ``int`` coefficients become ``Fraction``s, so ``monic`` and every
+    builder divide exactly."""
 
     coefficients: tuple  # (r_1, ..., r_n)
 
     def __post_init__(self):
         if not self.coefficients or not self.coefficients[-1]:
             raise ValueError("defining polynomial needs a nonzero top coefficient")
+        object.__setattr__(
+            self,
+            "coefficients",
+            tuple(Fraction(c) if isinstance(c, int) else c for c in self.coefficients),
+        )
 
     @classmethod
     def from_coefficients(cls, coeffs) -> "DefiningPolynomial":
-        """Coefficients listed from r_1 upward; ints become Fractions."""
-        out = tuple(Fraction(c) if isinstance(c, int) else c for c in coeffs)
+        """Coefficients listed from r_1 upward; trailing zeros are dropped."""
+        out = tuple(coeffs)
         while out and not out[-1]:
             out = out[:-1]
         return cls(out)
@@ -52,7 +60,7 @@ class DefiningPolynomial:
         degree = max(coeffs, default=0)
         if degree == 0:
             raise ValueError("defining polynomial must be nonzero")
-        return cls(tuple(coeffs.get(i, Fraction(0)) for i in range(1, degree + 1)))
+        return cls(tuple(coeffs.get(i, 0) for i in range(1, degree + 1)))
 
     @property
     def degree(self) -> int:

@@ -10,6 +10,12 @@ not merely of the strategy.
 One mechanism finds left sides in a word: a walk of the system's
 obstruction automaton answers ``match`` and ``is_irreducible``, and the
 same automaton drives the census of irreducible words in ``analysis``.
+
+A system whose right sides have only integral coefficients stores them as
+``int``.  ``int`` shares the arithmetic protocol of ``Fraction`` and the
+term maps use the integers 1 and 0 as units, so the one ``normal_form``
+loop reduces an integer polynomial in such a system without building a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -114,8 +120,20 @@ class ObstructionAutomaton:
         self.rank = rank
 
 
+def _integral(rules) -> bool:
+    # an int, or a rational with denominator 1; Cyclotomic has no denominator
+    return all(
+        getattr(c, "denominator", None) == 1 for rule in rules for _, c in rule.rhs.items()
+    )
+
+
 class ReductionSystem:
-    """Oriented rules over one alphabet together with a compatible order."""
+    """Oriented rules over one alphabet together with a compatible order.
+
+    The coefficient domain is chosen here: when every right-side
+    coefficient is integral, the rules are stored with ``int``
+    coefficients; otherwise they stay exactly as given.
+    """
 
     def __init__(self, alphabet: Alphabet, order, rules, name="", budget=DEFAULT_BUDGET):
         rules = list(rules)
@@ -127,6 +145,15 @@ class ReductionSystem:
         report = check_compatibility(order, rules)
         if not report.ok:
             raise IncompatibleSystem(report, alphabet)
+        if _integral(rules):
+            rules = [
+                Rule(
+                    rule.lhs,
+                    NcPoly(rule.rhs.alphabet, {w: c.numerator for w, c in rule.rhs.items()}),
+                    rule.label,
+                )
+                for rule in rules
+            ]
         self.alphabet = alphabet
         self.order = order
         self.rules = tuple(rules)

@@ -18,8 +18,9 @@ Rational = Fraction
 Scalar = object
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    """Euler's totient, by trial-division factorization."""
+    """Euler's totient, by trial-division factorization, once per order."""
     if n < 1:
         raise ValueError("euler_phi needs a positive integer")
     result, m, p = n, n, 2

@@ -104,23 +104,6 @@ def test_splitting_depth_one():
     ) == bidegree_rest(AX, 1, 2)
 
 
-def test_splitting_ranges():
-    for r in range(9):
-        for s in range(9):
-            if (r, s) != (0, 0):
-                assert check_splitting_identity("tail1", r, s)
-            if s >= 1:
-                assert check_splitting_identity("q_tail1", r, s)
-    for kind in ("tail2", "head2", "head1_tail1"):
-        for r in range(2, 7):
-            for s in range(2, 7):
-                assert check_splitting_identity(kind, r, s)
-    for kind in ("tail3", "head3", "head2_tail1", "head1_tail2"):
-        for r in range(3, 7):
-            for s in range(3, 7):
-                assert check_splitting_identity(kind, r, s)
-
-
 #: letters each kind peels off every word, listed by hand to pin the table
 PEEL_DEPTH = {
     "tail1": 1,
@@ -146,6 +129,22 @@ def test_splitting_degenerate_corners():
     for r in range(7):
         for s in range(7):
             assert check_splitting_identity("q_tail1", r, s) == (s > 0 or r == 0)
+
+
+def test_splitting_other_letter_pairs():
+    # the identities in the letters pair = (x, a), and in b, y of a
+    # four-letter alphabet, at small indices, depth corners included
+    abxy = Alphabet(("a", "x", "b", "y"))
+    for alphabet, pair in ((AX, (1, 0)), (abxy, (2, 3))):
+        for r in range(4):
+            for s in range(4):
+                for kind, depth in PEEL_DEPTH.items():
+                    assert check_splitting_identity(kind, r, s, alphabet, pair) == (
+                        r + s >= depth
+                    )
+                assert check_splitting_identity("q_tail1", r, s, alphabet, pair) == (
+                    s > 0 or r == 0
+                )
 
 
 def test_unknown_identity_kind():

@@ -37,6 +37,17 @@ def test_defining_polynomial_validation():
     assert g.render() == "4*x^3 + 2*x"
 
 
+def test_int_coefficients_divide_exactly():
+    # ints given directly become Fractions, so no division leaves the rationals
+    g = DefiningPolynomial((1, 2))
+    assert [type(c) for c in g.monic().coefficients] == [Fraction, Fraction]
+    assert g.monic().coefficients == (Fraction(1, 2), Fraction(1))
+    pres = build_tensor_presentation(DefiningPolynomial((0, 1)), DefiningPolynomial((0, 2)))
+    curve_rule = next(r for r in pres.system.rules if r.label == "curve")
+    assert curve_rule.rhs == NcPoly.monomial(pres.alphabet, (1, 1), Fraction(1, 2))
+    assert {type(c) for _, c in curve_rule.rhs.items()} == {Fraction}
+
+
 def test_relation_degree_two():
     g = DefiningPolynomial.from_coefficients((3, 1))
     sigma = defining_relation(g, 1)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamond.freealg import Alphabet, NcPoly, bidegree_sum
 from diamond.ordering import GrlexPlus
@@ -22,6 +24,7 @@ from diamond.rewrite import (
     normal_form,
     resolve_ambiguity,
 )
+from diamond.scalars import Cyclotomic, CyclotomicField
 
 A, X = 0, 1
 
@@ -316,3 +319,51 @@ def test_branches_separate_for_non_confluent_system():
         if len(_branch_normal_forms(word, system, AB)) > 1
     ]
     assert (0, 1, 0) in split  # the word a b a reduces to both 0 and a^2
+
+
+# -- the coefficient domain -------------------------------------------------
+
+
+def coefficient_types(polys) -> set:
+    return {type(c) for poly in polys for _, c in poly.items()}
+
+
+def test_integral_systems_compute_in_int():
+    # x^n for n = 2..10, and x^4 + 2x^2 - 3x: the rules hold only ints, and
+    # so does every normal form that confluence checking builds
+    gs = [DefiningPolynomial.from_coefficients((0,) * (n - 1) + (1,)) for n in range(2, 11)]
+    gs.append(DefiningPolynomial.from_coefficients((-3, 2, 0, 1)))
+    for g in gs:
+        system = build_system(g).system
+        assert coefficient_types(rule.rhs for rule in system.rules) <= {int}
+        report = check_confluence(system)
+        assert report.overall
+        normal_forms = [r.left_normal for r in report.resolutions]
+        normal_forms += [r.right_normal for r in report.resolutions]
+        assert coefficient_types(normal_forms) <= {int}
+
+
+def test_rational_and_cyclotomic_systems_keep_their_domain():
+    rational = build_system(DefiningPolynomial.from_coefficients((Fraction(1, 2), -2, 1)))
+    assert coefficient_types(rule.rhs for rule in rational.system.rules) == {Fraction}
+    field = CyclotomicField(8)
+    half = Fraction(1, 2)
+    g = DefiningPolynomial(
+        (field.q, Cyclotomic(8, [half, 0, -1]), field.zero, Cyclotomic(8, [1, 0, 0, half]), 1)
+    )
+    types = coefficient_types(rule.rhs for rule in build_system(g).system.rules)
+    assert Cyclotomic in types and types <= {Fraction, Cyclotomic}
+
+
+INTEGRAL_SYSTEM = system_for(-3, 2, 0, 1)
+fractions_ = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+ax_words = st.lists(st.integers(0, 1), max_size=7).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(ax_words, st.integers(-5, 5), max_size=4), fractions_)
+def test_int_domain_commutes_with_rational_scaling(terms, c):
+    p = NcPoly(AX, terms)
+    assert normal_form(p.scale(c), INTEGRAL_SYSTEM) == normal_form(
+        p, INTEGRAL_SYSTEM
+    ).scale(c)

@@ -2,6 +2,9 @@
 
 Every verdict is exact, so no module may compute with floating point: no
 float literal, no call to ``float`` and nothing from ``math`` but ``gcd``.
+The term-map layers take their coefficient domain from their inputs, so
+they may not import ``fractions``: a ``Fraction`` unit there would pull
+integral systems back into rational arithmetic.
 """
 
 import ast
@@ -10,6 +13,7 @@ from pathlib import Path
 import diamond
 
 SOURCES = sorted(Path(diamond.__file__).resolve().parent.glob("*.py"))
+DOMAIN_AGNOSTIC = ("freealg.py", "rewrite.py", "coalgebra.py")
 
 
 def float_uses(tree) -> list:
@@ -42,3 +46,24 @@ def test_float_uses_detects_each_kind():
         (3, "call to float"),
         (3, "literal 0.5"),
     ]
+
+
+def imports_fractions(tree) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            return True
+        if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+            return True
+    return False
+
+
+def test_term_map_layers_do_not_import_fractions():
+    paths = {path.name: path for path in SOURCES}
+    for name in DOMAIN_AGNOSTIC:
+        assert not imports_fractions(ast.parse(paths[name].read_text(), name)), name
+
+
+def test_imports_fractions_detects_both_forms():
+    assert imports_fractions(ast.parse("from fractions import Fraction\n"))
+    assert imports_fractions(ast.parse("import os, fractions\n"))
+    assert not imports_fractions(ast.parse("from .scalars import Cyclotomic\n"))
