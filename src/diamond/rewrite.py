@@ -11,11 +11,21 @@ One mechanism finds left sides in a word: a walk of the system's
 obstruction automaton answers ``match`` and ``is_irreducible``, and the
 same automaton drives the census of irreducible words in ``analysis``.
 
-A system whose right sides have only integral coefficients stores them as
-``int``.  ``int`` shares the arithmetic protocol of ``Fraction`` and the
-term maps use the integers 1 and 0 as units, so the one ``normal_form``
-loop reduces an integer polynomial in such a system without building a
-``Fraction``.
+A system over Q reduces in the integers.  Let D be the lcm of its
+coefficient denominators and, for a letter set T, let e(w) count the
+letters of w in T.  The algebra automorphism w -> D^(-e(w)) * w sends each
+rule lhs -> sum c_w w to a scalar multiple of the rule
+lhs -> sum c_w D^(e(lhs) - e(w)) w, and for the first T (in the order
+empty set, singletons, pairs, ...) that makes every such coefficient an
+integer, the system reduces with these ``int`` rules: ``normal_form`` maps
+its input in (c -> c * m / D^e(w), m clearing denominators), runs its one
+loop on the same words, matches and steps, and maps the result back.  An
+integral system is the case D = 1, T empty; it stores its rules with
+``int`` coefficients.  A system with no such T, or over Q(zeta_N), reduces
+with its coefficients as given.  The helpers live in ``scalars``; ``int``
+shares the arithmetic protocol of ``Fraction`` and the term maps use the
+integers 1 and 0 as units, so no ``Fraction`` is built between the two
+maps (the fraction-free idea of Bareiss 1968).
 """
 
 from __future__ import annotations
@@ -24,9 +34,11 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 from .freealg import Alphabet, NcPoly, Word, render_word
 from .ordering import check_compatibility
+from .scalars import common_denominator, letter_count, rescale, scaled_integer, unscale
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -120,19 +132,45 @@ class ObstructionAutomaton:
         self.rank = rank
 
 
-def _integral(rules) -> bool:
-    # an int, or a rational with denominator 1; Cyclotomic has no denominator
-    return all(
-        getattr(c, "denominator", None) == 1 for rule in rules for _, c in rule.rhs.items()
-    )
+def _scaled_rules(rules, scale: int, letters):
+    # each rule lhs -> sum c_w w as lhs -> sum c_w scale^(e(lhs) - e(w)) w,
+    # or None when some coefficient is not an integer
+    out = []
+    for rule in rules:
+        top = letter_count(rule.lhs, letters)
+        terms = {}
+        for word, c in rule.rhs.items():
+            value = scaled_integer(c, scale, top - letter_count(word, letters))
+            if value is None:
+                return None
+            terms[word] = value
+        out.append(Rule(rule.lhs, NcPoly(rule.rhs.alphabet, terms), rule.label))
+    return out
+
+
+def _rescaling(rules, k: int):
+    """(D, T, scaled rules) for the first letter set T, in the order empty
+    set, singletons, pairs, ..., whose rescaling makes every coefficient an
+    integer; None when the coefficients are not rational or no T does."""
+    scale = common_denominator(c for rule in rules for _, c in rule.rhs.items())
+    if scale is None:
+        return None
+    for size in range(k + 1):
+        for letters in combinations(range(k), size):
+            scaled = _scaled_rules(rules, scale, letters)
+            if scaled is not None:
+                return scale, letters, scaled
+    return None
 
 
 class ReductionSystem:
     """Oriented rules over one alphabet together with a compatible order.
 
-    The coefficient domain is chosen here: when every right-side
-    coefficient is integral, the rules are stored with ``int``
-    coefficients; otherwise they stay exactly as given.
+    The coefficient domain is chosen here (see the module docstring):
+    ``rescaling`` is (D, T) when the system reduces with ``int`` rules
+    rescaled by D on the letters in T, and None when it reduces with its
+    coefficients as given.  ``rules`` are the given rules; when D = 1 they
+    are stored with ``int`` coefficients.
     """
 
     def __init__(self, alphabet: Alphabet, order, rules, name="", budget=DEFAULT_BUDGET):
@@ -145,21 +183,23 @@ class ReductionSystem:
         report = check_compatibility(order, rules)
         if not report.ok:
             raise IncompatibleSystem(report, alphabet)
-        if _integral(rules):
-            rules = [
-                Rule(
-                    rule.lhs,
-                    NcPoly(rule.rhs.alphabet, {w: c.numerator for w, c in rule.rhs.items()}),
-                    rule.label,
-                )
-                for rule in rules
-            ]
+        found = _rescaling(rules, len(alphabet))
+        if found is None:
+            self.rescaling = None
+            reducing = rules
+        else:
+            scale, letters, reducing = found
+            self.rescaling = (scale, letters)
+            if scale == 1:
+                rules = reducing
         self.alphabet = alphabet
         self.order = order
         self.rules = tuple(rules)
         # the automaton's rank order (a stable sort keeps ties in rule
         # order); sorted here so the lazy build spends no sort_key calls
         self._ranked = sorted(rules, key=lambda r: order.sort_key(r.lhs), reverse=True)
+        # what normal_form substitutes for each left side
+        self._reducts = {rule.lhs: tuple(rule.rhs.items()) for rule in reducing}
         self.name = name
         self.budget = budget
 
@@ -230,7 +270,13 @@ def normal_form(
         budget = system.budget
     order = system.order
     match = system.match
-    terms = dict(poly.items())
+    reducts = system._reducts
+    rescaling = system.rescaling
+    if rescaling is None:
+        terms = dict(poly.items())
+    else:
+        scale, letters = rescaling
+        terms, m = rescale(poly.items(), scale, letters)
     heap = []
     for word in terms:
         found = match(word)
@@ -253,7 +299,7 @@ def normal_form(
                 f"exceeded {budget} elementary reductions in {system.describe()}"
             )
         suffix_start = pos + len(rule.lhs)
-        for rword, rcoeff in rule.rhs.items():
+        for rword, rcoeff in reducts[rule.lhs]:
             new_word = word[:pos] + rword + word[suffix_start:]
             if new_word in terms:
                 total = terms[new_word] + coeff * rcoeff
@@ -273,6 +319,8 @@ def normal_form(
     if stats is not None:
         stats.steps += steps
         stats.max_support = max(stats.max_support, max_support)
+    if rescaling is not None:
+        terms = unscale(terms, scale, letters, m)
     return NcPoly(poly.alphabet, terms)
 
 

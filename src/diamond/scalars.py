@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 Rational = Fraction
 
@@ -196,6 +197,10 @@ class Cyclotomic:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # a rational element equals the int or Fraction of its constant
+        # residue, so it must hash like it
+        if self.is_rational():
+            return hash(self.coeffs[0])
         return hash((self.order, self.coeffs))
 
     def is_rational(self) -> bool:
@@ -350,6 +355,80 @@ class CyclotomicField:
 
 
 QQ = RationalField()
+
+
+# -- the diagonal rescaling of a rational system ----------------------------
+#
+# Scaling the letters in a set T by D is the algebra automorphism
+# w -> D^(-e(w)) * w, where e(w) counts the letters of w that lie in T.  It
+# can turn a system over Q into one with integer coefficients; these helpers
+# find out whether it does, and move polynomials into and out of the
+# integral system, with int arithmetic only.
+
+
+def common_denominator(values) -> int | None:
+    """The lcm of the denominators of ``values`` (1 when there are none), or
+    None when one of them is not rational: a ``Cyclotomic`` has no
+    denominator."""
+    out = 1
+    for value in values:
+        den = getattr(value, "denominator", None)
+        if den is None:
+            return None
+        out = out // gcd(out, den) * den
+    return out
+
+
+def scaled_integer(value, scale: int, power: int) -> int | None:
+    """value * scale^power when that is an integer, else None.  ``value`` is
+    an int or a Fraction; ``power`` may be negative."""
+    num, den = value.numerator, value.denominator
+    if power >= 0:
+        num *= scale**power
+    else:
+        den *= scale**-power
+    quo, rem = divmod(num, den)
+    return None if rem else quo
+
+
+def letter_count(word, letters) -> int:
+    """e(word): how many letters of ``word`` lie in ``letters``."""
+    return sum(map(word.count, letters))
+
+
+def rescale(terms, scale: int, letters) -> tuple[dict, int]:
+    """Move (word, c) pairs into the rescaled system:
+    c -> c * m / scale^e(word), with m the least positive integer that makes
+    every image an int.  Returns the images and m.
+
+    ``terms`` is iterated twice (pass ``NcPoly.items()``).  A coefficient
+    that is not rational has no common denominator with the others: then
+    m = 1 and every coefficient is divided exactly.
+    """
+    rows = []
+    m = 1
+    for word, c in terms:
+        if getattr(c, "denominator", None) is None:
+            return {w: c * Fraction(1, scale ** letter_count(w, letters)) for w, c in terms}, 1
+        num, den = c.numerator, c.denominator
+        e = letter_count(word, letters)
+        if e:
+            den *= scale**e
+            common = gcd(num, den)
+            num, den = num // common, den // common
+        rows.append((word, num, den))
+        if den != 1:
+            m = m // gcd(m, den) * den
+    return {word: num * (m // den) for word, num, den in rows}, m
+
+
+def unscale(terms: dict, scale: int, letters, m: int) -> dict:
+    """The inverse of ``rescale``: c -> c * scale^e(word) / m."""
+    if m == 1:
+        if scale == 1:
+            return terms
+        return {w: c * scale ** letter_count(w, letters) for w, c in terms.items()}
+    return {w: Fraction(c * scale ** letter_count(w, letters), m) for w, c in terms.items()}
 
 
 def scalar_str(value) -> str:

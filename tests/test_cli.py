@@ -22,6 +22,7 @@ from diamond.cli import (
 from diamond.claims import run_claim_suites
 from diamond.freealg import Alphabet, NcPoly, bidegree_sum
 from diamond.presentations import AX, DefiningPolynomial, build_system
+from diamond.rewrite import normal_form
 from diamond.scalars import CyclotomicField
 
 A, X = 0, 1
@@ -29,6 +30,14 @@ A, X = 0, 1
 
 def mono(*letters):
     return NcPoly.monomial(AX, letters)
+
+
+def test_parsed_input_reduces_in_int():
+    # the parser gives Fraction coefficients; the integral system maps them
+    # into its int domain, so the normal form comes back in int
+    system = build_system(DefiningPolynomial.from_coefficients((0, 0, 0, 1))).system
+    nf = normal_form(parse_expr("2*x^4*a + a*x^4", AX), system)
+    assert nf and {type(c) for _, c in nf.items()} == {int}
 
 
 def test_parse_examples():

@@ -1,10 +1,13 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diamond.analysis import random_defining_polynomial
 from diamond.freealg import Alphabet, NcPoly, bidegree_sum
 from diamond.ordering import GrlexPlus
 from diamond.presentations import AX, DefiningPolynomial, build_system, defining_relation
@@ -22,9 +25,11 @@ from diamond.rewrite import (
     find_ambiguities,
     ideal_membership,
     normal_form,
+    ReductionStats,
     resolve_ambiguity,
 )
 from diamond.scalars import Cyclotomic, CyclotomicField
+from test_analysis import scan_match
 
 A, X = 0, 1
 
@@ -367,3 +372,119 @@ def test_int_domain_commutes_with_rational_scaling(terms, c):
     assert normal_form(p.scale(c), INTEGRAL_SYSTEM) == normal_form(
         p, INTEGRAL_SYSTEM
     ).scale(c)
+
+
+# -- the rescaled domain ----------------------------------------------------
+
+
+def reference_normal_form(poly, system):
+    """Test oracle for ``normal_form``: the same strategy in ``Fraction``
+    arithmetic over the public ``system.rules``, with ``scan_match`` in place
+    of the automaton and no rescaling.  Returns (normal form, steps)."""
+    terms = {w: Fraction(c) for w, c in poly.items()}
+    found = {}
+    steps = 0
+    while True:
+        for word in terms:
+            if word not in found:
+                found[word] = scan_match(system, word)
+        reducible = [w for w in terms if found[w] is not None]
+        if not reducible:
+            return NcPoly(poly.alphabet, terms), steps
+        word = max(reducible, key=system.order.sort_key)
+        rule, pos = found[word]
+        coeff = terms.pop(word)
+        steps += 1
+        for rword, rcoeff in rule.rhs.items():
+            new_word = word[:pos] + rword + word[pos + len(rule.lhs) :]
+            total = terms.get(new_word, 0) + coeff * Fraction(rcoeff)
+            if total:
+                terms[new_word] = total
+            else:
+                terms.pop(new_word, None)
+
+
+def assert_matches_reference(poly, system):
+    stats = ReductionStats()
+    expected, steps = reference_normal_form(poly, system)
+    assert normal_form(poly, system, stats=stats) == expected
+    assert stats.steps == steps
+
+
+nonzero_fractions = fractions_.filter(bool)
+
+
+@st.composite
+def rational_systems_and_inputs(draw):
+    n = draw(st.integers(2, 6))
+    coeffs = draw(st.lists(fractions_, min_size=n - 1, max_size=n - 1))
+    g = DefiningPolynomial(tuple(coeffs) + (draw(nonzero_fractions),))
+    words = st.lists(st.integers(0, 1), min_size=n - 1, max_size=n + 2).map(tuple)
+    terms = draw(st.dictionaries(words, fractions_, min_size=1, max_size=3))
+    return build_system(g).system, NcPoly(AX, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_systems_and_inputs())
+def test_rescaled_reduction_matches_fraction_reference(case):
+    system, poly = case
+    assert_matches_reference(poly, system)
+
+
+def test_rational_system_reduces_in_int_rules():
+    # g = x^3 - 2/3 x^2 + 1/2 x: D = 6 and T = {x}, the grading of
+    # g~(t) = 6^3 g(t/6); the public rules stay as given
+    system = system_for(Fraction(1, 2), Fraction(-2, 3), 1)
+    assert system.rescaling == (6, (X,))
+    assert coefficient_types(rule.rhs for rule in system.rules) == {Fraction}
+    assert {type(c) for rhs in system._reducts.values() for _, c in rhs} == {int}
+    assert scan_match(system, (A, A, X, X)) == system.match((A, A, X, X))
+    assert_matches_reference(mono(A, A, X, X, A, X) - mono(X, A, A, X).scale(Fraction(5, 7)), system)
+    assert check_confluence(system).overall
+
+
+def test_system_without_integral_grading_keeps_its_coefficients():
+    # ab -> 1/2 ba keeps both letter counts, so no rescaling clears the 1/2
+    AB = Alphabet(("a", "b"))
+    order = GrlexPlus(AB, weight_letter=1, lex_top=0)
+    rule = Rule((0, 1), NcPoly.monomial(AB, (1, 0), Fraction(1, 2)), "half")
+    system = ReductionSystem(AB, order, [rule])
+    assert system.rescaling is None
+    assert system.rules == (rule,)
+    word = NcPoly.monomial(AB, (0, 0, 1, 1))
+    assert normal_form(word, system) == NcPoly.monomial(AB, (1, 1, 0, 0), Fraction(1, 16))
+    assert_matches_reference(word - NcPoly.monomial(AB, (0, 1, 0), 3), system)
+
+
+def test_cyclotomic_input_in_a_rescaled_system():
+    system = system_for(Fraction(1, 2), Fraction(-2, 3), 1)
+    q = CyclotomicField(8).q
+    word = (A, X, A, X, X)
+    assert normal_form(NcPoly.monomial(AX, word, q), system) == normal_form(
+        mono(*word), system
+    ).scale(q)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def zeta8_quintic():
+    field = CyclotomicField(8)
+    half = Fraction(1, 2)
+    return DefiningPolynomial(
+        (field.q, Cyclotomic(8, [half, 0, -1]), field.zero, Cyclotomic(8, [1, 0, 0, half]), 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, make_g",
+    [
+        ("confluence_rational_deg5", lambda: random_defining_polynomial(random.Random(2018), 5)),
+        ("confluence_zeta8_deg5", zeta8_quintic),
+    ],
+)
+def test_confluence_report_matches_golden(name, make_g):
+    # the full report, normal-form stats included, byte for byte
+    report = check_confluence(build_system(make_g()).system)
+    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

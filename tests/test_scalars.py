@@ -4,13 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diamond.freealg import Alphabet, NcPoly
 from diamond.scalars import (
     Cyclotomic,
     CyclotomicField,
+    common_denominator,
     cyclotomic_polynomial,
     euler_phi,
     parse_scalar,
+    rescale,
     scalar_str,
+    scaled_integer,
+    unscale,
 )
 
 
@@ -111,3 +116,31 @@ def test_rational_axioms(a, b, c):
     assert (a + b) * c == a * c + b * c
     if a:
         assert a * (1 / a) == 1
+
+
+def test_rational_cyclotomic_hashes_like_the_rational():
+    AX = Alphabet(("a", "x"))
+    assert len({NcPoly(AX, {(0,): 1}), NcPoly(AX, {(0,): Cyclotomic(8, [1])})}) == 1
+    assert hash(Cyclotomic(8, [Fraction(1, 2)])) == hash(Fraction(1, 2))
+    assert hash(Cyclotomic(8, [3])) == hash(3)
+    assert Cyclotomic(8, [0, 1]) in {Cyclotomic(8, [0, 1])}
+
+
+def test_rescaling_helpers():
+    assert common_denominator([1, Fraction(1, 6), Fraction(3, 4)]) == 12
+    assert common_denominator([]) == 1
+    assert common_denominator([Fraction(1, 2), Cyclotomic(8, [1])]) is None
+    assert scaled_integer(Fraction(1, 6), 6, 1) == 1
+    assert scaled_integer(Fraction(1, 6), 6, 0) is None
+    assert scaled_integer(12, 2, -2) == 3
+    assert scaled_integer(6, 4, -1) is None
+    # e counts letter 1; 1/2 * (1, 1) -> 1/2 / 6^2, 3 * (0,) -> 3
+    terms = {(1, 1): Fraction(1, 2), (0,): 3}
+    images, m = rescale(terms.items(), 6, (1,))
+    assert (images, m) == ({(1, 1): 1, (0,): 216}, 72)
+    assert unscale(images, 6, (1,), m) == terms
+    assert unscale({(1,): 2}, 3, (1,), 1) == {(1,): 6}
+    q = Cyclotomic(8, [0, 1])
+    images, m = rescale({(1,): q}.items(), 2, (1,))
+    assert (images, m) == ({(1,): q * Fraction(1, 2)}, 1)
+    assert unscale(images, 2, (1,), m) == {(1,): q}
