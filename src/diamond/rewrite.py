@@ -7,9 +7,18 @@ certifies resolvability; inequality exhibits two distinct normal forms of
 the same word and therefore certifies non-confluence of the system itself,
 not merely of the strategy.
 
-One mechanism finds left sides in a word: a walk of the system's
-obstruction automaton answers ``match`` and ``is_irreducible``, and the
-same automaton drives the census of irreducible words in ``analysis``.
+One mechanism finds left sides in a word: ``ObstructionAutomaton.walk``,
+a walk of the system's obstruction automaton, answers ``match`` and
+``is_irreducible``, and the same automaton drives the census of irreducible
+words in ``analysis``.  A step of ``normal_form`` rewrites
+``word = P lhs S`` into the words ``P r S``, one per right-side word ``r``,
+and resumes their walks instead of starting each at state 0: the prefix
+``P`` is walked once, the walk of every ``r`` from the state after ``P`` is
+looked up in a per-system memo keyed by (lhs, state), and only ``S`` is
+walked per new word.  The state after ``P`` depends only on ``P``, and no
+rank-0 left side ends inside ``P`` (the step's match is the best rank at
+its leftmost end), so the resumed walk finds the same match as a walk of
+the whole word.
 
 A system over Q reduces in the integers.  Let D be the lcm of its
 coefficient denominators and, for a letter set T, let e(w) count the
@@ -95,6 +104,14 @@ class ObstructionAutomaton:
     ends at ``s``, on ``s`` itself or on its failure chain, and
     ``len(rules)`` when none does.  A word is irreducible exactly when its
     walk from state 0 stays on states of rank ``len(rules)``.
+
+    ``walk`` is the one walk loop.  It can resume: the triple it returns
+    for ``u``, passed back in with the offset ``len(u)``, continues the
+    walk through ``v`` exactly as a walk of ``u + v`` would.
+    ``normal_form`` uses this to walk only the prefix and the suffix of
+    each rewritten word, and keeps the walks of the right-side words in
+    ``ReductionSystem._walks``: one (state, best, end) triple per right-side
+    word, keyed by (lhs, state), so at most rules x states keys.
     """
 
     __slots__ = ("rules", "delta", "rank")
@@ -130,6 +147,32 @@ class ObstructionAutomaton:
                 queue.append(child)
         self.delta = delta
         self.rank = rank
+
+    def walk(
+        self, word: Word, state: int = 0, best: int | None = None, end: int = 0, offset: int = 0
+    ):
+        """Walk ``word`` from ``state`` and return (state, best, end).
+
+        ``best`` is the smallest rank seen (``len(rules)`` for none, the
+        default) and ``end`` the position where it first ends, counting the
+        letters of ``word`` from ``offset``.  Strict ``<`` keeps the
+        leftmost end of the best rank; rank 0 cannot be beaten and stops
+        the walk, so the returned state is only the state after ``word``
+        when ``best`` is not 0.
+        """
+        if best is None:
+            best = len(self.rules)
+        elif not best:
+            return state, best, end
+        delta, rank = self.delta, self.rank
+        for i, c in enumerate(word, offset):
+            state = delta[state][c]
+            r = rank[state]
+            if r < best:
+                best, end = r, i
+                if not r:
+                    break
+        return state, best, end
 
 
 def _scaled_rules(rules, scale: int, letters):
@@ -200,6 +243,10 @@ class ReductionSystem:
         self._ranked = sorted(rules, key=lambda r: order.sort_key(r.lhs), reverse=True)
         # what normal_form substitutes for each left side
         self._reducts = {rule.lhs: tuple(rule.rhs.items()) for rule in reducing}
+        # (lhs, state) -> the walk of each word of _reducts[lhs] from state,
+        # filled by normal_form; _triples interns equal walks
+        self._walks = {}
+        self._triples = {}
         self.name = name
         self.budget = budget
 
@@ -212,23 +259,11 @@ class ReductionSystem:
         """(rule, position) for the order-largest applicable left side at its
         leftmost occurrence, or None when the word is irreducible.
 
-        One walk of the automaton: keep the smallest rank seen and the first
-        position where it ends (strict ``<``, so a later occurrence of the
-        same left side never replaces it); rank 0 cannot be beaten and stops
-        the walk.
+        One walk of the automaton from state 0 (``ObstructionAutomaton.walk``).
         """
         automaton = self.automaton
-        delta, rank = automaton.delta, automaton.rank
-        best = none = len(automaton.rules)
-        end = state = 0
-        for i, c in enumerate(word):
-            state = delta[state][c]
-            r = rank[state]
-            if r < best:
-                best, end = r, i
-                if not r:
-                    break
-        if best == none:
+        _, best, end = automaton.walk(word)
+        if best == len(automaton.rules):
             return None
         rule = automaton.rules[best]
         return rule, end + 1 - len(rule.lhs)
@@ -271,6 +306,9 @@ def normal_form(
     order = system.order
     match = system.match
     reducts = system._reducts
+    automaton = system.automaton
+    walk, ranked, none = automaton.walk, automaton.rules, len(automaton.rules)
+    walks, triples = system._walks, system._triples
     rescaling = system.rescaling
     if rescaling is None:
         terms = dict(poly.items())
@@ -298,9 +336,20 @@ def normal_form(
             raise ReductionBudgetExceeded(
                 f"exceeded {budget} elementary reductions in {system.describe()}"
             )
-        suffix_start = pos + len(rule.lhs)
-        for rword, rcoeff in reducts[rule.lhs]:
-            new_word = word[:pos] + rword + word[suffix_start:]
+        lhs = rule.lhs
+        prefix = word[:pos]
+        suffix = word[pos + len(lhs) :]
+        # no rank-0 left side ends inside the prefix, so its walk runs to
+        # the end and its state is the state after the prefix
+        state, pbest, pend = walk(prefix)
+        rhs = reducts[lhs]
+        rwalks = walks.get((lhs, state))
+        if rwalks is None:
+            rwalks = walks[lhs, state] = tuple(
+                triples.setdefault(t, t) for t in (walk(rword, state) for rword, _ in rhs)
+            )
+        for (rword, rcoeff), (rstate, rbest, rend) in zip(rhs, rwalks):
+            new_word = prefix + rword + suffix
             if new_word in terms:
                 total = terms[new_word] + coeff * rcoeff
                 if total:
@@ -311,8 +360,15 @@ def normal_form(
                 value = coeff * rcoeff
                 if value:
                     terms[new_word] = value
-                    found = match(new_word)
-                    if found is not None:
+                    # ties go to the prefix, whose occurrence ends first
+                    if rbest < pbest:
+                        best, end = rbest, pos + rend
+                    else:
+                        best, end = pbest, pend
+                    _, best, end = walk(suffix, rstate, best, end, pos + len(rword))
+                    if best != none:
+                        hit = ranked[best]
+                        found = hit, end + 1 - len(hit.lhs)
                         heapq.heappush(heap, _Rev(order.sort_key(new_word), new_word, found))
         if len(terms) > max_support:
             max_support = len(terms)

@@ -179,6 +179,35 @@ def test_match_breaks_key_ties_by_rule_order():
         assert rule.lhs == first and pos == (0 if first == (1, 2) else 1)
 
 
+@st.composite
+def systems_words_splits(draw):
+    """(system, word, p): a random three-letter pattern system or the system
+    of a random rational g, a word over its letters and a split point."""
+    if draw(st.booleans()):
+        system = pattern_system(draw(patterns))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        system = build_system(random_defining_polynomial(rng, draw(st.integers(2, 7)))).system
+    k = len(system.alphabet)
+    word = tuple(draw(st.lists(st.integers(0, k - 1), max_size=14)))
+    return system, word, draw(st.integers(0, len(word)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems_words_splits())
+@example((pattern_system(MIXED), (0, 1, 2, 1, 0), 2))
+@example((pattern_system([(0, 1, 2), (1,)]), (0, 1, 2), 1))
+def test_walk_resumes_at_any_split(case):
+    # the lemma normal_form's resumed walks rest on: walking w[:p] and then
+    # w[p:] from the returned triple finds what one walk of w finds
+    system, word, p = case
+    walk = system.automaton.walk
+    _, best, end = walk(word)
+    _, split_best, split_end = walk(word[p:], *walk(word[:p]), offset=p)
+    assert (split_best, split_end) == (best, end)
+    assert system.match(word) == scan_match(system, word)
+
+
 def test_census_equals_pbw_enumeration():
     for n in range(2, 8):
         system = build_system(power_poly(n)).system

@@ -297,6 +297,19 @@ def test_order_flag_validation(capsys):
     capsys.readouterr()
 
 
+def test_tensor_usage_errors(capsys):
+    for argv, message in (
+        (["tensor", "--g", "x^2"], "error: tensor needs both --g and --f"),
+        (
+            ["nf", "--g", "x^2", "--f", "y^2", "--expr", "a*x", "--order", "grlex+"],
+            "error: tensor systems use the product order",
+        ),
+    ):
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n" and captured.out == ""
+
+
 def test_determinism(capsys):
     assert run_command(["confluence", "--g", "x^4 + x^2"]) == 0
     first = capsys.readouterr().out

@@ -1,16 +1,23 @@
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from diamond.analysis import random_defining_polynomial
 from diamond.freealg import Alphabet, NcPoly, bidegree_sum
 from diamond.ordering import GrlexPlus
-from diamond.presentations import AX, DefiningPolynomial, build_system, defining_relation
+from diamond.presentations import (
+    AX,
+    DefiningPolynomial,
+    build_system,
+    build_tensor_presentation,
+    defining_relation,
+)
 from diamond.rewrite import (
     INCLUSION,
     NOT_CONFLUENT,
@@ -29,7 +36,7 @@ from diamond.rewrite import (
     resolve_ambiguity,
 )
 from diamond.scalars import Cyclotomic, CyclotomicField
-from test_analysis import scan_match
+from test_analysis import power_poly, scan_match
 
 A, X = 0, 1
 
@@ -377,14 +384,17 @@ def test_int_domain_commutes_with_rational_scaling(terms, c):
 # -- the rescaled domain ----------------------------------------------------
 
 
-def reference_normal_form(poly, system):
+def reference_normal_form(poly, system, budget=None):
     """Test oracle for ``normal_form``: the same strategy in ``Fraction``
     arithmetic over the public ``system.rules``, with ``scan_match`` in place
-    of the automaton and no rescaling.  Returns (normal form, steps)."""
+    of the automaton and no rescaling.  Returns (normal form, steps); raises
+    ``ReductionBudgetExceeded`` past ``budget`` steps."""
     terms = {w: Fraction(c) for w, c in poly.items()}
     found = {}
     steps = 0
     while True:
+        if budget is not None and steps > budget:
+            raise ReductionBudgetExceeded(f"reference exceeded {budget} steps")
         for word in terms:
             if word not in found:
                 found[word] = scan_match(system, word)
@@ -431,6 +441,87 @@ def test_rescaled_reduction_matches_fraction_reference(case):
     assert_matches_reference(poly, system)
 
 
+ABC = Alphabet(("a", "b", "c"))
+
+
+@dataclass(frozen=True)
+class Deglex:
+    """Degree-lexicographic order on words, c > b > a."""
+
+    alphabet: Alphabet
+
+    def sort_key(self, word):
+        return (len(word), word)
+
+    def describe(self) -> str:
+        return "deglex"
+
+
+abc_words = st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple)
+small_coefficients = st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)))
+
+
+@st.composite
+def deglex_systems_and_inputs(draw):
+    """A random rule set over three letters, oriented downhill under
+    ``Deglex``: each right side is a sum of words below its left side.  One
+    left side ``small`` occurs inside a right-side word of a longer left
+    side ``big``, so rewrites create new occurrences of left sides."""
+    small = draw(abc_words.filter(lambda w: len(w) <= 2))
+    big = draw(st.lists(st.integers(0, 2), min_size=len(small) + 1, max_size=4).map(tuple))
+    others = draw(st.lists(abc_words, max_size=2))
+    left_sides = list(dict.fromkeys([big, small, *others]))
+    rules = []
+    for i, lhs in enumerate(left_sides):
+        below = st.lists(st.integers(0, 2), max_size=len(lhs)).map(tuple)
+        below = below.filter(lambda w, lhs=lhs: (len(w), w) < (len(lhs), lhs))
+        words = draw(st.lists(below, max_size=3, unique=True))
+        if lhs == big:
+            pad = len(big) - 1 - len(small)
+            cut = draw(st.integers(0, pad))
+            fill = draw(st.lists(st.integers(0, 2), min_size=pad, max_size=pad))
+            words.append(tuple(fill[:cut]) + small + tuple(fill[cut:]))
+        terms = {w: draw(small_coefficients) for w in words}
+        rules.append(Rule(lhs, NcPoly(ABC, terms), f"r{i}"))
+    system = ReductionSystem(ABC, Deglex(ABC), rules)
+    # input words glued from left sides, right-side words and letters
+    pieces = st.sampled_from(
+        sorted({*left_sides, *(w for rule in rules for w in rule.rhs.support()), (0,), (1,), (2,)})
+    )
+    inputs = st.lists(pieces, max_size=4).map(lambda ws: sum(ws, ()))
+    poly = NcPoly(ABC, draw(st.dictionaries(inputs, small_coefficients, min_size=1, max_size=3)))
+    return system, poly
+
+
+DEGLEX_BUDGET = 2_000
+
+
+def deglex_case(rules, word):
+    rules = [Rule(lhs, NcPoly(ABC, rhs), f"r{i}") for i, (lhs, rhs) in enumerate(rules)]
+    return ReductionSystem(ABC, Deglex(ABC), rules), NcPoly.monomial(ABC, word)
+
+
+@settings(max_examples=80, deadline=None)
+@given(deglex_systems_and_inputs())
+# cca: ca -> bc makes cbc, whose rank-0 left side ends inside the right side
+# bc, walked from the prefix state; ccc: cc -> cb makes cbc, ending in the
+# suffix
+@example(deglex_case([((2, 1, 2), {(0,): 1}), ((2, 0), {(1, 2): 1})], (2, 2, 0)))
+@example(deglex_case([((2, 1, 2), {(0,): 1}), ((2, 2), {(2, 1): -1})], (2, 2, 2)))
+def test_deglex_reduction_matches_reference(case):
+    # systems that are not skew-primitive: rank 0 is found inside memoised
+    # right-side walks and inside suffix walks.  Inputs that blow up are
+    # skipped; the same budget stops a normal_form that does not terminate.
+    system, poly = case
+    try:
+        expected, steps = reference_normal_form(poly, system, budget=DEGLEX_BUDGET)
+    except ReductionBudgetExceeded:
+        reject()
+    stats = ReductionStats()
+    assert normal_form(poly, system, budget=DEGLEX_BUDGET, stats=stats) == expected
+    assert stats.steps == steps
+
+
 def test_rational_system_reduces_in_int_rules():
     # g = x^3 - 2/3 x^2 + 1/2 x: D = 6 and T = {x}, the grading of
     # g~(t) = 6^3 g(t/6); the public rules stay as given
@@ -469,22 +560,32 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def zeta8_quintic():
+    # the system of a quintic over Q(zeta_8)
     field = CyclotomicField(8)
     half = Fraction(1, 2)
-    return DefiningPolynomial(
+    g = DefiningPolynomial(
         (field.q, Cyclotomic(8, [half, 0, -1]), field.zero, Cyclotomic(8, [1, 0, 0, half]), 1)
     )
+    return build_system(g).system
 
 
 @pytest.mark.parametrize(
-    "name, make_g",
+    "name, make_system",
     [
-        ("confluence_rational_deg5", lambda: random_defining_polynomial(random.Random(2018), 5)),
+        (
+            "confluence_rational_deg5",
+            lambda: build_system(random_defining_polynomial(random.Random(2018), 5)).system,
+        ),
         ("confluence_zeta8_deg5", zeta8_quintic),
+        ("confluence_power_deg7", lambda: build_system(power_poly(7)).system),
+        (
+            "confluence_tensor_x2_y3",
+            lambda: build_tensor_presentation(power_poly(2), power_poly(3)).system,
+        ),
     ],
 )
-def test_confluence_report_matches_golden(name, make_g):
+def test_confluence_report_matches_golden(name, make_system):
     # the full report, normal-form stats included, byte for byte
-    report = check_confluence(build_system(make_g()).system)
+    report = check_confluence(make_system())
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     assert text == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

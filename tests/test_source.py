@@ -4,7 +4,9 @@ Every verdict is exact, so no module may compute with floating point: no
 float literal, no call to ``float`` and nothing from ``math`` but ``gcd``.
 The term-map layers take their coefficient domain from their inputs, so
 they may not import ``fractions``: a ``Fraction`` unit there would pull
-integral systems back into rational arithmetic.
+integral systems back into rational arithmetic.  ``rewrite`` has one
+automaton walk loop, ``ObstructionAutomaton.walk``; no other function there
+may step the transition table.
 """
 
 import ast
@@ -67,3 +69,39 @@ def test_imports_fractions_detects_both_forms():
     assert imports_fractions(ast.parse("from fractions import Fraction\n"))
     assert imports_fractions(ast.parse("import os, fractions\n"))
     assert not imports_fractions(ast.parse("from .scalars import Cyclotomic\n"))
+
+
+def transition_steps(tree) -> list:
+    """(function, line) of every ``delta[s][c]``: a subscript of a subscript
+    of a name or attribute called ``delta``, by enclosing qualified name."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Subscript) and isinstance(child.value, ast.Subscript):
+                table = child.value.value
+                name = table.id if isinstance(table, ast.Name) else getattr(table, "attr", None)
+                if name == "delta":
+                    out.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(tree, ())
+    return out
+
+
+def test_rewrite_has_one_walk_loop():
+    path = next(path for path in SOURCES if path.name == "rewrite.py")
+    steps = transition_steps(ast.parse(path.read_text(), path.name))
+    assert steps and {scope for scope, _ in steps} == {"ObstructionAutomaton.walk"}
+
+
+def test_transition_steps_detects_each_form():
+    code = (
+        "def f(delta, s, c):\n    return delta[s][c]\n"
+        "class A:\n    def g(self, s):\n        return self.delta[s][0]\n"
+        "row = delta[0]\n"
+    )
+    assert transition_steps(ast.parse(code)) == [("f", 2), ("A.g", 5)]
