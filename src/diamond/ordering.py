@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import Alphabet, NcPoly, Word, render_word
+from .freealg import Alphabet, Word, render_word
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -127,10 +127,3 @@ def check_compatibility(order, rules) -> CompatibilityReport:
             if order.sort_key(word) >= lhs_key:
                 violations.append((rule.label, word))
     return CompatibilityReport(violations)
-
-
-def max_word(poly: NcPoly, order) -> Word:
-    """Largest word in the support; raises on the zero polynomial."""
-    if poly.is_zero():
-        raise ValueError("zero polynomial has no leading word")
-    return max(poly.support(), key=order.sort_key)

@@ -2,10 +2,11 @@
 
 The reduction strategy is deterministic: always rewrite the order-largest
 reducible monomial, using the leftmost occurrence of the order-largest
-applicable left side.  Equality of the two normal forms of an ambiguity
-certifies resolvability; inequality exhibits two distinct normal forms of
-the same word and therefore certifies non-confluence of the system itself,
-not merely of the strategy.
+applicable left side.  An ambiguity is resolvable exactly when its
+S-polynomial, the difference of its two one-step rewrites, reduces to zero;
+the strategy makes ``normal_form`` linear, so a nonzero result is the
+difference of two distinct normal forms of the same word and certifies
+non-confluence of the system itself, not merely of the strategy.
 
 One mechanism finds left sides in a word: ``ObstructionAutomaton.walk``,
 a walk of the system's obstruction automaton, answers ``match`` and
@@ -81,10 +82,6 @@ class Rule:
     def __post_init__(self):
         if not self.lhs:
             raise ValueError("rule left side must be a nonempty word")
-
-    def as_relation(self) -> NcPoly:
-        """The ideal generator lhs - rhs."""
-        return NcPoly.monomial(self.rhs.alphabet, self.lhs) - self.rhs
 
 
 @dataclass
@@ -438,14 +435,26 @@ def find_ambiguities(system: ReductionSystem) -> list:
 
 @dataclass
 class Resolution:
+    """The verdict on one ambiguity and its S-polynomial's normal form.
+
+    ``left`` and ``right`` are the two one-step rewrites of A B C; their
+    normal forms are not kept, and ``left_normal``/``right_normal``
+    compute them again on each access."""
+
     ambiguity: Ambiguity
     verdict: str
-    left_normal: NcPoly
-    right_normal: NcPoly
+    difference: NcPoly
+    left: NcPoly = field(repr=False)
+    right: NcPoly = field(repr=False)
+    system: ReductionSystem = field(repr=False, compare=False)
 
     @property
-    def difference(self) -> NcPoly:
-        return self.left_normal - self.right_normal
+    def left_normal(self) -> NcPoly:
+        return normal_form(self.left, self.system)
+
+    @property
+    def right_normal(self) -> NcPoly:
+        return normal_form(self.right, self.system)
 
 
 def resolve_ambiguity(
@@ -453,11 +462,19 @@ def resolve_ambiguity(
     system: ReductionSystem,
     stats: ReductionStats | None = None,
 ) -> Resolution:
-    """Reduce both one-step rewrites of the ambiguous word to normal form.
+    """Reduce the S-polynomial of the ambiguity, the difference of the two
+    one-step rewrites of A B C, to normal form.
 
-    Equal normal forms mean the ambiguity is resolvable; unequal normal
-    forms are two distinct normal forms of A B C and certify that the
-    system is not confluent, with the difference as witness.
+    The ambiguity is resolvable exactly when the S-polynomial reduces to
+    zero.  ``normal_form`` is linear (a word's match depends only on the
+    word, and a word is popped only after every larger one, when its
+    coefficient is final), so a nonzero result is nf(left) - nf(right):
+    two distinct normal forms of A B C, which certify that the system is
+    not confluent, with the result as witness.  Terms the two sides share
+    cancel before any of them is reduced.
+
+    The step budget bounds this one reduction, not the two sides apart:
+    it can take more steps than the larger side alone would.
     """
     sigma = system.rules[ambiguity.sigma]
     tau = system.rules[ambiguity.tau]
@@ -472,10 +489,9 @@ def resolve_ambiguity(
             * tau.rhs
             * NcPoly.monomial(alphabet, ambiguity.c)
         )
-    nf_left = normal_form(left, system, stats=stats)
-    nf_right = normal_form(right, system, stats=stats)
-    verdict = RESOLVABLE if nf_left == nf_right else NOT_CONFLUENT
-    return Resolution(ambiguity, verdict, nf_left, nf_right)
+    difference = normal_form(left - right, system, stats=stats)
+    verdict = RESOLVABLE if difference.is_zero() else NOT_CONFLUENT
+    return Resolution(ambiguity, verdict, difference, left, right, system)
 
 
 @dataclass

@@ -440,23 +440,6 @@ def scalar_str(value) -> str:
     return str(value)
 
 
-def parse_scalar(text: str):
-    """Parse the standalone scalar text forms.
-
-    ``p/q`` or ``p`` for rationals; ``<poly in q> (mod Phi_N)`` for
-    cyclotomic literals, e.g. ``q^2+q+1 (mod Phi_3)``.
-    """
-    text = text.strip()
-    if "(mod" in text:
-        body, _, tail = text.partition("(mod")
-        tail = tail.strip(" )")
-        if not tail.startswith("Phi_"):
-            raise ValueError(f"malformed cyclotomic annotation in {text!r}")
-        order = int(tail[4:])
-        return parse_q_poly(body.strip(), order)
-    return Fraction(text)
-
-
 def parse_q_poly(text: str, order: int) -> Cyclotomic:
     field = CyclotomicField(order)
     text = text.replace("-", "+-").replace(" ", "")

@@ -22,7 +22,7 @@ from diamond.cli import (
 from diamond.claims import run_claim_suites
 from diamond.freealg import Alphabet, NcPoly, bidegree_sum
 from diamond.presentations import AX, DefiningPolynomial, build_system
-from diamond.rewrite import normal_form
+from diamond.rewrite import ReductionStats, find_ambiguities, normal_form, resolve_ambiguity
 from diamond.scalars import CyclotomicField
 
 A, X = 0, 1
@@ -184,6 +184,21 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     argv = ["nf", "--g", "x^2", "--expr", "a*x*a*x", "--budget", "1"]
     assert run_command(argv) == 3
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_confluence_budget_bounds_each_s_polynomial(capsys):
+    # --budget bounds each normal_form call, and confluence makes one per
+    # ambiguity: the reduction of its S-polynomial
+    system = build_system(DefiningPolynomial.from_coefficients((0, 0, 0, 0, 1))).system
+    steps = []
+    for ambiguity in find_ambiguities(system):
+        stats = ReductionStats()
+        resolve_ambiguity(ambiguity, system, stats)
+        steps.append(stats.steps)
+    largest = max(steps)
+    assert run_command(["confluence", "--g", "x^5", "--budget", str(largest)]) == 0
+    assert run_command(["confluence", "--g", "x^5", "--budget", str(largest - 1)]) == 3
+    assert f"exceeded {largest - 1} elementary reductions" in capsys.readouterr().err
 
 
 def test_cmd_central(capsys):

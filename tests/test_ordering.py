@@ -12,7 +12,6 @@ from diamond.ordering import (
     ProductGrlex,
     check_compatibility,
     compare,
-    max_word,
 )
 from diamond.presentations import (
     DefiningPolynomial,
@@ -26,6 +25,13 @@ from diamond.rewrite import Rule
 AX = Alphabet(("a", "x"))
 A, X = 0, 1
 ORDER = GrlexPlus(AX, weight_letter=X, lex_top=A)
+
+
+def max_word(poly, order):
+    """Largest word in the support; raises on the zero polynomial."""
+    if poly.is_zero():
+        raise ValueError("zero polynomial has no leading word")
+    return max(poly.support(), key=order.sort_key)
 
 
 def test_compare_examples():

@@ -45,6 +45,11 @@ def mono(*letters):
     return NcPoly.monomial(AX, letters)
 
 
+def as_relation(rule):
+    """The ideal generator lhs - rhs of a rule."""
+    return NcPoly.monomial(rule.rhs.alphabet, rule.lhs) - rule.rhs
+
+
 def system_for(*coeffs):
     return build_system(DefiningPolynomial.from_coefficients(coeffs)).system
 
@@ -150,7 +155,7 @@ def test_single_rule_no_ambiguities():
     rule = Rule((A, X), -mono(X, A), "r")
     system = ReductionSystem(AX, order, [rule])
     assert find_ambiguities(system) == []
-    assert rule.as_relation() == mono(A, X) + mono(X, A)
+    assert as_relation(rule) == mono(A, X) + mono(X, A)
 
 
 def test_inclusion_detection():
@@ -353,6 +358,7 @@ def test_integral_systems_compute_in_int():
         normal_forms = [r.left_normal for r in report.resolutions]
         normal_forms += [r.right_normal for r in report.resolutions]
         assert coefficient_types(normal_forms) <= {int}
+        assert coefficient_types(r.difference for r in report.resolutions) <= {int}
 
 
 def test_rational_and_cyclotomic_systems_keep_their_domain():
@@ -424,14 +430,21 @@ def assert_matches_reference(poly, system):
 nonzero_fractions = fractions_.filter(bool)
 
 
-@st.composite
-def rational_systems_and_inputs(draw):
+def draw_rational_system(draw):
+    """The system of a random g over Q of degree 2..6, and a strategy for
+    inputs to it."""
     n = draw(st.integers(2, 6))
     coeffs = draw(st.lists(fractions_, min_size=n - 1, max_size=n - 1))
     g = DefiningPolynomial(tuple(coeffs) + (draw(nonzero_fractions),))
     words = st.lists(st.integers(0, 1), min_size=n - 1, max_size=n + 2).map(tuple)
-    terms = draw(st.dictionaries(words, fractions_, min_size=1, max_size=3))
-    return build_system(g).system, NcPoly(AX, terms)
+    inputs = st.dictionaries(words, fractions_, min_size=1, max_size=3)
+    return build_system(g).system, inputs.map(lambda terms: NcPoly(AX, terms))
+
+
+@st.composite
+def rational_systems_and_inputs(draw):
+    system, inputs = draw_rational_system(draw)
+    return system, draw(inputs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -461,12 +474,16 @@ abc_words = st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple)
 small_coefficients = st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)))
 
 
-@st.composite
-def deglex_systems_and_inputs(draw):
+DEGLEX_BUDGET = 2_000
+
+
+def draw_deglex_system(draw):
     """A random rule set over three letters, oriented downhill under
     ``Deglex``: each right side is a sum of words below its left side.  One
     left side ``small`` occurs inside a right-side word of a longer left
-    side ``big``, so rewrites create new occurrences of left sides."""
+    side ``big``, so rewrites create new occurrences of left sides.  Most
+    such systems are not confluent.  Returns the system, with step budget
+    ``DEGLEX_BUDGET``, and a strategy for inputs to it."""
     small = draw(abc_words.filter(lambda w: len(w) <= 2))
     big = draw(st.lists(st.integers(0, 2), min_size=len(small) + 1, max_size=4).map(tuple))
     others = draw(st.lists(abc_words, max_size=2))
@@ -483,22 +500,29 @@ def deglex_systems_and_inputs(draw):
             words.append(tuple(fill[:cut]) + small + tuple(fill[cut:]))
         terms = {w: draw(small_coefficients) for w in words}
         rules.append(Rule(lhs, NcPoly(ABC, terms), f"r{i}"))
-    system = ReductionSystem(ABC, Deglex(ABC), rules)
+    system = ReductionSystem(ABC, Deglex(ABC), rules, budget=DEGLEX_BUDGET)
     # input words glued from left sides, right-side words and letters
     pieces = st.sampled_from(
         sorted({*left_sides, *(w for rule in rules for w in rule.rhs.support()), (0,), (1,), (2,)})
     )
-    inputs = st.lists(pieces, max_size=4).map(lambda ws: sum(ws, ()))
-    poly = NcPoly(ABC, draw(st.dictionaries(inputs, small_coefficients, min_size=1, max_size=3)))
-    return system, poly
+    words = st.lists(pieces, max_size=4).map(lambda ws: sum(ws, ()))
+    inputs = st.dictionaries(words, small_coefficients, min_size=1, max_size=3)
+    return system, inputs.map(lambda terms: NcPoly(ABC, terms))
 
 
-DEGLEX_BUDGET = 2_000
+@st.composite
+def deglex_systems_and_inputs(draw):
+    system, inputs = draw_deglex_system(draw)
+    return system, draw(inputs)
+
+
+def deglex_system(rules):
+    rules = [Rule(lhs, NcPoly(ABC, rhs), f"r{i}") for i, (lhs, rhs) in enumerate(rules)]
+    return ReductionSystem(ABC, Deglex(ABC), rules, budget=DEGLEX_BUDGET)
 
 
 def deglex_case(rules, word):
-    rules = [Rule(lhs, NcPoly(ABC, rhs), f"r{i}") for i, (lhs, rhs) in enumerate(rules)]
-    return ReductionSystem(ABC, Deglex(ABC), rules), NcPoly.monomial(ABC, word)
+    return deglex_system(rules), NcPoly.monomial(ABC, word)
 
 
 @settings(max_examples=80, deadline=None)
@@ -520,6 +544,46 @@ def test_deglex_reduction_matches_reference(case):
     stats = ReductionStats()
     assert normal_form(poly, system, budget=DEGLEX_BUDGET, stats=stats) == expected
     assert stats.steps == steps
+
+
+# -- linearity and the S-polynomial ------------------------------------------
+
+
+@st.composite
+def systems_and_input_pairs(draw):
+    system, inputs = draw(st.sampled_from((draw_rational_system, draw_deglex_system)))(draw)
+    return system, draw(inputs), draw(inputs)
+
+
+# ab -> 0, ba -> a: a b a rewrites to 0 and to a^2, so it is not confluent
+TOY_NOT_CONFLUENT = deglex_system([((0, 1), {}), ((1, 0), {(0,): 1})])
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems_and_input_pairs())
+@example((TOY_NOT_CONFLUENT, NcPoly.monomial(ABC, (0, 1, 0)), NcPoly.monomial(ABC, (0, 0))))
+def test_normal_form_is_linear(case):
+    # what resolve_ambiguity relies on: reducing p - q once gives the
+    # difference of the two normal forms, confluent system or not
+    system, p, q = case
+    try:
+        assert normal_form(p - q, system) == normal_form(p, system) - normal_form(q, system)
+    except ReductionBudgetExceeded:
+        reject()
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems_and_input_pairs().map(lambda case: case[0]))
+@example(TOY_NOT_CONFLUENT)
+def test_s_polynomial_gives_the_two_normal_forms_difference(system):
+    for ambiguity in find_ambiguities(system):
+        try:
+            res = resolve_ambiguity(ambiguity, system)
+            left, right = res.left_normal, res.right_normal
+        except ReductionBudgetExceeded:
+            reject()
+        assert res.difference == left - right
+        assert (res.verdict == RESOLVABLE) == (left == right)
 
 
 def test_rational_system_reduces_in_int_rules():

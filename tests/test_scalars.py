@@ -11,7 +11,7 @@ from diamond.scalars import (
     common_denominator,
     cyclotomic_polynomial,
     euler_phi,
-    parse_scalar,
+    parse_q_poly,
     rescale,
     scalar_str,
     scaled_integer,
@@ -73,6 +73,19 @@ def test_mixed_coercion():
 def test_order_mixing_rejected():
     with pytest.raises(ValueError):
         CyclotomicField(3).q + CyclotomicField(4).q
+
+
+def parse_scalar(text: str):
+    """Parse the standalone scalar text forms: ``p/q`` or ``p`` for
+    rationals, ``<poly in q> (mod Phi_N)`` for cyclotomic literals."""
+    text = text.strip()
+    if "(mod" in text:
+        body, _, tail = text.partition("(mod")
+        tail = tail.strip(" )")
+        if not tail.startswith("Phi_"):
+            raise ValueError(f"malformed cyclotomic annotation in {text!r}")
+        return parse_q_poly(body.strip(), int(tail[4:]))
+    return Fraction(text)
 
 
 def test_text_forms():

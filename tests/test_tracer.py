@@ -7,7 +7,7 @@ import importlib.util
 from pathlib import Path
 
 from diamond import coalgebra
-from diamond.freealg import bidegree_sum
+from diamond.freealg import NcPoly, bidegree_sum
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -62,19 +62,25 @@ def test_tracer_targets_resolve_and_uninstall_restores():
 
 
 def test_tracer_counts_repeated_matches_in_confluence():
-    # every ambiguity of x^5 reduces some word more than once, so the
-    # walks outnumber the distinct words matched
+    # one S-polynomial per ambiguity: confluence of x^5 walks no input word
+    # twice.  Reducing one input twice does, so the walks then outnumber
+    # the distinct words matched
     from diamond import presentations, rewrite
 
     tracer = load_tracer()
     g = presentations.DefiningPolynomial.from_coefficients((0, 0, 0, 0, 1))
     system = presentations.build_system(g).system
+    word = NcPoly.monomial(system.alphabet, (0, 0, 1, 1, 1, 0, 1))
     probe = tracer.Tracer()
     probe.install()
     try:
         rewrite.check_confluence(system)
+        alone = probe.metrics()["rewrite.match_distinct_ratio"]
+        rewrite.normal_form(word, system)
+        rewrite.normal_form(word, system)
     finally:
         probe.uninstall()
+    assert alone == 1
     assert probe.stats["rewrite.match"].calls > 0
     assert probe.stats["rewrite.check_confluence"].calls == 1
     assert probe.metrics()["rewrite.match_distinct_ratio"] < 1
