@@ -48,8 +48,6 @@ from .rewrite import (
 from .scalars import (
     Cyclotomic,
     CyclotomicField,
-    QQ,
-    Rational,
     cyclotomic_polynomial,
     euler_phi,
 )
@@ -84,8 +82,6 @@ __all__ = [
     "normal_form",
     "Presentation",
     "ProductGrlex",
-    "QQ",
-    "Rational",
     "ReductionBudgetExceeded",
     "ReductionSystem",
     "render_word",

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from weakref import WeakKeyDictionary
@@ -50,7 +49,7 @@ from .presentations import (
     defining_relation,
 )
 from .rewrite import check_confluence, normal_form
-from .scalars import CyclotomicField
+from .scalars import CyclotomicField, common_denominator
 
 # ---------------------------------------------------------------------------
 # PBW words and the irreducible census
@@ -129,6 +128,8 @@ def irreducible_census(system, max_len: int) -> GrowthReport:
     follows from length L - 1 by one step along every letter.  Exact
     integers; O(max_len * states * letters) additions.
     """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
     automaton = system.automaton
     rank, none = automaton.rank, len(automaton.rules)
     live = [[t for t in row if rank[t] == none] for row in automaton.delta]
@@ -278,19 +279,15 @@ def _row_echelon(rows) -> dict:
 def _integer_row(terms, column) -> dict:
     """Clear the denominators of {key: rational} and rename each key by
     ``column``; the result is a row {column: int}."""
-    for coeff in terms.values():
-        if not isinstance(coeff, (int, Fraction)):
-            raise TypeError("the exact-rank oracle works over rational scalars only")
-    denominators = [c.denominator for c in terms.values() if isinstance(c, Fraction)]
-    scale = reduce(lambda acc, d: acc * d // gcd(acc, d), denominators, 1)
+    scale = common_denominator(terms.values())
+    if scale is None:
+        raise TypeError("the exact-rank oracle works over rational scalars only")
     row = {}
     for key, coeff in terms.items():
         value = coeff * scale
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise ArithmeticError("denominator clearing failed")
-            value = value.numerator
-        row[column(key)] = value
+        if value.denominator != 1:
+            raise ArithmeticError("denominator clearing failed")
+        row[column(key)] = value.numerator
     return row
 
 

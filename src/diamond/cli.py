@@ -1,5 +1,11 @@
 """Command-line surface: expression parsing, subcommands, JSON reports.
 
+One grammar reads every scalar and polynomial of the command line:
+expressions, and each entry of a coefficient list, which must be constant.
+Integer and rational literals stay ``int`` and ``Fraction``; with
+``--cyclotomic N`` the name ``q`` is the root of ``CyclotomicField(N)``,
+and without it ``q`` is an unknown symbol.
+
 Exit codes: 0 success, 1 failed checks, 2 usage errors (including a
 ``--json`` path that cannot be written and inputs above the resource
 guards), 3 reduction budget (``--budget``) exceeded.  Report-only verdicts
@@ -34,7 +40,7 @@ from .rewrite import (
     check_confluence,
     normal_form,
 )
-from .scalars import QQ, CyclotomicField, parse_q_poly
+from .scalars import CyclotomicField
 
 
 class ExprError(ValueError):
@@ -62,6 +68,12 @@ MAX_GROWTH_LEN = 1_000
 #: (with Python 3.11 on 2 cores, degree 16 builds in about 2 s and 38 MiB,
 #: degree 19 in 16 s and 235 MiB); --n keeps the same bound
 MAX_DEGREE = 16
+
+#: resource guard for --cyclotomic: a residue has phi(N) rational entries,
+#: a product of two dense residues takes phi(N)^2 multiplications and an
+#: inverse more (with Python 3.11 on 2 cores, N = 127, phi = 126: 0.16 s
+#: per product, 0.8 s per inverse; N = 251: 0.67 s and 6.1 s)
+MAX_CYCLOTOMIC_ORDER = 128
 
 #: resource guards for expression parsing, checked before each product is
 #: built: at most this many terms ((a+x)^16 is the largest power of a+x)
@@ -105,14 +117,15 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """Recursive-descent parser for +, -, explicit *, ^ and parentheses.
+    """Recursive-descent parser for +, -, explicit *, / by a nonzero
+    constant, ^ and parentheses.
 
     Juxtaposition is rejected; the noncommutative product order of the
     input is preserved exactly.  The name ``q`` denotes the distinguished
-    root of unity when a cyclotomic field is active.
+    root of unity of ``field``; ``field=None`` means there is no ``q``.
     """
 
-    def __init__(self, text: str, alphabet: Alphabet, field=QQ):
+    def __init__(self, text: str, alphabet: Alphabet, field=None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.alphabet = alphabet
@@ -149,11 +162,19 @@ class _Parser:
 
     def term(self) -> NcPoly:
         value = self.factor()
-        while self.peek()[0] == "*":
-            position = self.next()[2]
+        while self.peek()[0] in ("*", "/"):
+            op, _, position = self.next()
             factor = self.factor()
-            self.check_size(len(value) * len(factor), value.degree() + factor.degree(), position)
-            value = value * factor
+            if op == "*":
+                self.check_size(len(value) * len(factor), value.degree() + factor.degree(), position)
+                value = value * factor
+                continue
+            divisor = constant_of(factor)
+            if divisor is None:
+                raise ExprError("division by a non-constant", position)
+            if not divisor:
+                raise ExprError("zero denominator", position)
+            value = value.scale(Fraction(1) / divisor)
         token = self.peek()
         if token[0] in ("name", "int", "("):
             raise ExprError("missing '*' between factors", token[2])
@@ -201,18 +222,9 @@ class _Parser:
             self.expect(")")
             return value
         if kind == "int":
-            numerator = int(text)
-            if self.peek()[0] == "/":
-                self.next()
-                den = self.expect("int")
-                if int(den[1]) == 0:
-                    raise ExprError("zero denominator", den[2])
-                return NcPoly.one(self.alphabet).scale(
-                    self.field.coerce(Fraction(numerator, int(den[1])))
-                )
-            return NcPoly.one(self.alphabet).scale(self.field.coerce(numerator))
+            return NcPoly.one(self.alphabet).scale(int(text))
         if kind == "name":
-            if text == "q" and isinstance(self.field, CyclotomicField):
+            if text == "q" and self.field is not None:
                 return NcPoly.one(self.alphabet).scale(self.field.q)
             if text in self.alphabet.names:
                 return NcPoly.generator(self.alphabet, self.alphabet.index(text))
@@ -220,26 +232,36 @@ class _Parser:
         raise ExprError(f"unexpected {text!r}", pos)
 
 
-def parse_expr(text: str, alphabet: Alphabet, field=QQ) -> NcPoly:
+def parse_expr(text: str, alphabet: Alphabet, field=None) -> NcPoly:
     """Parse expression text into an exact polynomial over the alphabet."""
     return _Parser(text, alphabet, field).parse()
 
 
-def parse_defining(text: str, letter: str = "x", field=QQ) -> DefiningPolynomial:
+def constant_of(poly: NcPoly):
+    """The scalar that ``poly`` is, or None when it has a term of positive
+    degree."""
+    return None if poly.degree() > 0 else poly.coeff(())
+
+
+def parse_defining(text: str, letter: str = "x", field=None) -> DefiningPolynomial:
     """--g / --f argument: either an expression in one letter or a
-    comma-separated coefficient list ``r_1, r_2, ..., r_n``."""
-    text = text.strip()
+    comma-separated coefficient list ``r_1, r_2, ..., r_n`` whose entries
+    are constant expressions."""
+    alphabet = Alphabet((letter,))
     if "," in text:
         coeffs = []
-        for chunk in text.split(","):
-            chunk = chunk.strip()
-            if isinstance(field, CyclotomicField) and ("q" in chunk):
-                coeffs.append(parse_q_poly(chunk, field.order))
-            else:
-                coeffs.append(Fraction(chunk))
+        for entry in text.split(","):
+            entry = entry.strip()
+            try:
+                value = constant_of(parse_expr(entry, alphabet, field))
+            except ExprError as exc:
+                raise UsageError(f"coefficient {entry!r}: {exc}") from None
+            if value is None:
+                raise UsageError(f"coefficient {entry!r} is not a constant")
+            coeffs.append(value)
         g = DefiningPolynomial.from_coefficients(coeffs)
     else:
-        g = DefiningPolynomial.from_ncpoly(parse_expr(text, Alphabet((letter,)), field), 0)
+        g = DefiningPolynomial.from_ncpoly(parse_expr(text, alphabet, field), 0)
     _check_degree(g.degree)
     return g
 
@@ -250,9 +272,14 @@ def _check_degree(degree: int) -> None:
 
 
 def _field_from_args(args):
-    if getattr(args, "cyclotomic", None) is not None:
-        return CyclotomicField(args.cyclotomic)
-    return QQ
+    order = getattr(args, "cyclotomic", None)
+    if order is None:
+        return None
+    if order > MAX_CYCLOTOMIC_ORDER:
+        raise UsageError(
+            f"resource guard: --cyclotomic must be <= {MAX_CYCLOTOMIC_ORDER}, got {order}"
+        )
+    return CyclotomicField(order)
 
 
 def _check_json_path(path) -> None:

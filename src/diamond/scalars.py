@@ -1,10 +1,18 @@
 """Exact coefficient arithmetic.
 
-Two concrete fields cover every computation in this package: the rationals
-(`fractions.Fraction`, re-exported as ``Rational``) and the cyclotomic
-quotient rings Q[q]/Phi_N(q), in which ``q`` is a primitive N-th root of
-unity.  Cyclotomic elements are immutable residue tuples of length
-phi(N) = deg Phi_N, so equality is structural and every operation is exact.
+Scalars are ints, ``fractions.Fraction``s and the residues of Q[q]/Phi_N(q),
+in which ``q`` is a primitive N-th root of unity.  Cyclotomic elements are
+immutable residue tuples of length phi(N) = deg Phi_N, so equality is
+structural and every operation is exact.  Code that takes scalars needs no
+field object: ints and Fractions mix with residues through the operators of
+``Cyclotomic``.  ``CyclotomicField`` only names the zero, the one and the
+root ``q`` of one order.
+
+One polynomial core serves the residues: ``_divmod_monic`` divides by a
+monic polynomial (the exactness check of ``cyclotomic_polynomial``, the
+reduction mod Phi_N and each step of the extended Euclid in
+``Cyclotomic.inverse``), and ``Cyclotomic.__mul__`` holds the one product
+loop.
 """
 
 from __future__ import annotations
@@ -12,11 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-
-Rational = Fraction
-
-#: Scalars accepted throughout the package: int, Fraction, or Cyclotomic.
-Scalar = object
 
 
 @lru_cache(maxsize=None)
@@ -36,38 +39,37 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # Exact division of integer polynomials with monic divisor (ascending coeffs).
+def _divmod_monic(num: list, den) -> tuple[list, list]:
+    """Quotient and remainder of ``num`` by the monic ``den``, both given by
+    their coefficients, lowest power first.  Int input gives int output."""
+    deg = len(den) - 1
     num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        out[i - dn] = c
+    quo = num[deg:]
+    for i in range(len(num) - 1, deg - 1, -1):
+        c = quo[i - deg] = num[i]
         if c:
-            for k, d in enumerate(den):
-                num[i - dn + k] -= c * d
-    if any(num[:dn]):
-        raise ArithmeticError("polynomial division was not exact")
-    return out
+            for k in range(deg):
+                if den[k]:
+                    num[i - deg + k] -= c * den[k]
+    return quo, num[:deg]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Ascending integer coefficients of the order-th cyclotomic polynomial.
 
-    Computed by dividing q^order - 1 by the product of the cyclotomic
-    polynomials of all proper divisors of ``order``.
+    Computed by dividing q^order - 1 by the cyclotomic polynomials of all
+    proper divisors of ``order``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order == 1:
-        return (-1, 1)
     num = [0] * (order + 1)
     num[0], num[order] = -1, 1
     for d in range(1, order):
         if order % d == 0:
-            num = _poly_div_exact(num, cyclotomic_polynomial(d))
+            num, rem = _divmod_monic(num, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("polynomial division was not exact")
     return tuple(num)
 
 
@@ -92,7 +94,7 @@ class Cyclotomic:
         phi = euler_phi(order)
         coeffs = [_as_fraction(c) for c in coeffs]
         if len(coeffs) > phi:
-            coeffs = _reduce_mod_phi(order, coeffs)
+            coeffs = _divmod_monic(coeffs, cyclotomic_polynomial(order))[1]
         coeffs += [Fraction(0)] * (phi - len(coeffs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -110,7 +112,7 @@ class Cyclotomic:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, [_as_fraction(other)])
+            return Cyclotomic(self.order, [other])
         return None
 
     # -- ring operations ---------------------------------------------------
@@ -154,12 +156,24 @@ class Cyclotomic:
 
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse; Phi_N is irreducible over Q, so every
-        nonzero residue is invertible."""
+        nonzero residue is invertible.
+
+        Extended Euclid on Phi_N and the residue, each divisor first made
+        monic: s_i * self = r_i mod Phi_N throughout, and the last nonzero
+        remainder is the monic gcd 1, so its s_i is the inverse."""
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
-        phi = [_as_fraction(c) for c in cyclotomic_polynomial(self.order)]
-        inv = _modular_inverse(list(self.coeffs), phi)
-        return Cyclotomic(self.order, inv)
+        r0, r1 = cyclotomic_polynomial(self.order), list(self.coeffs)
+        s0, s1 = Cyclotomic(self.order, []), Cyclotomic(self.order, [1])
+        while any(r1):
+            while not r1[-1]:
+                r1.pop()
+            lead = Fraction(1) / r1[-1]
+            r1, s1 = [c * lead for c in r1], s1 * lead
+            quo, rem = _divmod_monic(r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, s0 - Cyclotomic(self.order, quo) * s1
+        return s0
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -232,129 +246,16 @@ class Cyclotomic:
         return "".join(parts) if parts else "0"
 
 
-def _reduce_mod_phi(order: int, coeffs: list[Fraction]) -> list[Fraction]:
-    phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
-        if c:
-            for k, d in enumerate(phi):
-                coeffs[i - deg + k] -= c * d
-    return coeffs[:deg]
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while num and not num[-1]:
-        num.pop()
-    dden = len(den) - 1
-    while den and not den[-1]:
-        den.pop()
-        dden -= 1
-    quo = [Fraction(0)] * max(len(num) - dden, 0)
-    lead = den[-1]
-    for i in range(len(num) - 1, dden - 1, -1):
-        c = num[i] / lead
-        if c:
-            quo[i - dden] = c
-            for k, d in enumerate(den):
-                num[i - dden + k] -= c * d
-    while num and not num[-1]:
-        num.pop()
-    return quo, num
-
-
-def _modular_inverse(value: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
-    # Extended Euclid in Q[q]: returns s with s*value = 1 mod modulus.
-    r0, r1 = list(modulus), list(value)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while any(r1):
-        quo, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        qs = _poly_mul(quo, s1)
-        s0, s1 = s1, _poly_sub(s0, qs)
-    if len(r0) != 1:
-        raise ArithmeticError("element not invertible modulo the given polynomial")
-    return [c / r0[0] for c in s0]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-class RationalField:
-    """The rationals, wrapped with the little protocol the parsers use."""
-
-    name = "QQ"
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, value):
-        if isinstance(value, Cyclotomic):
-            raise TypeError("cyclotomic value in a rational context")
-        return _as_fraction(value)
-
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-
 class CyclotomicField:
-    """Q[q]/Phi_N(q) as a value-level field descriptor."""
+    """The zero, the one and the primitive root ``q`` of Q[q]/Phi_N(q)."""
 
     def __init__(self, order: int):
-        if order < 1:
-            raise ValueError("order must be >= 1")
         self.order = order
-        self.name = f"QQ(zeta_{order})"
         self.zero = Cyclotomic(order, [])
         self.one = Cyclotomic(order, [1])
-        #: the distinguished primitive order-th root of unity
-        self.q = Cyclotomic(order, [0, 1]) if euler_phi(order) > 1 else self._q_small()
-
-    def _q_small(self):
-        # phi(1) = phi(2) = 1: q is the rational root 1 resp. -1.
-        return Cyclotomic(self.order, [1 if self.order == 1 else -1])
-
-    def coerce(self, value):
-        if isinstance(value, Cyclotomic):
-            if value.order != self.order:
-                raise ValueError("cyclotomic order mismatch")
-            return value
-        return Cyclotomic(self.order, [_as_fraction(value)])
-
-    def __repr__(self):
-        return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, CyclotomicField) and other.order == self.order
-
-    def __hash__(self):
-        return hash(("cyclotomic", self.order))
-
-
-QQ = RationalField()
+        #: the distinguished primitive order-th root of unity; the rational
+        #: root 1 or -1 when order is 1 or 2
+        self.q = Cyclotomic(order, [0, 1])
 
 
 # -- the diagonal rescaling of a rational system ----------------------------
@@ -438,27 +339,3 @@ def scalar_str(value) -> str:
             return str(value.coeffs[0])
         return f"({value.poly_str()})"
     return str(value)
-
-
-def parse_q_poly(text: str, order: int) -> Cyclotomic:
-    field = CyclotomicField(order)
-    text = text.replace("-", "+-").replace(" ", "")
-    total = field.zero
-    for chunk in text.split("+"):
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign, chunk = -1, chunk[1:]
-        coeff, power = Fraction(1), 0
-        if "q" in chunk:
-            head, _, tail = chunk.partition("q")
-            if head:
-                coeff = Fraction(head.rstrip("*"))
-            power = int(tail[1:]) if tail.startswith("^") else (1 if not tail else 0)
-            if tail and not tail.startswith("^"):
-                raise ValueError(f"malformed term {chunk!r}")
-        else:
-            coeff = Fraction(chunk)
-        total = total + sign * coeff * field.q ** power
-    return total

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 import time
@@ -10,11 +12,13 @@ from hypothesis import strategies as st
 
 from diamond import cli
 from diamond.cli import (
+    MAX_CYCLOTOMIC_ORDER,
     MAX_DEGREE,
     MAX_EXPR_LETTERS,
     MAX_EXPR_TERMS,
     MAX_GROWTH_LEN,
     ExprError,
+    UsageError,
     parse_defining,
     parse_expr,
     run_command,
@@ -33,7 +37,7 @@ def mono(*letters):
 
 
 def test_parsed_input_reduces_in_int():
-    # the parser gives Fraction coefficients; the integral system maps them
+    # the parser gives int and Fraction coefficients; the integral system maps them
     # into its int domain, so the normal form comes back in int
     system = build_system(DefiningPolynomial.from_coefficients((0, 0, 0, 1))).system
     nf = normal_form(parse_expr("2*x^4*a + a*x^4", AX), system)
@@ -91,6 +95,63 @@ def test_parse_errors():
     assert err is not None and "position" in str(err)
 
 
+def test_coefficient_list_entries_are_constant_expressions():
+    # each entry of a list is read by the expression grammar
+    field = CyclotomicField(8)
+    for entry in ("q/2", "(1+q)^2", "2*q*q", "1/q", "-3/4", "2^3/3^2"):
+        listed = parse_defining(f"{entry}, 0, 1", "x", field)
+        expression = parse_defining(f"({entry})*x + x^3", "x", field)
+        assert listed == expression
+        assert listed.coefficient(1) == parse_expr(entry, AX, field).coeff(())
+    assert parse_expr("q/2", AX, field) == parse_expr("1/2*q", AX, field)
+    assert parse_expr("2/3^2", AX) == NcPoly.one(AX).scale(Fraction(2, 9))
+    assert parse_defining("x/2 + x^2") == parse_defining("1/2, 1")
+    for text, message in (
+        ("0.5, 1", "unexpected character '.'"),
+        ("1e3, 1", "missing '*'"),
+        ("1/0, 1", "zero denominator"),
+        ("x, 1", "is not a constant"),
+        ("q, 1", "unknown symbol 'q'"),
+    ):
+        with pytest.raises(UsageError, match=message):
+            parse_defining(text)
+    for text in ("x/x", "x/(q-q)", "a/0"):
+        with pytest.raises(ExprError):
+            parse_expr(text, AX, field)
+
+
+def test_zero_denominator_exits_2(capsys):
+    for argv in (
+        ["present", "--g", "1/0, 1"],
+        ["present", "--g", "x^2 + x/0"],
+        ["nf", "--g", "x^2", "--expr", "a/(1-1)"],
+        ["present", "--g", "x^2 + x/(q^4+1)", "--cyclotomic", "8"],
+    ):
+        assert run_command(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "zero denominator" in err
+
+
+FUZZ_TEXT = st.text(alphabet="xq0129+-*/^(). ", max_size=14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FUZZ_TEXT, FUZZ_TEXT, st.sampled_from([None, "1", "2", "8"]))
+def test_random_defining_text_exits_0_or_2(first, second, order):
+    # any text, as an expression or as a two-entry list, is either accepted
+    # or refused with exit 2; no input may raise.  The degree guard is
+    # lowered so that accepted inputs stay cheap to build.
+    extra = [] if order is None else ["--cyclotomic", order]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "MAX_DEGREE", 8)
+        for text in (first, f"{first}, {second}"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_command(["present", f"--g={text}", *extra])
+            assert code in (0, 2)
+            assert (code == 2) == err.getvalue().startswith("error:")
+
+
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 words = st.lists(st.integers(0, 1), max_size=4).map(tuple)
 polys = st.dictionaries(words, coeffs, max_size=4).map(lambda d: NcPoly(AX, d))
@@ -129,6 +190,9 @@ def test_cmd_basis(capsys):
     err = capsys.readouterr().err
     assert "resource guard: the basis has 342092 words" in err
     assert run_command(["basis", "--n", "3", "--max-len", "-1"]) == 2
+    assert run_command(["growth", "--n", "3", "--max-len", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "max_len must be >= 0" in err
 
 
 def test_cmd_growth(capsys):
@@ -248,6 +312,15 @@ def test_usage_errors(capsys):
         assert run_command(argv) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and f"degree must be <= {MAX_DEGREE}" in err
+    # an order above the guard is refused before its field is built
+    start = time.monotonic()
+    for order in (str(MAX_CYCLOTOMIC_ORDER + 1), "99999999"):
+        assert run_command(["present", "--g", "x^2", "--cyclotomic", order]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"--cyclotomic must be <= {MAX_CYCLOTOMIC_ORDER}" in err
+    assert time.monotonic() - start < 5
+    assert run_command(["present", "--g", "x^2 + q*x", "--cyclotomic", str(MAX_CYCLOTOMIC_ORDER)]) == 0
+    capsys.readouterr()
     # --cyclotomic 0 used to fall back to Q silently
     for order in ("0", "-3"):
         assert run_command(["present", "--g", "x^2", "--cyclotomic", order]) == 2

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diamond.cli import constant_of, parse_expr
 from diamond.freealg import Alphabet, NcPoly
 from diamond.scalars import (
     Cyclotomic,
@@ -11,7 +12,6 @@ from diamond.scalars import (
     common_denominator,
     cyclotomic_polynomial,
     euler_phi,
-    parse_q_poly,
     rescale,
     scalar_str,
     scaled_integer,
@@ -45,7 +45,9 @@ def test_cube_root_relations():
 
 
 def test_primitive_root_orders():
-    for n in range(2, 13):
+    # phi(1) = phi(2) = 1: q reduces to the rational root 1 resp. -1
+    assert CyclotomicField(1).q == 1 and CyclotomicField(2).q == -1
+    for n in range(1, 13):
         q = CyclotomicField(n).q
         assert q ** n == 1
         for d in range(1, n):
@@ -76,16 +78,17 @@ def test_order_mixing_rejected():
 
 
 def parse_scalar(text: str):
-    """Parse the standalone scalar text forms: ``p/q`` or ``p`` for
-    rationals, ``<poly in q> (mod Phi_N)`` for cyclotomic literals."""
-    text = text.strip()
+    """Parse the standalone scalar text forms with the expression grammar:
+    ``p/q`` or ``p`` for rationals, ``<poly in q> (mod Phi_N)`` for
+    cyclotomic literals."""
+    field = None
     if "(mod" in text:
-        body, _, tail = text.partition("(mod")
+        text, _, tail = text.partition("(mod")
         tail = tail.strip(" )")
         if not tail.startswith("Phi_"):
             raise ValueError(f"malformed cyclotomic annotation in {text!r}")
-        return parse_q_poly(body.strip(), int(tail[4:]))
-    return Fraction(text)
+        field = CyclotomicField(int(tail[4:]))
+    return constant_of(parse_expr(text, Alphabet(("x",)), field))
 
 
 def test_text_forms():
