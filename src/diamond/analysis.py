@@ -21,6 +21,13 @@ prefixed rows of an echelon basis of level t - 1 still have distinct
 leading words and need no reduction; only the rows sigma_j * v are reduced.
 The pivot profile after level t is the profile at bound t + n, so one build
 serves every bound, extended only when a larger bound is asked for.
+
+In the tensor product of the factor algebras of g and f, the ideal of the
+central z = g(x) - f(y) and z = a^n - b^m is spanned by the rows
+(u (x) w) * z over pairs of normal words.  For z = p (x) 1 - 1 (x) q each
+row is nf(u p) (x) w - u (x) nf(w q), so each leg word takes one normal
+form per relation, and the rows are reduced by the same ``_reduce_row``
+into one pivot table.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from itertools import islice
 from weakref import WeakKeyDictionary
 from math import gcd
 
-from .coalgebra import tensor_normal_form
 from .freealg import (
     Alphabet,
     NcPoly,
@@ -266,16 +272,6 @@ def _reduce_row(row: dict, pivots: dict) -> dict:
     return row
 
 
-def _row_echelon(rows) -> dict:
-    """Sparse row echelon form; returns {leading column: pivot row}."""
-    pivots: dict = {}
-    for row in sorted(rows, key=min):
-        reduced = _reduce_row(row, pivots)
-        if reduced:
-            pivots[min(reduced)] = reduced
-    return pivots
-
-
 def _integer_row(terms, column) -> dict:
     """Clear the denominators of {key: rational} and rename each key by
     ``column``; the result is a row {column: int}."""
@@ -400,9 +396,9 @@ class _IdealEchelon:
                         for length, xcount, bits, coeff in sigma
                     }
                 )
-        # in the order generated, v ascending: largest lead first, as in
-        # _row_echelon, took 2 to 6 times more elimination steps on x^2,
-        # x^3 and x + 2x^2 + x^3 at bounds 10 to 12
+        # reduced in the order generated, v ascending; sorting the rows
+        # largest lead first took 2 to 6 times more elimination steps on
+        # x^2, x^3 and x + 2x^2 + x^3 at bounds 10 to 12
         for row in rows:
             reduced = _reduce_row(row, basis)
             if reduced:
@@ -589,38 +585,6 @@ def degree_three_centre_element(g: DefiningPolynomial) -> NcPoly:
 BY = Alphabet(("b", "y"))
 
 
-class TensorAlgebra:
-    """Tensor product of the two factor quotients.  Its elements are
-    ``TensorPoly`` maps (factor-1 word, factor-2 word) -> scalar; the map's
-    alphabet is the first factor's, ``render`` names the second leg in
-    ``BY``, and ``reduce`` brings both legs to factor normal form."""
-
-    def __init__(self, g: DefiningPolynomial, f: DefiningPolynomial):
-        self.g, self.f = g, f
-        self.left = build_system(g, AX)
-        self.right = build_system(f, BY)
-
-    def one(self) -> TensorPoly:
-        return TensorPoly.one(AX)
-
-    def embed_left(self, poly: NcPoly) -> TensorPoly:
-        nf = normal_form(poly, self.left.system)
-        return TensorPoly(AX, {(w, ()): c for w, c in nf.items()})
-
-    def embed_right(self, poly: NcPoly) -> TensorPoly:
-        nf = normal_form(poly, self.right.system)
-        return TensorPoly(AX, {((), w): c for w, c in nf.items()})
-
-    def monomial(self, left_word: Word, right_word: Word, coeff=1) -> TensorPoly:
-        return TensorPoly.simple(AX, left_word, right_word, coeff)
-
-    def reduce(self, element: TensorPoly) -> TensorPoly:
-        return tensor_normal_form(element, self.left.system, self.right.system)
-
-    def render(self, element: TensorPoly) -> str:
-        return element.render(BY)
-
-
 @dataclass
 class TensorQuotientReport:
     """Rank-computed filtration dimensions of the tensor quotient against the
@@ -668,12 +632,6 @@ def _census_counts(g: DefiningPolynomial, f: DefiningPolynomial, max_degree: int
     blocks1 = block_length_counts(n, wx)
     blocks2 = block_length_counts(m, wy)
     curve = CurvePresentation(g, f).basis_counts(max_degree, (wx, wy))
-    tails = [0] * (max_degree + 1)
-    for i in range(max_degree // wx + 1):
-        for j in range(m):
-            w = wx * i + wy * j
-            if w <= max_degree:
-                tails[w] += 1
 
     def convolve(u: list, v: list) -> list:
         out = [0] * (max_degree + 1)
@@ -684,7 +642,9 @@ def _census_counts(g: DefiningPolynomial, f: DefiningPolynomial, max_degree: int
                         out[i + j_] += a * b
         return out
 
-    per_degree = convolve(convolve(convolve(curve, blocks1), blocks2), tails)
+    # a^i b^j with j < m weigh m*i + n*j, as x^i y^j with j < m do in the
+    # curve basis, so the tails count like the curve
+    per_degree = convolve(convolve(convolve(curve, blocks1), blocks2), curve)
     out, total = [], 0
     for c in per_degree:
         total += c
@@ -699,15 +659,16 @@ def quotient_dimension_tensor(
     weighted degree <= max_degree, versus the standard-monomial census.
 
     Both relations are central, so the two-sided ideal piece is spanned by
-    left multiples u * z over the pair basis; the dimensions are read off a
-    sparse exact row echelon of those rows.  A mismatch is reported with the
-    first disagreeing degree, never raised.
+    left multiples (u (x) w) * z over the pair basis, with one normal form
+    per leg word and relation (see the module docstring); the dimensions
+    are read off a sparse exact row echelon of those rows.  A mismatch is
+    reported with the first disagreeing degree, never raised.
     """
     n, m = g.degree, f.degree
-    algebra = TensorAlgebra(g, f)
-    if not check_confluence(algebra.left.system).overall:
+    left, right = build_system(g, AX).system, build_system(f, BY).system
+    if not check_confluence(left).overall:
         raise ValueError("first factor system is not confluent")
-    if not check_confluence(algebra.right.system).overall:
+    if not check_confluence(right).overall:
         raise ValueError("second factor system is not confluent")
     wx, wy = m, n
 
@@ -724,23 +685,37 @@ def quotient_dimension_tensor(
     rank_of = {(u, w): i for i, (_, u, w) in enumerate(ordered)}
     wdeg_of_rank = [t[0] for t in ordered]
 
-    a, x = 0, 1
-    z_curve = algebra.embed_left(g.as_ncpoly(AX, x)) - algebra.embed_right(
-        f.as_ncpoly(BY, 1)
-    )
-    z_group = algebra.monomial((a,) * n, ()) - algebra.monomial((), (0,) * m)
     top = n * m
 
-    rows = []
+    def leg_forms(words, weight, system, tails):
+        # word -> nf(word * tail) for each tail, for every word that heads a row
+        return {
+            word: [
+                normal_form(NcPoly.monomial(system.alphabet, word) * tail, system)
+                for tail in tails
+            ]
+            for word in words
+            if weight * len(word) + top <= max_degree
+        }
+
+    # the legs (p, q) of z = g(x) (x) 1 - 1 (x) f(y) and z = a^n (x) 1 - 1 (x) b^m
+    left_forms = leg_forms(
+        left_words, wx, left, (g.as_ncpoly(AX, 1), NcPoly.monomial(AX, (0,) * n))
+    )
+    right_forms = leg_forms(
+        right_words, wy, right, (f.as_ncpoly(BY, 1), NcPoly.monomial(BY, (0,) * m))
+    )
+    pivots: dict = {}
     for wdeg, u, w in pairs:
         if wdeg + top > max_degree:
             continue
-        basis_el = algebra.monomial(u, w)
-        for z in (z_curve, z_group):
-            element = algebra.reduce(basis_el * z)
-            if not element.is_zero():
-                rows.append(_integer_row(dict(element.items()), rank_of.__getitem__))
-    pivots = _row_echelon(rows)
+        for p, q in zip(left_forms[u], right_forms[w]):
+            row = TensorPoly(
+                AX, [((wl, w), c) for wl, c in p.items()] + [((u, wr), -c) for wr, c in q.items()]
+            )
+            reduced = _reduce_row(_integer_row(dict(row.items()), rank_of.__getitem__), pivots)
+            if reduced:
+                pivots[min(reduced)] = reduced
     pivot_by_degree = [0] * (max_degree + 1)
     for lead in pivots:
         pivot_by_degree[wdeg_of_rank[lead]] += 1
@@ -825,23 +800,27 @@ def degree_two_suite(r, s) -> dict:
         pres.system,
     ).is_zero()
 
-    algebra = TensorAlgebra(g, f)
+    right = build_system(f, BY).system
     b, y = 0, 1
-    y_prime_poly = (
+    y_prime = (
         NcPoly.generator(BY, y)
         + NcPoly.one(BY).scale(s / 2)
         - NcPoly.monomial(BY, (b,), s / 2)
     )
-    x1 = algebra.embed_left(x_prime)
-    y1 = algebra.embed_right(y_prime_poly)
-    lhs = algebra.reduce(x1 * x1 - y1 * y1)
-    g_minus_f = algebra.embed_left(g.as_ncpoly(AX, 1)) - algebra.embed_right(
-        f.as_ncpoly(BY, 1)
+
+    def legs(p: NcPoly, q: NcPoly) -> TensorPoly:
+        """p (x) 1 + 1 (x) q, for p over AX and q over BY."""
+        return TensorPoly(
+            AX, [((w, ()), c) for w, c in p.items()] + [(((), w), c) for w, c in q.items()]
+        )
+
+    lhs = legs(
+        normal_form(x_prime * x_prime, pres.system), -normal_form(y_prime * y_prime, right)
     )
-    correction = (
-        algebra.one().scale((r * r - s * s) / 4)
-        - algebra.monomial((a, a), ()).scale(r * r / 4)
-        + algebra.monomial((), (b, b)).scale(s * s / 4)
+    g_minus_f = legs(g.as_ncpoly(AX, x), -f.as_ncpoly(BY, y))
+    correction = legs(
+        NcPoly.one(AX).scale((r * r - s * s) / 4) - NcPoly.monomial(AX, (a, a), r * r / 4),
+        NcPoly.monomial(BY, (b, b), s * s / 4),
     )
     identity_ok = (lhs - (g_minus_f + correction)).is_zero()
     displayed_variant = lhs - ((-g_minus_f) + correction)

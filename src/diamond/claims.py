@@ -645,14 +645,13 @@ def tensor_quotient_suite(max_degree: int = 6) -> list:
         f = DefiningPolynomial.from_coefficients(f_coeffs)
         report = quotient_dimension_tensor(g, f, max_degree)
         claims.append(
-            {
-                "id": f"tensor-quotient-{label}",
-                "statement": "rank-computed tensor-quotient dimensions equal "
-                "the standard-monomial census at every weighted degree <= "
-                f"{max_degree}",
-                "verdict": PASS if report.ok else FAIL,
-                "witness": report.to_json_dict(),
-            }
+            _claim(
+                f"tensor-quotient-{label}",
+                "rank-computed tensor-quotient dimensions equal the "
+                f"standard-monomial census at every weighted degree <= {max_degree}",
+                report.ok,
+                report.to_json_dict(),
+            )
         )
     return claims
 

@@ -107,24 +107,16 @@ def check_coproduct_bidegree(
     return lhs == TensorPoly(ctx.alphabet, terms)
 
 
-def tensor_normal_form(
-    tensor: TensorPoly,
-    system: ReductionSystem,
-    right_system: ReductionSystem | None = None,
-) -> TensorPoly:
-    """Reduce every left leg word under ``system`` and every right leg word
-    under ``right_system`` (default: the same system), and recombine.
+def tensor_normal_form(tensor: TensorPoly, system: ReductionSystem) -> TensorPoly:
+    """Reduce every leg word under ``system`` and recombine.
 
-    With one system this computes the image in (F/I) (x) (F/I); its kernel
-    is exactly I (x) F + F (x) I.  Representative-independence needs
-    confluence.
+    This computes the image in (F/I) (x) (F/I); its kernel is exactly
+    I (x) F + F (x) I.  Representative-independence needs confluence.
     """
-    if right_system is None:
-        right_system = system
     terms = []
     for (left, right), coeff in tensor.items():
         nf_left = normal_form(NcPoly.monomial(system.alphabet, left), system)
-        nf_right = normal_form(NcPoly.monomial(right_system.alphabet, right), right_system)
+        nf_right = normal_form(NcPoly.monomial(system.alphabet, right), system)
         terms.extend(
             ((wl, wr), coeff * (cl * cr))
             for wl, cl in nf_left.items()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import Alphabet, Word, render_word
+from .freealg import Alphabet, Word
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -106,15 +106,6 @@ class CompatibilityReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json_dict(self, alphabet: Alphabet) -> dict:
-        return {
-            "compatible": self.ok,
-            "violations": [
-                {"rule": label, "word": render_word(alphabet, word)}
-                for label, word in self.violations
-            ],
-        }
 
 
 def check_compatibility(order, rules) -> CompatibilityReport:

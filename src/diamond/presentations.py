@@ -96,24 +96,7 @@ class DefiningPolynomial:
         )
 
     def render(self, name: str = "x") -> str:
-        from .scalars import scalar_str
-
-        parts = []
-        for i in range(self.degree, 0, -1):
-            c = self.coefficient(i)
-            if not c:
-                continue
-            power = name if i == 1 else f"{name}^{i}"
-            cs = scalar_str(c)
-            if cs == "1":
-                body = power
-            elif cs == "-1":
-                body = f"-{power}"
-            else:
-                body = f"{cs}*{power}"
-            parts.append(body)
-        text = " + ".join(parts) if parts else "0"
-        return text.replace("+ -", "- ")
+        return self.as_ncpoly(Alphabet((name,)), 0).render()
 
 
 def defining_relation(

@@ -7,15 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diamond.analysis import (
-    BY,
     Classification,
-    TensorAlgebra,
     TensorQuotientReport,
     _column_word,
     _echelon,
     _integer_row,
     _reduce_row,
-    _row_echelon,
     cubic_centre_elements,
     cubic_centre_suite,
     degree_three_centre_element,
@@ -33,7 +30,7 @@ from diamond.analysis import (
     random_defining_polynomial,
 )
 from diamond.cli import _power_system
-from diamond.freealg import Alphabet, NcPoly, TensorPoly, bidegree_sum
+from diamond.freealg import Alphabet, NcPoly, bidegree_sum
 from diamond.ordering import GrlexPlus
 from diamond.presentations import (
     AX,
@@ -47,7 +44,6 @@ from diamond.rewrite import ReductionSystem, Rule, normal_form
 from diamond.scalars import CyclotomicField
 
 A, X = 0, 1
-B, Y = 0, 1
 
 
 def power_poly(n):
@@ -236,6 +232,17 @@ def test_census_degree_four_series_oracle():
     assert census.counts == expected
 
 
+def row_echelon(rows) -> dict:
+    """Sparse row echelon of all rows at once, largest lead first; returns
+    {leading column: pivot row}."""
+    pivots: dict = {}
+    for row in sorted(rows, key=min):
+        reduced = _reduce_row(row, pivots)
+        if reduced:
+            pivots[min(reduced)] = reduced
+    return pivots
+
+
 def all_rows_echelon(g, bound):
     """Test oracle: the build the level recursion replaced.  Every row
     u * sigma_j * v with |u| + |v| + n <= bound is reduced from scratch,
@@ -255,7 +262,7 @@ def all_rows_echelon(g, bound):
                     for v in product((A, X), repeat=total - left_len):
                         terms = {u + w + v: c for w, c in sigma.items()}
                         rows.append(_integer_row(terms, rank_of.__getitem__))
-    return rank_of, _row_echelon(rows)
+    return rank_of, row_echelon(rows)
 
 
 def all_rows_leads(g, bound):
@@ -460,33 +467,24 @@ def test_tensor_quotient_degree_zero():
     assert report.rank_dimensions == [1] and report.census_dimensions == [1]
 
 
+monic_low_degree = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=1, max_size=2
+).map(lambda low: DefiningPolynomial.from_coefficients((*low, 1)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(monic_low_degree, monic_low_degree)
+def test_tensor_quotient_matches_census_random_pairs(g, f):
+    # weighted degree 2nm reaches past the relations' own degree nm
+    report = quotient_dimension_tensor(g, f, 2 * g.degree * f.degree)
+    assert report.ok, report.first_mismatch
+
+
 def test_tensor_quotient_report_mismatch_shape():
     report = TensorQuotientReport([0, 1], [1, 2], [1, 3], 1)
     assert not report.ok
     doc = report.to_json_dict()
     assert doc["first_mismatch"] == 1
-
-
-def test_tensor_algebra_multiplication():
-    g = DefiningPolynomial.from_coefficients((0, 1))
-    algebra = TensorAlgebra(g, g)
-    xa = algebra.monomial((A, X), ())  # reducible word in the first leg
-    one = algebra.one()
-    assert dict(algebra.reduce(xa * one).items()) == {((X, A), ()): Fraction(-1)}
-    left = algebra.embed_left(NcPoly.monomial(AX, (A, X)))
-    assert dict(left.items()) == {((X, A), ()): Fraction(-1)}
-
-
-def test_tensor_algebra_render_names_each_leg():
-    g = DefiningPolynomial.from_coefficients((0, 1))
-    algebra = TensorAlgebra(g, g)
-    y = algebra.embed_right(NcPoly.generator(BY, X))
-    assert algebra.render(y) == "1*1(x)y"
-    assert algebra.render(algebra.monomial((A, X), (Y, B))) == "1*a*x(x)y*b"
-    # a tensor of one alphabet names both legs in it
-    assert TensorPoly.simple(AX, (A,), (X,)).render() == "1*a(x)x"
-    with pytest.raises(TypeError):
-        y.degree()
 
 
 def test_power_chain_report():

@@ -173,6 +173,15 @@ def test_tensor_examples():
         uv ** -1
 
 
+def test_tensor_poly_render_and_degree():
+    assert TensorPoly.zero(AX).render() == "0"
+    assert TensorPoly.simple(AX, (A,), (X,)).render() == "1*a(x)x"
+    t = TensorPoly.simple(AX, (A, X), (X, A)) + TensorPoly.simple(AX, (), (X,), Fraction(-1, 2))
+    assert t.render() == "-1/2*1(x)x + 1*a*x(x)x*a"
+    with pytest.raises(TypeError):
+        t.degree()
+
+
 def test_term_map_shared_by_words_and_pairs():
     # pairs are summed per key and zero sums dropped, in both classes
     pairs = [((A,), Fraction(1)), ((X,), Fraction(2)), ((A,), Fraction(-1)), ((), 0)]

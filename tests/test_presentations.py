@@ -17,7 +17,7 @@ from diamond.presentations import (
     rescale_letter,
 )
 from diamond.rewrite import normal_form
-from diamond.scalars import CyclotomicField
+from diamond.scalars import Cyclotomic, CyclotomicField
 
 A, X = 0, 1
 
@@ -35,6 +35,18 @@ def test_defining_polynomial_validation():
     assert g.degree == 3 and g.coefficient(2) == 0 and g.coefficient(7) == 0
     assert g.monic().coefficients == (Fraction(1, 2), Fraction(0), Fraction(1))
     assert g.render() == "4*x^3 + 2*x"
+
+
+def test_defining_polynomial_render():
+    g = DefiningPolynomial((-1, Fraction(1, 2), 0, Fraction(-3, 4), 1))
+    assert g.render() == "x^5 - 3/4*x^4 + 1/2*x^2 - x"
+    q = CyclotomicField(8).q
+    assert DefiningPolynomial((q, 0, 1 - q**3)).render("y") == "(-q^3+1)*y^3 + (q)*y"
+    # Q(zeta_8) entries with rational residues render as rationals
+    rational = DefiningPolynomial(
+        tuple(Cyclotomic(8, [c]) for c in (-1, Fraction(2, 3), -1))
+    )
+    assert rational.render() == "-x^3 + 2/3*x^2 - x"
 
 
 def test_int_coefficients_divide_exactly():

@@ -6,7 +6,8 @@ The term-map layers take their coefficient domain from their inputs, so
 they may not import ``fractions``: a ``Fraction`` unit there would pull
 integral systems back into rational arithmetic.  ``rewrite`` has one
 automaton walk loop, ``ObstructionAutomaton.walk``; no other function there
-may step the transition table.
+may step the transition table.  Every top-level definition is referenced by
+other code of the package, so nothing is kept for the tests alone.
 """
 
 import ast
@@ -105,3 +106,67 @@ def test_transition_steps_detects_each_form():
         "row = delta[0]\n"
     )
     assert transition_steps(ast.parse(code)) == [("f", 2), ("A.g", 5)]
+
+
+# ``ideal_span_contains`` is the membership oracle of the tests, kept while a
+# property uses it
+UNREFERENCED_ALLOWED = {"ideal_span_contains", "__all__"}
+
+
+def top_level_definitions(tree) -> list:
+    """(name, statement) of every function, class and constant a module
+    defines at top level."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                out.extend((t.id, node) for t in ast.walk(target) if isinstance(t, ast.Name))
+    return out
+
+
+def referenced_names(node) -> set:
+    """Names read, attributes taken and names imported anywhere in ``node``."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in child.names)
+    return names
+
+
+def unreferenced(modules: dict) -> list:
+    """(module, name) of each top-level definition that no other top-level
+    statement of any module references; a use inside its own definition
+    does not count."""
+    statements = [
+        (node, referenced_names(node)) for tree in modules.values() for node in tree.body
+    ]
+    out = []
+    for module, tree in modules.items():
+        for name, definition in top_level_definitions(tree):
+            if not any(name in names for node, names in statements if node is not definition):
+                out.append((module, name))
+    return out
+
+
+def test_every_definition_is_referenced():
+    modules = {path.name: ast.parse(path.read_text(), path.name) for path in SOURCES}
+    found = [(m, name) for m, name in unreferenced(modules) if name not in UNREFERENCED_ALLOWED]
+    assert found == []
+
+
+def test_unreferenced_detects_an_unused_helper():
+    modules = {
+        "a.py": ast.parse(
+            "LIMIT = 3\n\ndef used():\n    return 1\n\n"
+            "def helper(n):\n    return helper(n - 1)\n"
+        ),
+        "b.py": ast.parse("from .a import used\n\nprint(used(), a.LIMIT)\n"),
+    }
+    assert unreferenced(modules) == [("a.py", "helper")]
