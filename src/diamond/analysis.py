@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import islice
+from itertools import groupby, islice
 from weakref import WeakKeyDictionary
 from math import gcd
 
@@ -680,8 +680,11 @@ def quotient_dimension_tensor(
             wdeg = wx * len(u) + wy * len(w)
             if wdeg <= max_degree:
                 pairs.append((wdeg, u, w))
-    pairs.sort(key=lambda t: (t[0], t[1], t[2]))
-    ordered = sorted(pairs, key=lambda t: (-t[0], t[1], t[2]))
+    pairs.sort()
+    # ranks run by descending weighted degree, then by (u, w): the degree
+    # blocks of ``pairs`` in reverse
+    blocks = [list(block) for _, block in groupby(pairs, key=lambda t: t[0])]
+    ordered = [t for block in reversed(blocks) for t in block]
     rank_of = {(u, w): i for i, (_, u, w) in enumerate(ordered)}
     wdeg_of_rank = [t[0] for t in ordered]
 

@@ -11,9 +11,14 @@ integral rules computes in ``int`` end to end.
 The module also provides the two families of structured sums this package
 revolves around: ``bidegree_sum(j, i)``, the sum P(j, i) of all words
 containing j copies of one letter a and i of another x, and
-``bidegree_rest``, the same sum with its fully sorted word removed.  The
-splitting identities peel h letters off the head and t off the tail of
-every word of a bidegree sum, all instances of one formula,
+``bidegree_rest``, the same sum with its fully sorted word removed.
+``bidegree_sum`` enumerates its words by definition: each is a copy of
+pair[1]^(i+j) with pair[0] written at one j-subset of the positions, in
+``combinations`` order, and the distinct words, each with the int 1, are
+wrapped without a cleaning pass.  It never recurses through the identities
+below, which are checked against it.  The splitting identities peel h
+letters off the head and t off the tail of every word of a bidegree sum,
+all instances of one formula,
 
     P(r,s) = sum_{u in {a,x}^h, v in {a,x}^t} u * P(r - #a(uv), s - #x(uv)) * v,
 
@@ -273,17 +278,23 @@ def bidegree_sum(alphabet: Alphabet, j: int, i: int, pair=(0, 1)) -> NcPoly:
     """Sum of all words with j copies of pair[0] and i copies of pair[1].
 
     There are C(i+j, j) of them, each with coefficient 1; the sum is 1 when
-    i = j = 0 and zero when either argument is negative.
+    i = j = 0 and zero when either argument is negative.  ``pair`` must be
+    two distinct letters of ``alphabet``.
     """
+    first, second = pair
+    if first == second or not (0 <= first < len(alphabet) and 0 <= second < len(alphabet)):
+        raise ValueError(f"pair {pair!r} is not two distinct letters of the alphabet")
     if i < 0 or j < 0:
         return NcPoly.zero(alphabet)
-    first, second = pair
+    # the words are distinct and every coefficient is 1, so the map is clean
     terms = {}
+    base = [second] * (i + j)
     for positions in combinations(range(i + j), j):
-        chosen = set(positions)
-        word = tuple(first if k in chosen else second for k in range(i + j))
-        terms[word] = 1
-    return NcPoly(alphabet, terms)
+        word = base.copy()
+        for k in positions:
+            word[k] = first
+        terms[tuple(word)] = 1
+    return NcPoly.zero(alphabet)._make(terms)
 
 
 def bidegree_rest(alphabet: Alphabet, m: int, q: int, pair=(0, 1)) -> NcPoly:
@@ -291,11 +302,11 @@ def bidegree_rest(alphabet: Alphabet, m: int, q: int, pair=(0, 1)) -> NcPoly:
 
     Vanishes whenever m = 0 or q = 0 (the sorted word is then the whole sum).
     """
-    if m < 0 or q < 0:
-        return NcPoly.zero(alphabet)
+    rest = bidegree_sum(alphabet, m, q, pair)
     first, second = pair
-    sorted_word = (first,) * m + (second,) * q
-    return bidegree_sum(alphabet, m, q, pair) - NcPoly.monomial(alphabet, sorted_word)
+    # the map is fresh, so dropping the sorted word changes no other sum
+    rest._terms.pop((first,) * m + (second,) * q, None)
+    return rest
 
 
 #: the splitting identities: kind -> (h, t), the letters peeled off the head

@@ -112,15 +112,17 @@ def defining_relation(
     if not 1 <= j <= n - 1:
         raise ValueError(f"relation index {j} outside 1..{n - 1}")
     first, _ = pair
-    total = NcPoly.zero(alphabet)
+    # the sums for distinct i have distinct lengths and none holds a^n, so
+    # no word repeats
+    terms = {}
     for i in range(j, n + 1):
         c = g.coefficient(i)
         if c:
-            total = total + bidegree_sum(alphabet, j, i - j, pair).scale(c)
+            terms.update(dict.fromkeys(bidegree_sum(alphabet, j, i - j, pair).support(), c))
     rj = g.coefficient(j)
     if rj:
-        total = total - NcPoly.monomial(alphabet, (first,) * n, rj)
-    return total
+        terms[(first,) * n] = -rj
+    return NcPoly(alphabet, terms)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,33 @@ def test_bidegree_counts_are_binomials():
     for j in range(9):
         for i in range(9):
             assert len(bidegree_sum(AX, j, i)) == math.comb(i + j, j)
+
+
+def test_bidegree_sum_matches_brute_force():
+    # every word of {first, second}^(i+j) with j letters first, each with the
+    # int coefficient 1, in both letter orders and in a three-letter alphabet
+    abc = Alphabet(("a", "b", "c"))
+    for alphabet, pair in ((AX, (A, X)), (AX, (X, A)), (abc, (2, 0))):
+        for j in range(8):
+            for i in range(8):
+                expected = {w: 1 for w in product(pair, repeat=i + j) if w.count(pair[0]) == j}
+                terms = dict(bidegree_sum(alphabet, j, i, pair).items())
+                assert terms == expected
+                assert {type(c) for c in terms.values()} == {int}
+
+
+def test_bidegree_sum_rejects_bad_pairs():
+    # a repeated letter used to collapse C(3, 2) words into a^3, and a letter
+    # outside the alphabet built a sum that could not be rendered
+    for pair in ((A, A), (A, 5), (-1, X), (2, X)):
+        for j, i in ((2, 1), (1, 1), (0, 0), (-1, 2)):
+            with pytest.raises(ValueError):
+                bidegree_sum(AX, j, i, pair)
+            with pytest.raises(ValueError):
+                bidegree_rest(AX, j, i, pair)
+        for kind in ("tail1", "head1_tail2", "q_tail1"):
+            with pytest.raises(ValueError):
+                check_splitting_identity(kind, 2, 1, AX, pair)
 
 
 def test_bidegree_rest():

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamond.freealg import Alphabet, NcPoly, bidegree_sum
 from diamond.presentations import (
@@ -89,6 +92,48 @@ def test_relation_quartic_even():
     lam2 = field.q ** 2
     g = DefiningPolynomial((field.zero, lam2, field.zero, field.one))
     assert defining_relation(g, 3) == bidegree_sum(AX, 3, 1)
+
+
+def textbook_relation(g, j):
+    """sum_{i=j}^{n} r_i P(j, i - j) - r_j a^n in NcPoly arithmetic, with each
+    P(j, k) written out as the words of {a, x}^(j+k) with j letters a."""
+    n = g.degree
+    total = NcPoly.zero(AX)
+    for i in range(j, n + 1):
+        words = [w for w in product((A, X), repeat=i) if w.count(A) == j]
+        total = total + g.coefficient(i) * NcPoly(AX, {w: 1 for w in words})
+    return total - g.coefficient(j) * NcPoly.monomial(AX, (A,) * n)
+
+
+ZETA8 = CyclotomicField(8).q
+integral_g = st.tuples(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=6), st.integers(-4, 4).filter(bool)
+).map(lambda t: DefiningPolynomial.from_coefficients((*t[0], t[1])))
+rational_g = st.tuples(
+    st.lists(st.fractions(-4, 4, max_denominator=3), min_size=1, max_size=6),
+    st.fractions(-4, 4, max_denominator=3).filter(bool),
+).map(lambda t: DefiningPolynomial.from_coefficients((*t[0], t[1])))
+zeta8_g = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(0, 7)), min_size=2, max_size=7
+).filter(lambda cs: cs[-1][0]).map(
+    lambda cs: DefiningPolynomial(tuple(c * ZETA8**e for c, e in cs))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(integral_g, rational_g, zeta8_g))
+def test_defining_relation_matches_textbook_formula(g):
+    integral = all(isinstance(c, Fraction) and c.denominator == 1 for c in g.coefficients)
+    for j in range(1, g.degree):
+        sigma = defining_relation(g, j)
+        expected = textbook_relation(g, j)
+        assert sigma == expected
+        assert {w: type(c) for w, c in sigma.items()} == {
+            w: type(c) for w, c in expected.items()
+        }
+        if integral:
+            # ints become Fractions in g, so an integral g gives integral Fractions
+            assert all(c.denominator == 1 for _, c in sigma.items())
 
 
 def test_build_system_rules():

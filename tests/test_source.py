@@ -8,6 +8,8 @@ integral systems back into rational arithmetic.  ``rewrite`` has one
 automaton walk loop, ``ObstructionAutomaton.walk``; no other function there
 may step the transition table.  Every top-level definition is referenced by
 other code of the package, so nothing is kept for the tests alone.
+``bidegree_sum`` enumerates its words by definition: built from a peel
+identity, the splitting claims would check that identity against itself.
 """
 
 import ast
@@ -170,3 +172,42 @@ def test_unreferenced_detects_an_unused_helper():
         "b.py": ast.parse("from .a import used\n\nprint(used(), a.LIMIT)\n"),
     }
     assert unreferenced(modules) == [("a.py", "helper")]
+
+
+#: what ``bidegree_sum`` may not be built from: itself, the rest-sums, and the
+#: peel identities the splitting claims check against it
+PEEL_NAMES = {"bidegree_sum", "bidegree_rest", "check_splitting_identity", "PEELS"}
+
+
+def peel_references(tree) -> set:
+    """The names of ``PEEL_NAMES`` that the top-level ``bidegree_sum`` of
+    ``tree`` references in its body."""
+    node = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "bidegree_sum"
+    )
+    return set().union(*(referenced_names(stmt) for stmt in node.body)) & PEEL_NAMES
+
+
+def test_bidegree_sum_is_a_direct_enumeration():
+    path = next(path for path in SOURCES if path.name == "freealg.py")
+    assert peel_references(ast.parse(path.read_text(), path.name)) == set()
+
+
+def test_peel_references_detects_a_recursive_sum():
+    recursive = (
+        "def bidegree_sum(alphabet, j, i, pair=(0, 1)):\n"
+        "    if i == 0 or j == 0:\n"
+        "        return direct(alphabet, j, i, pair)\n"
+        "    return bidegree_sum(alphabet, j, i - 1, pair) * x + freealg.bidegree_sum(\n"
+        "        alphabet, j - 1, i, pair) * a\n"
+    )
+    assert peel_references(ast.parse(recursive)) == {"bidegree_sum"}
+    peeled = (
+        "from .freealg import PEELS\n\n"
+        "def bidegree_sum(alphabet, j, i, pair=(0, 1)):\n"
+        "    h, t = PEELS['tail1']\n"
+        "    return bidegree_rest(alphabet, j, i, pair) + sorted_word(j, i)\n"
+    )
+    assert peel_references(ast.parse(peeled)) == {"PEELS", "bidegree_rest"}
