@@ -172,7 +172,12 @@ def _skew_primitive_rules(gm: DefiningPolynomial, name: str, alphabet: Alphabet,
     for j in range(1, n):
         sigma = defining_relation(gm, j, alphabet, pair)
         lhs = (first,) * j + (second,) * (n - j)
-        rules.append(Rule(lhs, NcPoly.monomial(alphabet, lhs) - sigma, f"{name}_{j}"))
+        # sigma holds lhs once, from r_n P(j, n - j), so the rule's right
+        # side lhs - sigma is -sigma without that term
+        if sigma.coeff(lhs) != 1:
+            raise ValueError(f"{name}_{j} does not hold its left side with coefficient 1")
+        rhs = NcPoly(alphabet, {w: -c for w, c in sigma.items() if w != lhs})
+        rules.append(Rule(lhs, rhs, f"{name}_{j}"))
         relations.append((f"{name}_{j}", sigma))
     return rules, relations
 

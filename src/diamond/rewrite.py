@@ -8,6 +8,28 @@ the strategy makes ``normal_form`` linear, so a nonzero result is the
 difference of two distinct normal forms of the same word and certifies
 non-confluence of the system itself, not merely of the strategy.
 
+Not every S-polynomial needs a reduction.  The diamond lemma (Bergman 1978,
+Theorem 1.2) asks only that each ambiguity on a word w be resolvable
+relative to the order: its S-polynomial lies in I_w, the span of the
+u (W - f) v with u W v < w.  Let w = A B C be an overlap, sigma at
+[0, |AB|) and tau at [|A|, |w|), and let another occurrence of a left side
+W_k in w meet each of the two either not at all (the spans are disjoint or
+only touch) or in a union of spans strictly shorter than w.  Then
+S(sigma, tau) = (f_sigma - f_k) + (f_k - f_tau), where f_i is the one-step
+rewrite of w at the occurrence of W_i.  Each bracket is either the
+difference of two disjoint rewrites, which lies in I_w, or u S' v for the
+S-polynomial S' of an ambiguity on a strictly shorter subword w' of w,
+and u I_w' v lies in I_w.  By induction on |w|, every such implied
+ambiguity is resolvable relative to the order once every other one
+reduces to zero, and the system is then confluent.  This is the
+noncommutative form of Buchberger's chain criterion (Buchberger 1979;
+Gebauer and Moeller 1988).  An inclusion is never implied, since sigma
+spans all of w.  The argument assumes what the diamond lemma assumes: the
+order is a semigroup order (u < v gives s u t < s v t) with the descending
+chain condition, and every rule is compatible with it.  ``check_confluence``
+reduces the implied ambiguities only when some other one does not reduce
+to zero, so its verdicts and differences are those of reducing all of them.
+
 One mechanism finds left sides in a word: ``ObstructionAutomaton.walk``,
 a walk of the system's obstruction automaton, answers ``match`` and
 ``is_irreducible``, and the same automaton drives the census of irreducible
@@ -433,20 +455,47 @@ def find_ambiguities(system: ReductionSystem) -> list:
     return out
 
 
+def _rewrites(ambiguity: Ambiguity, system: ReductionSystem):
+    # the two one-step rewrites (left, right) of A B C
+    sigma = system.rules[ambiguity.sigma]
+    tau = system.rules[ambiguity.tau]
+    alphabet = system.alphabet
+    if ambiguity.kind == OVERLAP:
+        left = sigma.rhs * NcPoly.monomial(alphabet, ambiguity.c)
+        right = NcPoly.monomial(alphabet, ambiguity.a) * tau.rhs
+    else:
+        left = sigma.rhs
+        right = (
+            NcPoly.monomial(alphabet, ambiguity.a)
+            * tau.rhs
+            * NcPoly.monomial(alphabet, ambiguity.c)
+        )
+    return left, right
+
+
 @dataclass
 class Resolution:
     """The verdict on one ambiguity and its S-polynomial's normal form.
 
-    ``left`` and ``right`` are the two one-step rewrites of A B C; their
-    normal forms are not kept, and ``left_normal``/``right_normal``
-    compute them again on each access."""
+    ``implied_by`` is (rule index, position in A B C) of the linking
+    occurrence when ``check_confluence`` settled the ambiguity by the
+    criterion, without reducing it, and None otherwise.  ``left`` and
+    ``right``, the two one-step rewrites of A B C, and their normal forms
+    ``left_normal``/``right_normal`` are computed again on each access."""
 
     ambiguity: Ambiguity
     verdict: str
     difference: NcPoly
-    left: NcPoly = field(repr=False)
-    right: NcPoly = field(repr=False)
     system: ReductionSystem = field(repr=False, compare=False)
+    implied_by: tuple | None = None
+
+    @property
+    def left(self) -> NcPoly:
+        return _rewrites(self.ambiguity, self.system)[0]
+
+    @property
+    def right(self) -> NcPoly:
+        return _rewrites(self.ambiguity, self.system)[1]
 
     @property
     def left_normal(self) -> NcPoly:
@@ -476,22 +525,40 @@ def resolve_ambiguity(
     The step budget bounds this one reduction, not the two sides apart:
     it can take more steps than the larger side alone would.
     """
-    sigma = system.rules[ambiguity.sigma]
-    tau = system.rules[ambiguity.tau]
-    alphabet = system.alphabet
-    if ambiguity.kind == OVERLAP:
-        left = sigma.rhs * NcPoly.monomial(alphabet, ambiguity.c)
-        right = NcPoly.monomial(alphabet, ambiguity.a) * tau.rhs
-    else:
-        left = sigma.rhs
-        right = (
-            NcPoly.monomial(alphabet, ambiguity.a)
-            * tau.rhs
-            * NcPoly.monomial(alphabet, ambiguity.c)
-        )
+    left, right = _rewrites(ambiguity, system)
     difference = normal_form(left - right, system, stats=stats)
     verdict = RESOLVABLE if difference.is_zero() else NOT_CONFLUENT
-    return Resolution(ambiguity, verdict, difference, left, right, system)
+    return Resolution(ambiguity, verdict, difference, system)
+
+
+def _linking_occurrence(ambiguity: Ambiguity, system: ReductionSystem):
+    """(rule index, position) of the first occurrence of a left side in
+    A B C, by position and then rule order, that links the ambiguity's two
+    occurrences through strictly shorter ambiguities; None when there is
+    none, and always for an inclusion.
+
+    An overlap has sigma at [0, |AB|) and tau at [|A|, |ABC|).  An
+    occurrence [pos, end) links them when it meets each of the two either
+    not at all (the spans are disjoint or only touch) or in a union of
+    spans strictly shorter than A B C (see the module docstring).
+    """
+    if ambiguity.kind == INCLUSION:
+        return None
+    word = ambiguity.word()
+    n = len(word)
+    start = len(ambiguity.a)
+    stop = start + len(ambiguity.b)
+    for pos in range(n):
+        for index, rule in enumerate(system.rules):
+            end = pos + len(rule.lhs)
+            if (
+                end <= n
+                and (pos >= stop or end < n)
+                and (end <= start or pos > 0)
+                and word[pos:end] == rule.lhs
+            ):
+                return index, pos
+    return None
 
 
 @dataclass
@@ -545,13 +612,37 @@ class ConfluenceReport:
             "overall": RESOLVABLE if self.overall else NOT_CONFLUENT,
             "stats": {
                 "elementary_steps": self.stats.steps,
+                "implied": sum(1 for r in self.resolutions if r.implied_by is not None),
                 "max_support": self.stats.max_support,
             },
         }
 
 
 def check_confluence(system: ReductionSystem) -> ConfluenceReport:
-    """Resolve every ambiguity in the deterministic ambiguity order."""
+    """Resolve every ambiguity, reported in the deterministic ambiguity order.
+
+    The S-polynomials of the ambiguities with no linking occurrence
+    (``_linking_occurrence``) are reduced first.  When all of them reduce
+    to zero the system is confluent (see the module docstring), so every
+    other ambiguity is resolvable with difference zero; it is recorded so,
+    with its linking occurrence in ``implied_by``, and not reduced.
+    Otherwise the other ambiguities are reduced as well.  Either way the
+    verdicts and differences are those of ``resolve_ambiguity``.
+    """
     stats = ReductionStats()
-    resolutions = [resolve_ambiguity(amb, system, stats) for amb in find_ambiguities(system)]
+    ambiguities = find_ambiguities(system)
+    links = [_linking_occurrence(amb, system) for amb in ambiguities]
+    resolutions = [
+        None if link is not None else resolve_ambiguity(amb, system, stats)
+        for amb, link in zip(ambiguities, links)
+    ]
+    confluent = all(res is None or res.verdict == RESOLVABLE for res in resolutions)
+    zero = NcPoly.zero(system.alphabet)
+    for i, (amb, link) in enumerate(zip(ambiguities, links)):
+        if link is not None:
+            resolutions[i] = (
+                Resolution(amb, RESOLVABLE, zero, system, link)
+                if confluent
+                else resolve_ambiguity(amb, system, stats)
+            )
     return ConfluenceReport(system, resolutions, stats)

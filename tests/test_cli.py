@@ -26,7 +26,7 @@ from diamond.cli import (
 from diamond.claims import run_claim_suites
 from diamond.freealg import Alphabet, NcPoly, bidegree_sum
 from diamond.presentations import AX, DefiningPolynomial, build_system
-from diamond.rewrite import ReductionStats, find_ambiguities, normal_form, resolve_ambiguity
+from diamond.rewrite import ReductionStats, check_confluence, normal_form, resolve_ambiguity
 from diamond.scalars import CyclotomicField
 
 A, X = 0, 1
@@ -240,10 +240,10 @@ def test_cmd_growth_long(tmp_path, capsys):
 
 def test_budget_exceeded_exit_code(tmp_path, capsys):
     out = tmp_path / "error.json"
-    argv = ["confluence", "--g", "x^4", "--budget", "2", "--json", str(out)]
+    argv = ["confluence", "--g", "x^4", "--budget", "1", "--json", str(out)]
     assert run_command(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: exceeded 2 elementary reductions")
+    assert err.startswith("error: exceeded 1 elementary reductions")
     assert json.loads(out.read_text())["error"] == "budget_exceeded"
     argv = ["nf", "--g", "x^2", "--expr", "a*x*a*x", "--budget", "1"]
     assert run_command(argv) == 3
@@ -252,13 +252,14 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
 
 def test_confluence_budget_bounds_each_s_polynomial(capsys):
     # --budget bounds each normal_form call, and confluence makes one per
-    # ambiguity: the reduction of its S-polynomial
+    # ambiguity it reduces: the reduction of its S-polynomial
     system = build_system(DefiningPolynomial.from_coefficients((0, 0, 0, 0, 1))).system
     steps = []
-    for ambiguity in find_ambiguities(system):
-        stats = ReductionStats()
-        resolve_ambiguity(ambiguity, system, stats)
-        steps.append(stats.steps)
+    for res in check_confluence(system).resolutions:
+        if res.implied_by is None:
+            stats = ReductionStats()
+            resolve_ambiguity(res.ambiguity, system, stats)
+            steps.append(stats.steps)
     largest = max(steps)
     assert run_command(["confluence", "--g", "x^5", "--budget", str(largest)]) == 0
     assert run_command(["confluence", "--g", "x^5", "--budget", str(largest - 1)]) == 3

@@ -430,12 +430,18 @@ def assert_matches_reference(poly, system):
 nonzero_fractions = fractions_.filter(bool)
 
 
+def draw_polynomial(draw, low, high):
+    """A random g over Q of degree low..high."""
+    n = draw(st.integers(low, high))
+    coeffs = draw(st.lists(fractions_, min_size=n - 1, max_size=n - 1))
+    return DefiningPolynomial(tuple(coeffs) + (draw(nonzero_fractions),))
+
+
 def draw_rational_system(draw):
     """The system of a random g over Q of degree 2..6, and a strategy for
     inputs to it."""
-    n = draw(st.integers(2, 6))
-    coeffs = draw(st.lists(fractions_, min_size=n - 1, max_size=n - 1))
-    g = DefiningPolynomial(tuple(coeffs) + (draw(nonzero_fractions),))
+    g = draw_polynomial(draw, 2, 6)
+    n = g.degree
     words = st.lists(st.integers(0, 1), min_size=n - 1, max_size=n + 2).map(tuple)
     inputs = st.dictionaries(words, fractions_, min_size=1, max_size=3)
     return build_system(g).system, inputs.map(lambda terms: NcPoly(AX, terms))
@@ -584,6 +590,56 @@ def test_s_polynomial_gives_the_two_normal_forms_difference(system):
             reject()
         assert res.difference == left - right
         assert (res.verdict == RESOLVABLE) == (left == right)
+
+
+@st.composite
+def confluence_systems(draw):
+    """A rational, deglex or four-letter tensor system."""
+    kind = draw(st.sampled_from(("rational", "deglex", "tensor")))
+    if kind == "tensor":
+        g, f = draw_polynomial(draw, 2, 4), draw_polynomial(draw, 2, 4)
+        return build_tensor_presentation(g, f).system
+    draw_system = draw_rational_system if kind == "rational" else draw_deglex_system
+    return draw_system(draw)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(confluence_systems())
+@example(TOY_NOT_CONFLUENT)
+def test_check_confluence_matches_reducing_every_ambiguity(system):
+    # the reference reduces every S-polynomial; check_confluence reduces the
+    # implied ambiguities only when some other one does not reduce to zero
+    try:
+        report = check_confluence(system)
+        reference = [resolve_ambiguity(amb, system) for amb in find_ambiguities(system)]
+    except ReductionBudgetExceeded:
+        reject()
+    assert [r.ambiguity for r in report.resolutions] == [r.ambiguity for r in reference]
+    for res, ref in zip(report.resolutions, reference):
+        assert (res.verdict, res.difference) == (ref.verdict, ref.difference)
+        if res.implied_by is not None:
+            assert report.overall and ref.difference.is_zero()
+            index, pos = res.implied_by
+            lhs = system.rules[index].lhs
+            assert res.ambiguity.word()[pos : pos + len(lhs)] == lhs
+    implied = sum(1 for r in report.resolutions if r.implied_by is not None)
+    assert report.to_json_dict()["stats"]["implied"] == implied
+
+
+def test_power_system_reduces_only_adjacent_overlaps():
+    # on x^10 the overlap sigma_i/sigma_j with i - j >= 2 is linked by any
+    # sigma_k with j < k < i, so only the eight sigma_(j+1)/sigma_j are reduced
+    system = system_for(*((0,) * 9 + (1,)))
+    report = check_confluence(system)
+    assert len(report.resolutions) == 36 and report.overall
+    reduced = [
+        (system.rules[r.ambiguity.sigma].label, system.rules[r.ambiguity.tau].label)
+        for r in report.resolutions
+        if r.implied_by is None
+    ]
+    assert reduced == [(f"sigma_{j + 1}", f"sigma_{j}") for j in range(1, 9)]
+    doc = report.to_json_dict()["stats"]
+    assert (doc["implied"], doc["elementary_steps"]) == (28, 16)
 
 
 def test_rational_system_reduces_in_int_rules():
