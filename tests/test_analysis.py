@@ -6,13 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diamond import analysis
 from diamond.analysis import (
     Classification,
     TensorQuotientReport,
     _column_word,
     _echelon,
+    _IdealEchelon,
     _integer_row,
     _reduce_row,
+    _word_column,
     cubic_centre_elements,
     cubic_centre_suite,
     degree_three_centre_element,
@@ -67,6 +70,15 @@ def test_pbw_words_small():
     words2 = pbw_words(2, 6)
     per_len = [sum(1 for w in words2 if len(w) == ell) for ell in range(7)]
     assert per_len == [ell + 1 for ell in range(7)]
+
+
+def test_pbw_words_distinct_and_ordered():
+    # x^i * middle * a^k factors uniquely, so no word is generated twice and
+    # sorting alone gives the order that deduplicating and sorting gave
+    for n in range(2, 6):
+        words = pbw_words(n, 10)
+        assert len(set(words)) == len(words)
+        assert words == sorted(set(words), key=lambda w: (len(w), w))
 
 
 def scan_match(system, word):
@@ -307,6 +319,57 @@ def test_level_build_matches_all_rows_oracle_random_g(g, bounds):
     # bounds in any order: a build extended further still answers lower bounds
     for bound in bounds:
         assert_level_build_matches(g, bound)
+
+
+monic_rational_2_4 = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=2, max_size=4
+).map(lambda low: DefiningPolynomial.from_coefficients((*low, 1)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(monic_rational_2_4)
+def test_level_basis_holds_every_sigma_row(g):
+    # level t reduces only N_{t-1} * a and N_{t-1} * x; the rows sigma_j * v
+    # with |v| = t, which it no longer reduces, must lie in its span W_t
+    gm = g.monic()
+    echelon = _IdealEchelon(gm)
+    sigmas = [dict(defining_relation(gm, j).items()) for j in range(1, gm.degree)]
+    for t in range(7):
+        echelon._extend(t)
+        for v in product((A, X), repeat=t):
+            for sigma in sigmas:
+                row = _integer_row({w + v: c for w, c in sigma.items()}, _word_column)
+                assert not _reduce_row(row, echelon.basis)
+
+
+def test_level_build_reduces_new_rows_times_a_letter(monkeypatch):
+    # level 0 reduces the n - 1 rows sigma_j, and level t the 2 * |N_{t-1}|
+    # rows N_{t-1} * a and N_{t-1} * x, far fewer than the (n - 1) * 2^t rows
+    # sigma_j * v; for g = x^n the merge into the pivot table is free
+    calls = []
+
+    def counting(row, pivots):
+        calls.append(row)
+        return _reduce_row(row, pivots)
+
+    monkeypatch.setattr(analysis, "_reduce_row", counting)
+    per_level = {}
+    for n in (2, 3, 4):
+        echelon = _IdealEchelon(power_poly(n).monic())
+        assert len(echelon.new) == n - 1
+        per_level[n] = []
+        for t in range(13 - n):
+            calls.clear()
+            rows = len(echelon.new) * (2 if t else 1)
+            echelon._extend(t)
+            assert len(calls) == rows
+            per_level[n].append(rows)
+    assert per_level == {
+        2: [1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20],
+        3: [2, 4, 6, 12, 16, 24, 30, 40, 48, 60],
+        4: [3, 6, 8, 16, 32, 46, 80, 128, 192],
+    }
+    assert sum(map(sum, per_level.values())) == 864
 
 
 def test_ideal_span_contains_matches_all_rows_oracle():
