@@ -312,12 +312,25 @@ def _word_column(word: Word) -> int:
     return _column(len(word), sum(word), bits)
 
 
+def _column_length(column: int) -> int:
+    """Length of the word of a column.
+
+    A length L >= 1 holds the codes from (L - 1) * 2^L to just below
+    L * 2^(L + 1), so a code of b bits has L >= b - 1 - bit_length(b), and
+    the search starts there.
+    """
+    code = -column - 1
+    bits = code.bit_length()
+    length = max(bits - 1 - bits.bit_length(), 0)
+    while code >= length << (length + 1):
+        length += 1
+    return length
+
+
 def _column_word(column: int) -> tuple:
     """(length, xcount, bits) of a column; inverse of ``_column``."""
     code = -column - 1
-    length = 0
-    while code >= length << (length + 1):
-        length += 1
+    length = _column_length(column)
     return length, (code >> length) - length + 1, code & ((1 << length) - 1)
 
 
@@ -420,7 +433,7 @@ class _IdealEchelon:
                     continue
                 lead = min(row)
             self.pivots[lead] = row
-            profile[_column_word(lead)[0]] += 1
+            profile[_column_length(lead)] += 1
         self.sizes.append(len(self.pivots))
         self.profiles.append(tuple(profile))
 

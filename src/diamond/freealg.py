@@ -11,14 +11,15 @@ integral rules computes in ``int`` end to end.
 The module also provides the two families of structured sums this package
 revolves around: ``bidegree_sum(j, i)``, the sum P(j, i) of all words
 containing j copies of one letter a and i of another x, and
-``bidegree_rest``, the same sum with its fully sorted word removed.
-``bidegree_sum`` enumerates its words by definition: each is a copy of
-pair[1]^(i+j) with pair[0] written at one j-subset of the positions, in
-``combinations`` order, and the distinct words, each with the int 1, are
-wrapped without a cleaning pass.  It never recurses through the identities
-below, which are checked against it.  The splitting identities peel h
-letters off the head and t off the tail of every word of a bidegree sum,
-all instances of one formula,
+``bidegree_rest``, the same sum with its fully sorted word removed.  Their
+words come from one enumeration by definition, ``bidegree_words``: each
+word is a copy of pair[1]^(i+j) with pair[0] written at one j-subset of the
+positions, in ``combinations`` order, so the sorted word comes first and
+the rest-sum is the stream without it.  The sums wrap these distinct
+words, each with the int 1, without a cleaning pass.  The enumeration
+never recurses through the identities below, which are checked against
+it.  The splitting identities peel h letters off the head and t off the
+tail of every word of a bidegree sum, all instances of one formula,
 
     P(r,s) = sum_{u in {a,x}^h, v in {a,x}^t} u * P(r - #a(uv), s - #x(uv)) * v,
 
@@ -27,13 +28,17 @@ with (h, t) = (0, 1) for "tail1", (0, 2) "tail2", (2, 0) "head2",
 "head2_tail1" and (1, 2) "head1_tail2" (the table ``PEELS``), plus
 "q_tail1", the one-letter recursion of the rest-sums.
 ``check_splitting_identity`` checks any of them exactly, so they can be
-property-tested wholesale.
+property-tested wholesale.  It builds no term map: both sides are streams
+of words with coefficient 1, and each word w of the left side is routed by
+its head u and tail v to the right-side part u * P(...) * v, whose next
+word must be w.  A one-to-one pairing of the two streams is equality of
+the two polynomials, whatever order the words come in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 Word = tuple  # tuple[int, ...]
 
@@ -274,27 +279,46 @@ class NcPoly:
         return f"{type(self).__name__}({self.render()})"
 
 
-def bidegree_sum(alphabet: Alphabet, j: int, i: int, pair=(0, 1)) -> NcPoly:
-    """Sum of all words with j copies of pair[0] and i copies of pair[1].
-
-    There are C(i+j, j) of them, each with coefficient 1; the sum is 1 when
-    i = j = 0 and zero when either argument is negative.  ``pair`` must be
-    two distinct letters of ``alphabet``.
-    """
+def _check_pair(alphabet: Alphabet, pair) -> None:
     first, second = pair
     if first == second or not (0 <= first < len(alphabet) and 0 <= second < len(alphabet)):
         raise ValueError(f"pair {pair!r} is not two distinct letters of the alphabet")
+
+
+def bidegree_words(j: int, i: int, pair=(0, 1)):
+    """Yield each word with j copies of pair[0] and i copies of pair[1] once.
+
+    Each word is pair[1]^(i+j) with pair[0] written at one j-subset of the
+    positions, in ``combinations`` order; the first is pair[0]^j pair[1]^i.
+    Nothing is yielded when either argument is negative.
+    """
     if i < 0 or j < 0:
-        return NcPoly.zero(alphabet)
-    # the words are distinct and every coefficient is 1, so the map is clean
-    terms = {}
+        return
+    first, second = pair
     base = [second] * (i + j)
     for positions in combinations(range(i + j), j):
         word = base.copy()
         for k in positions:
             word[k] = first
-        terms[tuple(word)] = 1
-    return NcPoly.zero(alphabet)._make(terms)
+        yield tuple(word)
+
+
+def _rest_words(m: int, q: int, pair):
+    # the words of bidegree_words(m, q) but its first, the sorted pair[0]^m pair[1]^q
+    return islice(bidegree_words(m, q, pair), 1, None)
+
+
+def bidegree_sum(alphabet: Alphabet, j: int, i: int, pair=(0, 1)) -> NcPoly:
+    """Sum of all words with j copies of pair[0] and i copies of pair[1].
+
+    There are C(i+j, j) of them, each with coefficient 1; the sum is 1 when
+    i = j = 0 and zero when either argument is negative.  ``pair`` must be
+    two distinct letters of ``alphabet``.  The words are those of
+    ``bidegree_words``, in its order.
+    """
+    _check_pair(alphabet, pair)
+    # the words are distinct and every coefficient is 1, so the map is clean
+    return NcPoly.zero(alphabet)._make(dict.fromkeys(bidegree_words(j, i, pair), 1))
 
 
 def bidegree_rest(alphabet: Alphabet, m: int, q: int, pair=(0, 1)) -> NcPoly:
@@ -302,11 +326,8 @@ def bidegree_rest(alphabet: Alphabet, m: int, q: int, pair=(0, 1)) -> NcPoly:
 
     Vanishes whenever m = 0 or q = 0 (the sorted word is then the whole sum).
     """
-    rest = bidegree_sum(alphabet, m, q, pair)
-    first, second = pair
-    # the map is fresh, so dropping the sorted word changes no other sum
-    rest._terms.pop((first,) * m + (second,) * q, None)
-    return rest
+    _check_pair(alphabet, pair)
+    return NcPoly.zero(alphabet)._make(dict.fromkeys(_rest_words(m, q, pair), 1))
 
 
 #: the splitting identities: kind -> (h, t), the letters peeled off the head
@@ -321,6 +342,25 @@ PEELS = {
     "head2_tail1": (2, 1),
     "head1_tail2": (1, 2),
 }
+
+
+def _routed_match(words, h: int, t: int, parts: dict) -> bool:
+    """Whether the words of ``words`` are, with multiplicity, the words
+    u * m * v for m from ``parts[(u, v)]``, each part an iterator of words.
+
+    Every word w is routed by its head u = w[:h] and tail v = w[len - t:]
+    to one part, whose next word must be the middle of w; then every part
+    must be used up.  A True answer pairs the two streams one to one, so
+    the sums of their words are equal, whatever order the words come in.
+    """
+    for word in words:
+        cut = len(word) - t
+        if cut < h:
+            return False
+        part = parts.get((word[:h], word[cut:]))
+        if part is None or next(part, None) != word[h:cut]:
+            return False
+    return all(next(part, None) is None for part in parts.values())
 
 
 def check_splitting_identity(
@@ -338,33 +378,31 @@ def check_splitting_identity(
     P(r,s) = P(r,s-1)x + P(r-1,s)a, and "q_tail1" is its companion for the
     rest-sums, Q(r,s) = Q(r,s-1)x + P(r-1,s)a with Q = ``bidegree_rest``,
     which fails exactly when s = 0 < r (the right side is then a^r).
+
+    No sum is built: ``_routed_match`` pairs the left side's words with the
+    words of the right-side parts as both are enumerated.
     """
     if alphabet is None:
         alphabet = Alphabet(("a", "x"))
     if r < 0 or s < 0:
         raise ValueError("indices must be nonnegative")
+    _check_pair(alphabet, pair)
     first, second = pair
     if kind == "q_tail1":
-        a, x = (NcPoly.monomial(alphabet, (c,)) for c in pair)
-        rhs = bidegree_rest(alphabet, r, s - 1, pair) * x + bidegree_sum(
-            alphabet, r - 1, s, pair
-        ) * a
-        return bidegree_rest(alphabet, r, s, pair) == rhs
+        parts = {
+            ((), (second,)): _rest_words(r, s - 1, pair),
+            ((), (first,)): bidegree_words(r - 1, s, pair),
+        }
+        return _routed_match(_rest_words(r, s, pair), 0, 1, parts)
     if kind not in PEELS:
         raise ValueError(f"unknown identity kind {kind!r}")
     h, t = PEELS[kind]
-    rhs = NcPoly(
-        alphabet,
-        (
-            (u + w + v, c)
-            for u in product(pair, repeat=h)
-            for v in product(pair, repeat=t)
-            for w, c in bidegree_sum(
-                alphabet, r - (u + v).count(first), s - (u + v).count(second), pair
-            ).items()
-        ),
-    )
-    return bidegree_sum(alphabet, r, s, pair) == rhs
+    parts = {
+        (u, v): bidegree_words(r - (u + v).count(first), s - (u + v).count(second), pair)
+        for u in product(pair, repeat=h)
+        for v in product(pair, repeat=t)
+    }
+    return _routed_match(bidegree_words(r, s, pair), h, t, parts)
 
 
 class TensorPoly(NcPoly):

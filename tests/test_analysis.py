@@ -10,6 +10,7 @@ from diamond import analysis
 from diamond.analysis import (
     Classification,
     TensorQuotientReport,
+    _column_length,
     _column_word,
     _echelon,
     _IdealEchelon,
@@ -370,6 +371,16 @@ def test_level_build_reduces_new_rows_times_a_letter(monkeypatch):
         4: [3, 6, 8, 16, 32, 46, 80, 128, 192],
     }
     assert sum(map(sum, per_level.values())) == 864
+
+
+def test_column_length_is_the_decoded_length():
+    # the pivot profile counts leads by _column_length, which starts its
+    # search from the code's bit length; every word up to length 14
+    assert _column_length(_word_column(())) == 0
+    for length in range(1, 15):
+        for word in product((A, X), repeat=length):
+            column = _word_column(word)
+            assert _column_length(column) == length == _column_word(column)[0]
 
 
 def test_ideal_span_contains_matches_all_rows_oracle():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -11,8 +12,10 @@ from diamond.freealg import (
     Alphabet,
     NcPoly,
     TensorPoly,
+    _routed_match,
     bidegree_rest,
     bidegree_sum,
+    bidegree_words,
     check_splitting_identity,
     render_word,
 )
@@ -181,6 +184,112 @@ def test_unknown_identity_kind():
     for kind in ("tail2", "q_tail1"):
         with pytest.raises(ValueError):
             check_splitting_identity(kind, -1, 2)
+
+
+def term_map_check(kind, r, s, alphabet, pair):
+    """The splitting identity compared as two full term maps, the right side
+    summed from the bidegree sums: the oracle of the routed word match."""
+    first, second = pair
+    if kind == "q_tail1":
+        a, x = (NcPoly.monomial(alphabet, (c,)) for c in pair)
+        rhs = bidegree_rest(alphabet, r, s - 1, pair) * x + bidegree_sum(
+            alphabet, r - 1, s, pair
+        ) * a
+        return bidegree_rest(alphabet, r, s, pair) == rhs
+    h, t = PEELS[kind]
+    rhs = NcPoly(
+        alphabet,
+        (
+            (u + w + v, c)
+            for u in product(pair, repeat=h)
+            for v in product(pair, repeat=t)
+            for w, c in bidegree_sum(
+                alphabet, r - (u + v).count(first), s - (u + v).count(second), pair
+            ).items()
+        ),
+    )
+    return bidegree_sum(alphabet, r, s, pair) == rhs
+
+
+ABC = Alphabet(("a", "b", "c"))
+
+
+@pytest.mark.parametrize("kind", [*PEELS, "q_tail1"])
+@pytest.mark.parametrize(
+    "alphabet, pair",
+    [(AX, (A, X)), (AX, (X, A)), (ABC, (0, 2)), (ABC, (2, 1)), (ABC, (1, 0))],
+    ids=["ax", "xa", "abc-ac", "abc-cb", "abc-ba"],
+)
+def test_routed_check_matches_term_map_oracle(kind, alphabet, pair):
+    for r in range(7):
+        for s in range(7):
+            assert check_splitting_identity(kind, r, s, alphabet, pair) == term_map_check(
+                kind, r, s, alphabet, pair
+            ), (r, s)
+
+
+def test_bidegree_sum_holds_the_enumerated_words():
+    # one enumeration: the sum's words are the stream's, in its order, once;
+    # the rest-sum drops only the sorted word
+    for alphabet, pair in ((AX, (A, X)), (AX, (X, A)), (ABC, (2, 0))):
+        for j in range(-1, 8):
+            for i in range(-1, 8):
+                words = list(bidegree_words(j, i, pair))
+                assert len(set(words)) == len(words)
+                assert list(bidegree_sum(alphabet, j, i, pair).support()) == words
+                sorted_word = (pair[0],) * j + (pair[1],) * i
+                rest = [w for w in words if w != sorted_word]
+                assert list(bidegree_rest(alphabet, j, i, pair).support()) == rest
+
+
+def peel_parts(r, s, h, t):
+    """The right-side parts of a peel identity on (a, x), as word lists."""
+    return {
+        (u, v): list(bidegree_words(r - (u + v).count(A), s - (u + v).count(X)))
+        for u in product((A, X), repeat=h)
+        for v in product((A, X), repeat=t)
+    }
+
+
+def routed(words, h, t, parts):
+    return _routed_match(iter(words), h, t, {key: iter(p) for key, p in parts.items()})
+
+
+def test_routed_match_negative_controls():
+    h, t = PEELS["head1_tail2"]
+    words = list(bidegree_words(3, 3))
+    parts = peel_parts(3, 3, h, t)
+    assert routed(words, h, t, parts)
+    key = ((A,), (X, X))
+    middles = parts[key]
+    assert len(middles) == 3
+    # a part that drops one word, yields one twice, or yields one extra
+    for broken in (middles[1:], middles[:1] + middles, middles + [middles[0]], middles + [(X,)]):
+        assert not routed(words, h, t, {**parts, key: broken})
+    # a left word that names no part, or is shorter than h + t
+    assert not routed(words, h, t, {k: p for k, p in parts.items() if k != key})
+    assert not routed([(A, X)] + words, h, t, parts)
+    assert not routed([()], 0, 1, {((), (A,)): [], ((), (X,)): []})
+    # the pairing is one to one, not an order: a word twice on both sides
+    # is a coefficient 2 on both sides
+    assert routed([(A, X), (A, X)], 0, 1, {((), (X,)): [(A,), (A,)], ((), (A,)): []})
+
+
+def traced_peak(check):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert check()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_splitting_check_builds_no_term_map():
+    # P(8, 8) has C(16, 8) = 12,870 words of length 16; held as a term map
+    # on both sides, the check peaked at about 6 MiB
+    for kind in ("tail1", "q_tail1"):
+        assert traced_peak(lambda: check_splitting_identity(kind, 8, 8)) < 256 * 1024, kind
 
 
 def test_tensor_examples():

@@ -8,8 +8,9 @@ integral systems back into rational arithmetic.  ``rewrite`` has one
 automaton walk loop, ``ObstructionAutomaton.walk``; no other function there
 may step the transition table.  Every top-level definition is referenced by
 other code of the package, so nothing is kept for the tests alone.
-``bidegree_sum`` enumerates its words by definition: built from a peel
-identity, the splitting claims would check that identity against itself.
+``bidegree_words`` and ``bidegree_sum`` enumerate the words by definition:
+built from a peel identity, the splitting claims would check that identity
+against itself.
 """
 
 import ast
@@ -174,25 +175,33 @@ def test_unreferenced_detects_an_unused_helper():
     assert unreferenced(modules) == [("a.py", "helper")]
 
 
-#: what ``bidegree_sum`` may not be built from: itself, the rest-sums, and the
-#: peel identities the splitting claims check against it
-PEEL_NAMES = {"bidegree_sum", "bidegree_rest", "check_splitting_identity", "PEELS"}
+#: what ``bidegree_words`` and ``bidegree_sum`` may not be built from: the
+#: sum itself, the rest-sums, and the peel identities the splitting claims
+#: check against them
+PEEL_NAMES = {
+    "bidegree_sum",
+    "bidegree_rest",
+    "_rest_words",
+    "check_splitting_identity",
+    "_routed_match",
+    "PEELS",
+}
 
 
-def peel_references(tree) -> set:
-    """The names of ``PEEL_NAMES`` that the top-level ``bidegree_sum`` of
-    ``tree`` references in its body."""
+def peel_references(tree, name="bidegree_sum") -> set:
+    """The names of ``PEEL_NAMES``, and ``name`` itself, that the top-level
+    function ``name`` of ``tree`` references in its body."""
     node = next(
-        node
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "bidegree_sum"
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name
     )
-    return set().union(*(referenced_names(stmt) for stmt in node.body)) & PEEL_NAMES
+    return set().union(*(referenced_names(stmt) for stmt in node.body)) & (PEEL_NAMES | {name})
 
 
 def test_bidegree_sum_is_a_direct_enumeration():
     path = next(path for path in SOURCES if path.name == "freealg.py")
-    assert peel_references(ast.parse(path.read_text(), path.name)) == set()
+    tree = ast.parse(path.read_text(), path.name)
+    assert peel_references(tree) == set()
+    assert peel_references(tree, "bidegree_words") == set()
 
 
 def test_peel_references_detects_a_recursive_sum():
@@ -211,3 +220,18 @@ def test_peel_references_detects_a_recursive_sum():
         "    return bidegree_rest(alphabet, j, i, pair) + sorted_word(j, i)\n"
     )
     assert peel_references(ast.parse(peeled)) == {"PEELS", "bidegree_rest"}
+
+
+def test_peel_references_detects_a_peeled_word_stream():
+    peeled = (
+        "def bidegree_words(j, i, pair=(0, 1)):\n"
+        "    yield from _rest_words(j, i, pair)\n"
+        "    yield from bidegree_words(j - 1, i, pair)\n"
+        "    yield from bidegree_sum(AX, j, i, pair).support()\n"
+    )
+    tree = ast.parse(peeled)
+    assert peel_references(tree, "bidegree_words") == {
+        "_rest_words",
+        "bidegree_words",
+        "bidegree_sum",
+    }
