@@ -14,12 +14,11 @@ from .freealg import (
     NcPoly,
     TensorPoly,
     Word,
-    bidegree_rest,
     bidegree_sum,
     check_splitting_identity,
     render_word,
 )
-from .ordering import GrlexPlus, ProductGrlex, compare, check_compatibility
+from .ordering import GrlexPlus, ProductGrlex, check_compatibility
 from .presentations import (
     AX,
     DefiningPolynomial,
@@ -41,7 +40,6 @@ from .rewrite import (
     Rule,
     check_confluence,
     find_ambiguities,
-    ideal_membership,
     normal_form,
     resolve_ambiguity,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "Alphabet",
     "Ambiguity",
     "AX",
-    "bidegree_rest",
     "bidegree_sum",
     "build_quantum_plane",
     "build_system",
@@ -64,7 +61,6 @@ __all__ = [
     "check_compatibility",
     "check_confluence",
     "check_splitting_identity",
-    "compare",
     "ConfluenceReport",
     "CurvePresentation",
     "Cyclotomic",
@@ -76,7 +72,6 @@ __all__ = [
     "euler_phi",
     "find_ambiguities",
     "GrlexPlus",
-    "ideal_membership",
     "leading_filtered_part",
     "NcPoly",
     "normal_form",

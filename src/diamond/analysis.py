@@ -63,13 +63,13 @@ from .scalars import CyclotomicField, common_denominator
 # ---------------------------------------------------------------------------
 
 
-def pbw_block_letters(n: int, pair=(0, 1)) -> list:
-    """The block alphabet { a^i x^j : i, j > 0, i + j < n }; it has
-    (n-1)(n-2)/2 members and freely generates the middle of every
-    irreducible word."""
+def pbw_block_letters(n: int) -> list:
+    """The block alphabet { a^i x^j : i, j > 0, i + j < n } over a = 0 and
+    x = 1; it has (n-1)(n-2)/2 members and freely generates the middle of
+    every irreducible word."""
     if n < 2:
         raise ValueError("need n >= 2")
-    a, x = pair
+    a, x = 0, 1
     out = []
     for total in range(2, n):
         for i in range(1, total):
@@ -77,7 +77,7 @@ def pbw_block_letters(n: int, pair=(0, 1)) -> list:
     return out
 
 
-def pbw_words(n: int, max_len: int, pair=(0, 1)) -> list:
+def pbw_words(n: int, max_len: int) -> list:
     """All words x^i * (block product) * a^k of length <= max_len.
 
     The block products range over the free monoid on the block alphabet,
@@ -87,8 +87,8 @@ def pbw_words(n: int, max_len: int, pair=(0, 1)) -> list:
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    a, x = pair
-    blocks = pbw_block_letters(n, pair)
+    a, x = 0, 1
+    blocks = pbw_block_letters(n)
     products = [()]
     frontier = [()]
     while frontier:
@@ -771,7 +771,6 @@ def power_chain_report(m: int, n: int) -> dict:
     if not 2 <= n < m or n > 5:
         raise ValueError("need 2 <= n < m with n <= 5")
     pres = build_system(DefiningPolynomial.from_coefficients((0,) * (n - 1) + (1,)))
-    confluent = check_confluence(pres.system).overall
     entries = []
     for j in range(1, m):
         generator = bidegree_sum(AX, j, m - j)
@@ -789,7 +788,6 @@ def power_chain_report(m: int, n: int) -> dict:
     return {
         "m": m,
         "n": n,
-        "confluent": confluent,
         "entries": entries,
         "all_zero": all(e["zero"] for e in entries),
         "recursion_identity": recursion,

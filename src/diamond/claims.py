@@ -66,13 +66,13 @@ def _report(cid: str, statement: str, witness: dict) -> dict:
 # -- 1. randomized diamond-lemma suite --------------------------------------
 
 
-def diamond_suite(samples: int = 100, seed: int = 2024) -> list:
+def diamond_suite(seed: int = 2024) -> list:
     rng = random.Random(seed)
     checked = 0
     census_ok = True
     resolvable_ok = True
     detail = {}
-    for _ in range(samples):
+    for _ in range(100):
         degree = rng.randint(2, 5)
         g = random_defining_polynomial(rng, degree)
         report = check_confluence(build_system(g).system)
@@ -119,17 +119,15 @@ def diamond_suite(samples: int = 100, seed: int = 2024) -> list:
 # -- 2. splitting identities --------------------------------------------------
 
 
-def splitting_suite(max_index: int = 8) -> list:
+def splitting_suite() -> list:
     ok_tail1 = all(
         check_splitting_identity("tail1", r, s)
-        for r in range(max_index + 1)
-        for s in range(max_index + 1)
+        for r in range(9)
+        for s in range(9)
         if (r, s) != (0, 0)
     )
     ok_qtail1 = all(
-        check_splitting_identity("q_tail1", r, s)
-        for r in range(max_index + 1)
-        for s in range(1, max_index + 1)
+        check_splitting_identity("q_tail1", r, s) for r in range(9) for s in range(1, 9)
     )
     ok_two = all(
         check_splitting_identity(kind, r, s)
@@ -148,7 +146,7 @@ def splitting_suite(max_index: int = 8) -> list:
             "split-depth1",
             "one-letter splitting recursions for the bidegree sums and rests",
             ok_tail1 and ok_qtail1,
-            {"max_index": max_index},
+            {"max_index": 8},
         ),
         _claim(
             "split-depth2",
@@ -168,7 +166,7 @@ def splitting_suite(max_index: int = 8) -> list:
 # -- 3. PBW census and the dimension oracle -----------------------------------
 
 
-def pbw_suite(max_len: int = 12, oracle_ell: int = 8, slack: int = 2) -> list:
+def pbw_suite() -> list:
     claims = []
     census_ok = True
     witness = {}
@@ -176,9 +174,9 @@ def pbw_suite(max_len: int = 12, oracle_ell: int = 8, slack: int = 2) -> list:
         pres = build_system(
             DefiningPolynomial.from_coefficients((0,) * (n - 1) + (1,))
         )
-        census = irreducible_census(pres.system, max_len)
-        enumerated = pbw_words(n, max_len)
-        per_len = [0] * (max_len + 1)
+        census = irreducible_census(pres.system, 12)
+        enumerated = pbw_words(n, 12)
+        per_len = [0] * 13
         for w in enumerated:
             per_len[len(w)] += 1
         if per_len != census.counts:
@@ -190,7 +188,7 @@ def pbw_suite(max_len: int = 12, oracle_ell: int = 8, slack: int = 2) -> list:
             "automaton census of irreducible words equals the x^i <blocks> a^k "
             "enumeration at every length <= 12, degrees 2..5",
             census_ok,
-            witness or {"max_len": max_len},
+            witness or {"max_len": 12},
         )
     )
     block_ok = all(
@@ -228,9 +226,9 @@ def pbw_suite(max_len: int = 12, oracle_ell: int = 8, slack: int = 2) -> list:
     for n in (2, 3, 4):
         g = DefiningPolynomial.from_coefficients((0,) * (n - 1) + (1,))
         pres = build_system(g)
-        cumulative = irreducible_census(pres.system, oracle_ell).cumulative()
-        for ell in range(oracle_ell + 1):
-            result = dimension_oracle(g, ell, slack)
+        cumulative = irreducible_census(pres.system, 8).cumulative()
+        for ell in range(9):
+            result = dimension_oracle(g, ell, 2)
             if not result.stable or result.dimension != cumulative[ell]:
                 oracle_ok = False
                 owitness = {
@@ -245,7 +243,7 @@ def pbw_suite(max_len: int = 12, oracle_ell: int = 8, slack: int = 2) -> list:
             "slack-stabilized exact-rank dimensions equal cumulative "
             "irreducible counts for degrees 2..4 up to filtration 8",
             oracle_ok,
-            owitness or {"ell": oracle_ell, "slack": slack},
+            owitness or {"ell": 8, "slack": 2},
         )
     )
     return claims
@@ -254,12 +252,12 @@ def pbw_suite(max_len: int = 12, oracle_ell: int = 8, slack: int = 2) -> list:
 # -- 4. centrality -------------------------------------------------------------
 
 
-def centrality_suite(samples: int = 200, cubic_samples: int = 50, seed: int = 2024) -> list:
+def centrality_suite(seed: int = 2024) -> list:
     rng = random.Random(seed)
     a, x = 0, 1
     ok_core = True
     witness = {}
-    for _ in range(samples):
+    for _ in range(200):
         degree = rng.randint(2, 5)
         g = random_defining_polynomial(rng, degree)
         pres = build_system(g)
@@ -272,7 +270,7 @@ def centrality_suite(samples: int = 200, cubic_samples: int = 50, seed: int = 20
         if not normal_form(gp * gen_a - gen_a * gp, pres.system).is_zero():
             ok_core, witness = False, {"g": g.render(), "element": "g"}
     ok_cubic = True
-    for _ in range(cubic_samples):
+    for _ in range(50):
         g = random_defining_polynomial(rng, 3)
         pres = build_system(g)
         if not is_central(degree_three_centre_element(g.monic()), pres.system):
@@ -284,14 +282,14 @@ def centrality_suite(samples: int = 200, cubic_samples: int = 50, seed: int = 20
             "centre-group-and-curve",
             "a^n commutes with x and g commutes with a in every sampled system",
             ok_core,
-            witness or {"samples": samples},
+            witness or {"samples": 200},
         ),
         _claim(
             "centre-cubic-deformed",
             "axax - x^2a^2 - r_2 xa^2 - r_1 a^2 is central for sampled "
             "monic cubics",
             ok_cubic,
-            witness or {"samples": cubic_samples},
+            witness or {"samples": 50},
         ),
         _claim(
             "centre-cubic-roots",
@@ -306,14 +304,10 @@ def centrality_suite(samples: int = 200, cubic_samples: int = 50, seed: int = 20
 # -- 5. coalgebra ---------------------------------------------------------------
 
 
-def coalgebra_suite(max_index: int = 8, seed: int = 2024) -> list:
+def coalgebra_suite(seed: int = 2024) -> list:
     rng = random.Random(seed)
     # j = 0 covers the powers x^t, since P(0, t) = x^t
-    bidegree_ok = all(
-        check_coproduct_bidegree(j, t)
-        for j in range(max_index + 1)
-        for t in range(max_index + 1 - j)
-    )
+    bidegree_ok = all(check_coproduct_bidegree(j, t) for j in range(9) for t in range(9 - j))
     tested = [
         DefiningPolynomial.from_coefficients(c)
         for c in ((0, 1), (1, 1), (0, 0, 1), (Fraction(1, 2), 2, 1), (0, 0, 0, 1),
@@ -337,7 +331,7 @@ def coalgebra_suite(max_index: int = 8, seed: int = 2024) -> list:
             "closed forms for the coproducts of powers and bidegree sums up "
             "to total degree 8",
             bidegree_ok,
-            {"max_index": max_index},
+            {"max_index": 8},
         ),
         _claim(
             "bialgebra-ideal",
@@ -358,10 +352,10 @@ def coalgebra_suite(max_index: int = 8, seed: int = 2024) -> list:
 # -- 6. root-of-unity plane ------------------------------------------------------
 
 
-def quantum_plane_suite(max_order: int = 8) -> list:
+def quantum_plane_suite() -> list:
     ok = True
     witness = {}
-    for n in range(2, max_order + 1):
+    for n in range(2, 9):
         system = build_quantum_plane(n)
         for j in range(1, n):
             nf = normal_form(bidegree_sum(AX, j, n - j), system)
@@ -374,7 +368,7 @@ def quantum_plane_suite(max_order: int = 8) -> list:
             "every n-th bidegree sum reduces to zero under x*a -> q*a*x over "
             "the order-n cyclotomic field, n = 2..8",
             ok,
-            witness or {"orders": list(range(2, max_order + 1))},
+            witness or {"orders": list(range(2, 9))},
         )
     ]
 
@@ -382,11 +376,11 @@ def quantum_plane_suite(max_order: int = 8) -> list:
 # -- 7. small-degree structure -----------------------------------------------------
 
 
-def small_degree_suite(quad_samples: int = 20, cubic_samples: int = 50, seed: int = 2024) -> list:
+def small_degree_suite(seed: int = 2024) -> list:
     rng = random.Random(seed)
     a, x = 0, 1
     quad_ok = True
-    for _ in range(quad_samples):
+    for _ in range(20):
         r = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         if not degree_two_suite(r, 0)["anticommute_ok"]:
             quad_ok = False
@@ -399,7 +393,7 @@ def small_degree_suite(quad_samples: int = 20, cubic_samples: int = 50, seed: in
     downup_ok = renamed[0] == defining_relation(x3, 2) and renamed[1] == defining_relation(x3, 1)
     filtered_ok = True
     weights = {a: 1, x: 2}
-    for _ in range(cubic_samples):
+    for _ in range(50):
         g = random_defining_polynomial(rng, 3)
         for j in (1, 2):
             lead = leading_filtered_part(defining_relation(g.monic(), j), weights)
@@ -411,7 +405,7 @@ def small_degree_suite(quad_samples: int = 20, cubic_samples: int = 50, seed: in
             "a x' + x' a reduces to zero after the degree-2 change of "
             "variable, for random parameters",
             quad_ok,
-            {"samples": quad_samples},
+            {"samples": 20},
         ),
         _claim(
             "downup-match",
@@ -425,7 +419,7 @@ def small_degree_suite(quad_samples: int = 20, cubic_samples: int = 50, seed: in
             "leading filtered parts of the cubic relations equal the pure "
             "power relations (weights x:2, a:1)",
             filtered_ok,
-            {"samples": cubic_samples},
+            {"samples": 50},
         ),
     ]
 
@@ -433,14 +427,14 @@ def small_degree_suite(quad_samples: int = 20, cubic_samples: int = 50, seed: in
 # -- 8. growth dichotomy --------------------------------------------------------------
 
 
-def growth_suite(max_len: int = 12) -> list:
+def growth_suite() -> list:
     expected = {2: ("polynomial", 2), 3: ("polynomial", 3), 4: ("exponential", None),
                 5: ("exponential", None)}
     ok = True
     witness = {}
     for n, (kind, exponent) in expected.items():
         pres = build_system(DefiningPolynomial.from_coefficients((0,) * (n - 1) + (1,)))
-        cls = growth_classify(irreducible_census(pres.system, max_len))
+        cls = growth_classify(irreducible_census(pres.system, 12))
         good = cls.kind == kind and (exponent is None or cls.exponent == exponent)
         witness[str(n)] = {"kind": cls.kind, "exponent": cls.exponent}
         if not good:
@@ -459,12 +453,12 @@ def growth_suite(max_len: int = 12) -> list:
 # -- 9. rescaling ------------------------------------------------------------------------
 
 
-def rescaling_suite(samples: int = 100, seed: int = 2024) -> list:
+def rescaling_suite(seed: int = 2024) -> list:
     rng = random.Random(seed)
     x = 1
     ok = True
     witness = {}
-    for _ in range(samples):
+    for _ in range(100):
         degree = rng.randint(2, 5)
         g = random_defining_polynomial(rng, degree)
         lam = Fraction(0)
@@ -482,7 +476,7 @@ def rescaling_suite(samples: int = 100, seed: int = 2024) -> list:
             "rescaling x by lambda multiplies the j-th relation of the "
             "rescaled polynomial by lambda^-j",
             ok,
-            witness or {"samples": samples},
+            witness or {"samples": 100},
         )
     ]
 
@@ -511,7 +505,7 @@ def _lemniscate_expected(alphabet):
     return {"tau_1": tau_1, "sigma_1": sigma_1, "sigma_2": sigma_2, "sigma_3": sigma_3}
 
 
-def named_curves_suite(samples: int = 20, seed: int = 2024) -> list:
+def named_curves_suite(seed: int = 2024) -> list:
     rng = random.Random(seed)
     claims = []
 
@@ -568,7 +562,7 @@ def named_curves_suite(samples: int = 20, seed: int = 2024) -> list:
     # degree-2 tensor identity for random parameters
     identity_ok = True
     displayed_all_zero = True
-    for _ in range(samples):
+    for _ in range(20):
         r = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         result = degree_two_suite(r, s)
@@ -580,7 +574,7 @@ def named_curves_suite(samples: int = 20, seed: int = 2024) -> list:
             "x'^2 - y'^2 = (g - f) + (r^2-s^2)/4 - (r^2 a^2 - s^2 b^2)/4 in "
             "the tensor algebra, for random (r, s)",
             identity_ok,
-            {"samples": samples},
+            {"samples": 20},
         )
     )
     claims.append(
@@ -638,17 +632,17 @@ def named_curves_suite(samples: int = 20, seed: int = 2024) -> list:
 # -- 11. tensor quotient census ------------------------------------------------------------
 
 
-def tensor_quotient_suite(max_degree: int = 6) -> list:
+def tensor_quotient_suite() -> list:
     claims = []
     for label, f_coeffs in (("square", (0, 1)), ("cube", (0, 0, 1))):
         g = DefiningPolynomial.from_coefficients((0, 1))
         f = DefiningPolynomial.from_coefficients(f_coeffs)
-        report = quotient_dimension_tensor(g, f, max_degree)
+        report = quotient_dimension_tensor(g, f, 6)
         claims.append(
             _claim(
                 f"tensor-quotient-{label}",
                 "rank-computed tensor-quotient dimensions equal the "
-                f"standard-monomial census at every weighted degree <= {max_degree}",
+                "standard-monomial census at every weighted degree <= 6",
                 report.ok,
                 report.to_json_dict(),
             )
@@ -674,13 +668,9 @@ SUITES = {
 }
 
 
-def run_claim_suites(names=None, seed: int = 2024, overrides=None) -> list:
+def run_claim_suites(names=None, seed: int = 2024) -> list:
     """Run the selected suites (all by default) and return claim entries
-    sorted by id.
-
-    ``overrides`` maps a suite name to extra keyword arguments, e.g.
-    {"pbw": {"slack": 1}}.
-    """
+    sorted by id.  ``seed`` goes to each suite that draws random inputs."""
     if names is None:
         names = sorted(SUITES)
     claims = []
@@ -688,9 +678,7 @@ def run_claim_suites(names=None, seed: int = 2024, overrides=None) -> list:
         suite = SUITES.get(name)
         if suite is None:
             raise KeyError(f"unknown suite {name!r}")
-        kwargs = dict((overrides or {}).get(name, {}))
-        params = suite.__code__.co_varnames[: suite.__code__.co_argcount]
-        if "seed" in params and "seed" not in kwargs:
-            kwargs["seed"] = seed
-        claims.extend(suite(**kwargs))
+        code = suite.__code__
+        takes_seed = "seed" in code.co_varnames[: code.co_argcount]
+        claims.extend(suite(seed) if takes_seed else suite())
     return sorted(claims, key=lambda c: c["id"])

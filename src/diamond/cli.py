@@ -357,17 +357,11 @@ def _cmd_confluence(args, argv) -> int:
 
 
 def _build_expression_context(args):
+    # the order comes with the system: product for --f, grlex+ without
     field = _field_from_args(args)
-    if args.f:
-        g = parse_defining(args.g, "x", field)
-        f = parse_defining(args.f, "y", field)
-        pres = build_tensor_presentation(g, f)
-        if args.order and args.order != "product":
-            raise UsageError("tensor systems use the product order")
-        return pres, field
-    if args.order and args.order not in ("grlex+",):
-        raise UsageError("single-polynomial systems use the grlex+ order")
     g = parse_defining(args.g, "x", field)
+    if args.f:
+        return build_tensor_presentation(g, parse_defining(args.f, "y", field)), field
     return build_system(g), field
 
 
@@ -504,10 +498,7 @@ def _cmd_tensor(args, argv) -> int:
 
 def _cmd_verify(args, argv) -> int:
     names = None if args.suite in (None, "all") else [args.suite]
-    overrides = {}
-    if args.slack is not None:
-        overrides["pbw"] = {"slack": args.slack}
-    claims = run_claim_suites(names, seed=args.seed, overrides=overrides)
+    claims = run_claim_suites(names, seed=args.seed)
     document = report_document(argv, claims)
     failed = [c for c in claims if c["verdict"] == "fail"]
     for claim in claims:
@@ -562,7 +553,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nf", help="reduce an expression to normal form")
     common(p, f=True, expr=True)
-    p.add_argument("--order", choices=("grlex+", "product"))
     p.add_argument("--budget", type=_positive_int)
     p.set_defaults(handler=_cmd_nf)
 
@@ -584,7 +574,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("central", help="check centrality of an expression")
     common(p, f=True, expr=True)
-    p.add_argument("--order", choices=("grlex+", "product"))
     p.set_defaults(handler=_cmd_central)
 
     p = sub.add_parser("hopf-ideal", help="counit/coproduct ideal checks per relation")
@@ -601,8 +590,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", nargs="?", default="all",
                    choices=["all", *sorted(SUITES)])
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--slack", type=int, default=None,
-                   help="dimension-oracle slack for the pbw suite")
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(handler=_cmd_verify)
 

@@ -86,25 +86,24 @@ def counit(poly: NcPoly, ctx: CoalgebraContext):
     return total
 
 
-def check_coproduct_bidegree(
-    j: int, t: int, ctx: CoalgebraContext = AX_CONTEXT, pair=(0, 1)
-) -> bool:
-    """Closed form for the coproduct of a bidegree sum:
+def check_coproduct_bidegree(j: int, t: int) -> bool:
+    """Closed form for the coproduct of a bidegree sum in the (a, x) context:
 
         Delta(P(j, t)) = sum_l  P(j, l) (x) P(j + l, t - l).
 
     At j = 0 this is the closed form for the powers of the skew-primitive
     letter, since P(0, t) = x^t.
     """
-    lhs = coproduct(bidegree_sum(ctx.alphabet, j, t, pair), ctx)
+    alphabet = AX_CONTEXT.alphabet
+    lhs = coproduct(bidegree_sum(alphabet, j, t), AX_CONTEXT)
     terms = []
     for ell in range(t + 1):
-        left = bidegree_sum(ctx.alphabet, j, ell, pair)
-        right = bidegree_sum(ctx.alphabet, j + ell, t - ell, pair)
+        left = bidegree_sum(alphabet, j, ell)
+        right = bidegree_sum(alphabet, j + ell, t - ell)
         terms.extend(
             ((wl, wr), cl * cr) for wl, cl in left.items() for wr, cr in right.items()
         )
-    return lhs == TensorPoly(ctx.alphabet, terms)
+    return lhs == TensorPoly(alphabet, terms)
 
 
 def tensor_normal_form(tensor: TensorPoly, system: ReductionSystem) -> TensorPoly:

@@ -8,18 +8,18 @@ Neither fixes a coefficient domain: their units are the plain integers 1
 and 0, which ``Fraction`` and ``Cyclotomic`` absorb, so a system with
 integral rules computes in ``int`` end to end.
 
-The module also provides the two families of structured sums this package
-revolves around: ``bidegree_sum(j, i)``, the sum P(j, i) of all words
-containing j copies of one letter a and i of another x, and
-``bidegree_rest``, the same sum with its fully sorted word removed.  Their
-words come from one enumeration by definition, ``bidegree_words``: each
-word is a copy of pair[1]^(i+j) with pair[0] written at one j-subset of the
-positions, in ``combinations`` order, so the sorted word comes first and
-the rest-sum is the stream without it.  The sums wrap these distinct
-words, each with the int 1, without a cleaning pass.  The enumeration
-never recurses through the identities below, which are checked against
-it.  The splitting identities peel h letters off the head and t off the
-tail of every word of a bidegree sum, all instances of one formula,
+The module also provides the structured sums this package revolves
+around: ``bidegree_sum(j, i)``, the sum P(j, i) of all words containing j
+copies of one letter a and i of another x.  Its words come from one
+enumeration by definition, ``bidegree_words``: each word is a copy of
+pair[1]^(i+j) with pair[0] written at one j-subset of the positions, in
+``combinations`` order, so the sorted word comes first, and the rest-sum
+Q(j, i), P(j, i) without its sorted word, is the stream without it.  The
+sum wraps these distinct words, each with the int 1, without a cleaning
+pass.  The enumeration never recurses through the identities below, which
+are checked against it.  The splitting identities peel h letters off the
+head and t off the tail of every word of a bidegree sum, all instances of
+one formula,
 
     P(r,s) = sum_{u in {a,x}^h, v in {a,x}^t} u * P(r - #a(uv), s - #x(uv)) * v,
 
@@ -27,12 +27,13 @@ with (h, t) = (0, 1) for "tail1", (0, 2) "tail2", (2, 0) "head2",
 (1, 1) "head1_tail1", (0, 3) "tail3", (3, 0) "head3", (2, 1)
 "head2_tail1" and (1, 2) "head1_tail2" (the table ``PEELS``), plus
 "q_tail1", the one-letter recursion of the rest-sums.
-``check_splitting_identity`` checks any of them exactly, so they can be
-property-tested wholesale.  It builds no term map: both sides are streams
-of words with coefficient 1, and each word w of the left side is routed by
-its head u and tail v to the right-side part u * P(...) * v, whose next
-word must be w.  A one-to-one pairing of the two streams is equality of
-the two polynomials, whatever order the words come in.
+``check_splitting_identity`` checks any of them exactly, in the letters
+a = 0 and x = 1, so they can be property-tested wholesale.  It builds no
+term map: both sides are streams of words with coefficient 1, and each
+word w of the left side is routed by its head u and tail v to the
+right-side part u * P(...) * v, whose next word must be w.  A one-to-one
+pairing of the two streams is equality of the two polynomials, whatever
+order the words come in.
 """
 
 from __future__ import annotations
@@ -63,19 +64,6 @@ class Alphabet:
 
     def index(self, name: str) -> int:
         return self.names.index(name)
-
-    def word(self, text: str) -> Word:
-        """Build a word from ``*``-separated letter names with optional
-        ``^`` exponents, e.g. ``a*x^2``; single-character names may also be
-        juxtaposed, e.g. ``axx``."""
-        parts = text.split("*") if "*" in text or "^" in text else list(text)
-        out = []
-        for part in parts:
-            if not part:
-                continue
-            name, _, power = part.partition("^")
-            out.extend([self.index(name)] * (int(power) if power else 1))
-        return tuple(out)
 
 
 def render_word(alphabet: Alphabet, word: Word) -> str:
@@ -279,12 +267,6 @@ class NcPoly:
         return f"{type(self).__name__}({self.render()})"
 
 
-def _check_pair(alphabet: Alphabet, pair) -> None:
-    first, second = pair
-    if first == second or not (0 <= first < len(alphabet) and 0 <= second < len(alphabet)):
-        raise ValueError(f"pair {pair!r} is not two distinct letters of the alphabet")
-
-
 def bidegree_words(j: int, i: int, pair=(0, 1)):
     """Yield each word with j copies of pair[0] and i copies of pair[1] once.
 
@@ -303,9 +285,10 @@ def bidegree_words(j: int, i: int, pair=(0, 1)):
         yield tuple(word)
 
 
-def _rest_words(m: int, q: int, pair):
-    # the words of bidegree_words(m, q) but its first, the sorted pair[0]^m pair[1]^q
-    return islice(bidegree_words(m, q, pair), 1, None)
+def _rest_words(m: int, q: int):
+    # the words of bidegree_words(m, q) but its first, the sorted a^m x^q:
+    # the rest-sum Q(m, q)
+    return islice(bidegree_words(m, q), 1, None)
 
 
 def bidegree_sum(alphabet: Alphabet, j: int, i: int, pair=(0, 1)) -> NcPoly:
@@ -316,18 +299,11 @@ def bidegree_sum(alphabet: Alphabet, j: int, i: int, pair=(0, 1)) -> NcPoly:
     two distinct letters of ``alphabet``.  The words are those of
     ``bidegree_words``, in its order.
     """
-    _check_pair(alphabet, pair)
+    first, second = pair
+    if first == second or not (0 <= first < len(alphabet) and 0 <= second < len(alphabet)):
+        raise ValueError(f"pair {pair!r} is not two distinct letters of the alphabet")
     # the words are distinct and every coefficient is 1, so the map is clean
     return NcPoly.zero(alphabet)._make(dict.fromkeys(bidegree_words(j, i, pair), 1))
-
-
-def bidegree_rest(alphabet: Alphabet, m: int, q: int, pair=(0, 1)) -> NcPoly:
-    """``bidegree_sum(m, q)`` minus its fully sorted word pair[0]^m pair[1]^q.
-
-    Vanishes whenever m = 0 or q = 0 (the sorted word is then the whole sum).
-    """
-    _check_pair(alphabet, pair)
-    return NcPoly.zero(alphabet)._make(dict.fromkeys(_rest_words(m, q, pair), 1))
 
 
 #: the splitting identities: kind -> (h, t), the letters peeled off the head
@@ -363,46 +339,38 @@ def _routed_match(words, h: int, t: int, parts: dict) -> bool:
     return all(next(part, None) is None for part in parts.values())
 
 
-def check_splitting_identity(
-    kind: str, r: int, s: int, alphabet: Alphabet | None = None, pair=(0, 1)
-) -> bool:
-    """Exact polynomial check of one splitting identity at indices (r, s).
+def check_splitting_identity(kind: str, r: int, s: int) -> bool:
+    """Exact polynomial check of one splitting identity at indices (r, s),
+    in the letters a = 0 and x = 1.
 
     Every kind in ``PEELS`` instantiates one identity: with (h, t) = PEELS[kind],
 
         P(r,s) = sum_{u in {a,x}^h, v in {a,x}^t} u * P(r - #a(uv), s - #x(uv)) * v,
 
-    where a, x = pair and P = ``bidegree_sum``.  It holds exactly when
-    r + s >= h + t; below that the left side is nonzero and the right side
-    zero.  "tail1", with (h, t) = (0, 1), is the one-letter recursion
-    P(r,s) = P(r,s-1)x + P(r-1,s)a, and "q_tail1" is its companion for the
-    rest-sums, Q(r,s) = Q(r,s-1)x + P(r-1,s)a with Q = ``bidegree_rest``,
-    which fails exactly when s = 0 < r (the right side is then a^r).
+    where P = ``bidegree_sum``.  It holds exactly when r + s >= h + t; below
+    that the left side is nonzero and the right side zero.  "tail1", with
+    (h, t) = (0, 1), is the one-letter recursion P(r,s) = P(r,s-1)x +
+    P(r-1,s)a, and "q_tail1" is its companion for the rest-sums,
+    Q(r,s) = Q(r,s-1)x + P(r-1,s)a, which fails exactly when s = 0 < r (the
+    right side is then a^r).
 
     No sum is built: ``_routed_match`` pairs the left side's words with the
     words of the right-side parts as both are enumerated.
     """
-    if alphabet is None:
-        alphabet = Alphabet(("a", "x"))
     if r < 0 or s < 0:
         raise ValueError("indices must be nonnegative")
-    _check_pair(alphabet, pair)
-    first, second = pair
     if kind == "q_tail1":
-        parts = {
-            ((), (second,)): _rest_words(r, s - 1, pair),
-            ((), (first,)): bidegree_words(r - 1, s, pair),
-        }
-        return _routed_match(_rest_words(r, s, pair), 0, 1, parts)
+        parts = {((), (1,)): _rest_words(r, s - 1), ((), (0,)): bidegree_words(r - 1, s)}
+        return _routed_match(_rest_words(r, s), 0, 1, parts)
     if kind not in PEELS:
         raise ValueError(f"unknown identity kind {kind!r}")
     h, t = PEELS[kind]
     parts = {
-        (u, v): bidegree_words(r - (u + v).count(first), s - (u + v).count(second), pair)
-        for u in product(pair, repeat=h)
-        for v in product(pair, repeat=t)
+        (u, v): bidegree_words(r - (u + v).count(0), s - (u + v).count(1))
+        for u in product((0, 1), repeat=h)
+        for v in product((0, 1), repeat=t)
     }
-    return _routed_match(bidegree_words(r, s, pair), h, t, parts)
+    return _routed_match(bidegree_words(r, s), h, t, parts)
 
 
 class TensorPoly(NcPoly):
@@ -422,15 +390,6 @@ class TensorPoly(NcPoly):
     @classmethod
     def simple(cls, alphabet: Alphabet, left: Word, right: Word, coeff=1):
         return cls(alphabet, {(tuple(left), tuple(right)): coeff})
-
-    @classmethod
-    def of(cls, left: NcPoly, right: NcPoly) -> "TensorPoly":
-        if left.alphabet != right.alphabet:
-            raise ValueError("alphabet mismatch")
-        return cls(
-            left.alphabet,
-            {(wl, wr): cl * cr for wl, cl in left.items() for wr, cr in right.items()},
-        )
 
     def __mul__(self, other):
         if isinstance(other, NcPoly):

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 from .freealg import Alphabet, Word
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 
 @dataclass(frozen=True)
 class GrlexPlus:
@@ -40,9 +38,14 @@ class GrlexPlus:
         return f"grlex+(wt={names[self.weight_letter]}, top={names[self.lex_top]})"
 
 
+#: lex precedence of the tensor letters a, x, b, y: b > y > a > x
+_TENSOR_PRECEDENCE = (1, 0, 3, 2)
+
+
 @dataclass(frozen=True)
 class ProductGrlex:
-    """Graded order for the four-letter tensor alphabet (a, x, b, y).
+    """Graded order for the four-letter tensor alphabet a, x, b, y (letters
+    0 to 3).
 
     Comparison tuple: weighted length (weights from the alphabet), then the
     y-count, b-count and x-count tallies, then lex with precedence
@@ -53,47 +56,21 @@ class ProductGrlex:
     """
 
     alphabet: Alphabet
-    a: int = 0
-    x: int = 1
-    b: int = 2
-    y: int = 3
 
     def __post_init__(self):
         if not self.alphabet.weights:
             raise ValueError("ProductGrlex needs per-generator weights")
 
-    def _precedence(self, letter: int) -> int:
-        if letter == self.b:
-            return 3
-        if letter == self.y:
-            return 2
-        if letter == self.a:
-            return 1
-        return 0
-
     def sort_key(self, word: Word):
         weights = self.alphabet.weights
         wlen = sum(weights[c] for c in word)
-        ycount = sum(1 for c in word if c == self.y)
-        bcount = sum(1 for c in word if c == self.b)
-        xcount = sum(1 for c in word if c == self.x)
-        lex = tuple(self._precedence(c) for c in word)
-        return (wlen, ycount, bcount, xcount, lex)
+        lex = tuple(_TENSOR_PRECEDENCE[c] for c in word)
+        return (wlen, word.count(3), word.count(2), word.count(1), lex)
 
     def describe(self) -> str:
         names = self.alphabet.names
         wts = ",".join(f"{n}:{w}" for n, w in zip(names, self.alphabet.weights))
-        return f"product-grlex({wts}; {names[self.b]}>{names[self.y]}>{names[self.a]}>{names[self.x]})"
-
-
-def compare(u: Word, v: Word, order) -> int:
-    """Trichotomous comparison: -1, 0 or 1 as u <, =, > v under the order."""
-    ku, kv = order.sort_key(tuple(u)), order.sort_key(tuple(v))
-    if ku < kv:
-        return LESS
-    if ku > kv:
-        return GREATER
-    return EQUAL
+        return f"product-grlex({wts}; {names[2]}>{names[3]}>{names[0]}>{names[1]})"
 
 
 @dataclass

@@ -24,19 +24,15 @@ AX = Alphabet(("a", "x"))
 class DefiningPolynomial:
     """A polynomial sum r_i t^i, i = 1..n, with r_n != 0 and no constant term.
 
-    ``int`` coefficients become ``Fraction``s, so ``monic`` and every
-    builder divide exactly."""
+    The coefficients keep the caller's scalars, so an integral g builds its
+    relations and rules in ``int``; ``monic`` is where they are divided,
+    exactly."""
 
     coefficients: tuple  # (r_1, ..., r_n)
 
     def __post_init__(self):
         if not self.coefficients or not self.coefficients[-1]:
             raise ValueError("defining polynomial needs a nonzero top coefficient")
-        object.__setattr__(
-            self,
-            "coefficients",
-            tuple(Fraction(c) if isinstance(c, int) else c for c in self.coefficients),
-        )
 
     @classmethod
     def from_coefficients(cls, coeffs) -> "DefiningPolynomial":
@@ -70,14 +66,17 @@ class DefiningPolynomial:
         """r_i, with r_i = 0 outside 1..n."""
         if 1 <= i <= self.degree:
             return self.coefficients[i - 1]
-        return Fraction(0)
+        return 0
 
     def monic(self) -> "DefiningPolynomial":
         """Divide through by the top coefficient; the relation ideal is
-        unchanged because every relation is linear in the coefficients."""
+        unchanged because every relation is linear in the coefficients.
+        An ``int`` top coefficient divides as a ``Fraction``."""
         top = self.coefficients[-1]
         if top == 1:
             return self
+        if isinstance(top, int):
+            top = Fraction(top)
         return DefiningPolynomial(tuple(c / top for c in self.coefficients))
 
     def as_ncpoly(self, alphabet: Alphabet, gen: int) -> NcPoly:
@@ -182,13 +181,14 @@ def _skew_primitive_rules(gm: DefiningPolynomial, name: str, alphabet: Alphabet,
     return rules, relations
 
 
-def build_system(g: DefiningPolynomial, alphabet: Alphabet = AX, pair=(0, 1)) -> Presentation:
-    """Orient the relations of g into rules a^j x^(n-j) -> lower terms.
+def build_system(g: DefiningPolynomial, alphabet: Alphabet = AX) -> Presentation:
+    """Orient the relations of g into rules a^j x^(n-j) -> lower terms, in
+    the letters a = 0 and x = 1 of a two-letter ``alphabet``.
 
     g is normalized monic first (the ideal does not change); for monic g the
     j-th rule reads
 
-        a^j x^(n-j) -> -bidegree_rest(j, n-j)
+        a^j x^(n-j) -> -(bidegree_sum(j, n-j) - a^j x^(n-j))
                        - sum_{i=j}^{n-1} r_i * bidegree_sum(j, i-j)
                        + r_j * a^n.
     """
@@ -197,12 +197,9 @@ def build_system(g: DefiningPolynomial, alphabet: Alphabet = AX, pair=(0, 1)) ->
         raise ValueError("defining polynomial must have degree >= 2")
     scale = g.coefficients[-1]
     gm = g.monic()
-    first, second = pair
-    order = GrlexPlus(alphabet, weight_letter=second, lex_top=first)
-    rules, relations = _skew_primitive_rules(gm, "sigma", alphabet, pair)
-    system = ReductionSystem(
-        alphabet, order, rules, name=f"Sigma[{gm.render(alphabet.names[second])}]"
-    )
+    order = GrlexPlus(alphabet, weight_letter=1, lex_top=0)
+    rules, relations = _skew_primitive_rules(gm, "sigma", alphabet, (0, 1))
+    system = ReductionSystem(alphabet, order, rules, name=f"Sigma[{gm.render(alphabet.names[1])}]")
     return Presentation(
         alphabet,
         relations,
@@ -210,7 +207,7 @@ def build_system(g: DefiningPolynomial, alphabet: Alphabet = AX, pair=(0, 1)) ->
         metadata={
             "construction": "skew-primitive",
             "degree": n,
-            "defining_polynomial": gm.render(alphabet.names[second]),
+            "defining_polynomial": gm.render(alphabet.names[1]),
             "scale": scale,
         },
     )
@@ -293,7 +290,7 @@ def build_tensor_presentation(g: DefiningPolynomial, f: DefiningPolynomial) -> P
         raise ValueError("both defining polynomials must have degree >= 2")
     alphabet = tensor_alphabet(n, m)
     a, x, b, y = 0, 1, 2, 3
-    order = ProductGrlex(alphabet, a=a, x=x, b=b, y=y)
+    order = ProductGrlex(alphabet)
     gm, fm = g.monic(), f.monic()
 
     def mono(*letters):
@@ -322,15 +319,17 @@ def build_tensor_presentation(g: DefiningPolynomial, f: DefiningPolynomial) -> P
     relations.append(("group", mono(*group_lhs) - mono(*((a,) * n))))
 
     # curve relation g(x) = f(y), oriented to eliminate y^m; dividing by the
-    # top coefficient of f leaves the ideal unchanged
+    # top coefficient s_m of f leaves the ideal unchanged
     sm = f.coefficients[-1]
     g_x = g.as_ncpoly(alphabet, x)
-    f_y = f.as_ncpoly(alphabet, y)
-    curve_rel = g_x - f_y
     curve_lhs = (y,) * m
-    curve_rhs = NcPoly.monomial(alphabet, curve_lhs) + curve_rel.scale(1 / sm)
+    curve_rhs = (
+        (g_x if sm == 1 else g_x.scale(Fraction(1) / sm))
+        - fm.as_ncpoly(alphabet, y)
+        + NcPoly.monomial(alphabet, curve_lhs)
+    )
     rules.append(Rule(curve_lhs, curve_rhs, "curve"))
-    relations.append(("curve", curve_rel))
+    relations.append(("curve", g_x - f.as_ncpoly(alphabet, y)))
 
     system = ReductionSystem(
         alphabet,
@@ -360,18 +359,6 @@ class CurvePresentation:
 
     g: DefiningPolynomial
     f: DefiningPolynomial
-
-    @property
-    def relation(self) -> dict:
-        """g - f as a map (x-exponent, y-exponent) -> coefficient."""
-        rel: dict = {}
-        for i, c in enumerate(self.g.coefficients, start=1):
-            if c:
-                rel[(i, 0)] = rel.get((i, 0), 0) + c
-        for j, c in enumerate(self.f.coefficients, start=1):
-            if c:
-                rel[(0, j)] = rel.get((0, j), 0) - c
-        return {k: v for k, v in rel.items() if v}
 
     def basis(self, max_degree: int, weights=(1, 1)):
         """Standard monomials (i, j), j < deg f, of weighted degree <= bound."""

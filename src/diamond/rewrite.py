@@ -31,9 +31,9 @@ reduces the implied ambiguities only when some other one does not reduce
 to zero, so its verdicts and differences are those of reducing all of them.
 
 One mechanism finds left sides in a word: ``ObstructionAutomaton.walk``,
-a walk of the system's obstruction automaton, answers ``match`` and
-``is_irreducible``, and the same automaton drives the census of irreducible
-words in ``analysis``.  A step of ``normal_form`` rewrites
+a walk of the system's obstruction automaton, answers ``match`` (None for
+an irreducible word), and the same automaton drives the census of
+irreducible words in ``analysis``.  A step of ``normal_form`` rewrites
 ``word = P lhs S`` into the words ``P r S``, one per right-side word ``r``,
 and resumes their walks instead of starting each at state 0: the prefix
 ``P`` is walked once, the walk of every ``r`` from the state after ``P`` is
@@ -287,9 +287,6 @@ class ReductionSystem:
         rule = automaton.rules[best]
         return rule, end + 1 - len(rule.lhs)
 
-    def is_irreducible(self, word: Word) -> bool:
-        return self.match(word) is None
-
     def describe(self) -> str:
         return self.name or f"system({len(self.rules)} rules)"
 
@@ -308,20 +305,16 @@ class _Rev:
 
 
 def normal_form(
-    poly: NcPoly,
-    system: ReductionSystem,
-    budget: int | None = None,
-    stats: ReductionStats | None = None,
+    poly: NcPoly, system: ReductionSystem, stats: ReductionStats | None = None
 ) -> NcPoly:
     """Reduce to normal form under the deterministic strategy: each step
     rewrites the order-largest reducible monomial.
 
     Terminates for every compatible system by the descending chain
-    condition; the step budget is a diagnostic guard against misuse with
-    incompatible inputs.
+    condition; the step budget ``system.budget`` is a diagnostic guard
+    against misuse with incompatible inputs.
     """
-    if budget is None:
-        budget = system.budget
+    budget = system.budget
     order = system.order
     match = system.match
     reducts = system._reducts
@@ -399,16 +392,6 @@ def normal_form(
     return NcPoly(poly.alphabet, terms)
 
 
-def ideal_membership(poly: NcPoly, system: ReductionSystem) -> bool:
-    """normal_form(poly) == 0.
-
-    Decides membership in the two-sided ideal of the relations when the
-    system is confluent; otherwise a True answer is still a certificate,
-    a False answer is not.
-    """
-    return normal_form(poly, system).is_zero()
-
-
 OVERLAP = "overlap"
 INCLUSION = "inclusion"
 
@@ -479,9 +462,11 @@ class Resolution:
 
     ``implied_by`` is (rule index, position in A B C) of the linking
     occurrence when ``check_confluence`` settled the ambiguity by the
-    criterion, without reducing it, and None otherwise.  ``left`` and
-    ``right``, the two one-step rewrites of A B C, and their normal forms
-    ``left_normal``/``right_normal`` are computed again on each access."""
+    criterion, without reducing it, and None otherwise.  ``left_normal``,
+    the normal form of the left one-step rewrite of A B C (under confluence
+    the normal form of A B C), is computed again on each access; it stays
+    for the normal-form digest of each ambiguity in
+    ``benchmarks/workloads.py``."""
 
     ambiguity: Ambiguity
     verdict: str
@@ -490,20 +475,8 @@ class Resolution:
     implied_by: tuple | None = None
 
     @property
-    def left(self) -> NcPoly:
-        return _rewrites(self.ambiguity, self.system)[0]
-
-    @property
-    def right(self) -> NcPoly:
-        return _rewrites(self.ambiguity, self.system)[1]
-
-    @property
     def left_normal(self) -> NcPoly:
-        return normal_form(self.left, self.system)
-
-    @property
-    def right_normal(self) -> NcPoly:
-        return normal_form(self.right, self.system)
+        return normal_form(_rewrites(self.ambiguity, self.system)[0], self.system)
 
 
 def resolve_ambiguity(

@@ -28,6 +28,13 @@ def simple(left, right):
     return TensorPoly.simple(AX, left, right)
 
 
+def tensor(left, right):
+    """left (x) right for two polynomials over AX."""
+    return TensorPoly(
+        AX, [((wl, wr), cl * cr) for wl, cl in left.items() for wr, cr in right.items()]
+    )
+
+
 def test_generator_coproducts():
     assert coproduct(mono(A), AX_CONTEXT) == simple((A,), (A,))
     assert coproduct(mono(X), AX_CONTEXT) == simple((), (X,)) + simple((X,), (A,))
@@ -45,9 +52,7 @@ def test_coproduct_of_x_squared():
 
 def test_coproduct_of_bidegree_one_one():
     lhs = coproduct(bidegree_sum(AX, 1, 1), AX_CONTEXT)
-    rhs = TensorPoly.of(mono(A), bidegree_sum(AX, 1, 1)) + TensorPoly.of(
-        bidegree_sum(AX, 1, 1), mono(A, A)
-    )
+    rhs = tensor(mono(A), bidegree_sum(AX, 1, 1)) + tensor(bidegree_sum(AX, 1, 1), mono(A, A))
     assert lhs == rhs
 
 
@@ -83,7 +88,7 @@ def test_tensor_normal_form():
     assert reduced == simple((), (X, X)) + simple((X, X), (A, A))
 
     sigma = defining_relation(g, 1)
-    assert tensor_normal_form(TensorPoly.of(sigma, NcPoly.one(AX)), pres.system).is_zero()
+    assert tensor_normal_form(tensor(sigma, NcPoly.one(AX)), pres.system).is_zero()
 
 
 def test_skew_primitivity_of_defining_polynomial():
@@ -95,9 +100,7 @@ def test_skew_primitivity_of_defining_polynomial():
         pres = build_system(g)
         gx = g.as_ncpoly(AX, X)
         delta = coproduct(gx, AX_CONTEXT)
-        expected = TensorPoly.of(NcPoly.one(AX), gx) + TensorPoly.of(
-            gx, mono(*((A,) * n))
-        )
+        expected = tensor(NcPoly.one(AX), gx) + tensor(gx, mono(*((A,) * n)))
         assert tensor_normal_form(delta - expected, pres.system).is_zero()
 
 

@@ -53,7 +53,8 @@ def test_defining_polynomial_render():
 
 
 def test_int_coefficients_divide_exactly():
-    # ints given directly become Fractions, so no division leaves the rationals
+    # an int top coefficient other than 1 divides as a Fraction, never as a
+    # float, in monic and in the curve rule of f = 2y^2
     g = DefiningPolynomial((1, 2))
     assert [type(c) for c in g.monic().coefficients] == [Fraction, Fraction]
     assert g.monic().coefficients == (Fraction(1, 2), Fraction(1))
@@ -61,6 +62,26 @@ def test_int_coefficients_divide_exactly():
     curve_rule = next(r for r in pres.system.rules if r.label == "curve")
     assert curve_rule.rhs == NcPoly.monomial(pres.alphabet, (1, 1), Fraction(1, 2))
     assert {type(c) for _, c in curve_rule.rhs.items()} == {Fraction}
+
+
+def coefficient_types(polys) -> set:
+    return {type(c) for poly in polys for _, c in poly.items()}
+
+
+def test_integral_builders_keep_int():
+    # x^3 + 2x and x^2 | y^3 keep the caller's ints: no Fraction is built
+    g = DefiningPolynomial.from_coefficients((2, 0, 1))
+    assert {type(c) for c in g.coefficients} == {int}
+    assert g.coefficient(5) == 0 and type(g.coefficient(5)) is int
+    pres = build_system(g)
+    assert coefficient_types(poly for _, poly in pres.relations) == {int}
+    assert coefficient_types(rule.rhs for rule in pres.system.rules) == {int}
+    tensor = build_tensor_presentation(
+        DefiningPolynomial.from_coefficients((0, 1)),
+        DefiningPolynomial.from_coefficients((0, 0, 1)),
+    )
+    assert coefficient_types(poly for _, poly in tensor.relations) == {int}
+    assert coefficient_types(rule.rhs for rule in tensor.system.rules) == {int}
 
 
 def test_relation_degree_two():
@@ -123,7 +144,7 @@ zeta8_g = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(integral_g, rational_g, zeta8_g))
 def test_defining_relation_matches_textbook_formula(g):
-    integral = all(isinstance(c, Fraction) and c.denominator == 1 for c in g.coefficients)
+    integral = all(type(c) is int for c in g.coefficients)
     for j in range(1, g.degree):
         sigma = defining_relation(g, j)
         expected = textbook_relation(g, j)
@@ -132,8 +153,8 @@ def test_defining_relation_matches_textbook_formula(g):
             w: type(c) for w, c in expected.items()
         }
         if integral:
-            # ints become Fractions in g, so an integral g gives integral Fractions
-            assert all(c.denominator == 1 for _, c in sigma.items())
+            # g keeps its ints, so an integral g gives int relations
+            assert all(type(c) is int for _, c in sigma.items())
 
 
 def test_build_system_rules():
@@ -292,7 +313,6 @@ def test_curve_presentation():
         DefiningPolynomial.from_coefficients((0, 1)),
         DefiningPolynomial.from_coefficients((0, 1)),
     )
-    assert square.relation == {(2, 0): Fraction(1), (0, 2): Fraction(-1)}
     basis = square.basis(3)
     assert set(basis) == {(i, j) for i in range(4) for j in (0, 1) if i + j <= 3}
     assert square.basis_counts(3) == [1, 2, 2, 2]

@@ -7,7 +7,9 @@ they may not import ``fractions``: a ``Fraction`` unit there would pull
 integral systems back into rational arithmetic.  ``rewrite`` has one
 automaton walk loop, ``ObstructionAutomaton.walk``; no other function there
 may step the transition table.  Every top-level definition is referenced by
-other code of the package, so nothing is kept for the tests alone.
+other code of the package, so nothing is kept for the tests alone; a
+re-export in ``__init__.py`` is not a use, and ``__all__`` lists exactly
+the names ``__init__.py`` imports.
 ``bidegree_words`` and ``bidegree_sum`` enumerate the words by definition:
 built from a peel identity, the splitting claims would check that identity
 against itself.
@@ -146,9 +148,13 @@ def referenced_names(node) -> set:
 def unreferenced(modules: dict) -> list:
     """(module, name) of each top-level definition that no other top-level
     statement of any module references; a use inside its own definition
-    does not count."""
+    does not count, and neither does a use in an ``__init__.py``, which only
+    re-exports."""
     statements = [
-        (node, referenced_names(node)) for tree in modules.values() for node in tree.body
+        (node, referenced_names(node))
+        for module, tree in modules.items()
+        if module != "__init__.py"
+        for node in tree.body
     ]
     out = []
     for module, tree in modules.items():
@@ -173,14 +179,40 @@ def test_unreferenced_detects_an_unused_helper():
         "b.py": ast.parse("from .a import used\n\nprint(used(), a.LIMIT)\n"),
     }
     assert unreferenced(modules) == [("a.py", "helper")]
+    # a re-export is not a use
+    modules["a.py"] = ast.parse("def used():\n    return 1\n\ndef exported():\n    return 2\n")
+    modules["__init__.py"] = ast.parse(
+        "from .a import exported\n\n__all__ = ['exported']\n"
+    )
+    assert unreferenced(modules) == [("a.py", "exported"), ("__init__.py", "__all__")]
+
+
+def imported_names(tree) -> set:
+    """The names that the ``from`` imports of a module bind."""
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_all_lists_exactly_the_imports():
+    path = next(path for path in SOURCES if path.name == "__init__.py")
+    assert set(diamond.__all__) == imported_names(ast.parse(path.read_text(), path.name))
+    assert len(diamond.__all__) == len(set(diamond.__all__))
+
+
+def test_imported_names_reads_from_imports():
+    code = "import os\nfrom .a import b, c as d\nfrom . import e\n"
+    assert imported_names(ast.parse(code)) == {"b", "d", "e"}
 
 
 #: what ``bidegree_words`` and ``bidegree_sum`` may not be built from: the
-#: sum itself, the rest-sums, and the peel identities the splitting claims
-#: check against them
+#: sum itself, the rest-sum stream, and the peel identities the splitting
+#: claims check against them
 PEEL_NAMES = {
     "bidegree_sum",
-    "bidegree_rest",
     "_rest_words",
     "check_splitting_identity",
     "_routed_match",
@@ -217,9 +249,9 @@ def test_peel_references_detects_a_recursive_sum():
         "from .freealg import PEELS\n\n"
         "def bidegree_sum(alphabet, j, i, pair=(0, 1)):\n"
         "    h, t = PEELS['tail1']\n"
-        "    return bidegree_rest(alphabet, j, i, pair) + sorted_word(j, i)\n"
+        "    return rest(_rest_words(j, i)) + sorted_word(j, i)\n"
     )
-    assert peel_references(ast.parse(peeled)) == {"PEELS", "bidegree_rest"}
+    assert peel_references(ast.parse(peeled)) == {"PEELS", "_rest_words"}
 
 
 def test_peel_references_detects_a_peeled_word_stream():
