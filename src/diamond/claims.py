@@ -26,7 +26,6 @@ from .analysis import (
     random_defining_polynomial,
 )
 from .coalgebra import (
-    AX_CONTEXT,
     check_coproduct_bidegree,
     coassociativity_holds,
     counit_laws_hold,
@@ -323,7 +322,7 @@ def coalgebra_suite(seed: int = 2024) -> list:
     laws_ok = True
     for _ in range(10):
         p = analysis.random_ncpoly(rng, AX, 6, 4)
-        if not coassociativity_holds(p, AX_CONTEXT) or not counit_laws_hold(p, AX_CONTEXT):
+        if not coassociativity_holds(p) or not counit_laws_hold(p):
             laws_ok = False
     return [
         _claim(

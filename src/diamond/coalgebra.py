@@ -1,9 +1,15 @@
 """Coproduct and counit on the free algebra, and the bialgebra-level checks.
 
-Generators are either grouplike (Delta g = g (x) g, eps g = 1) or
-skew-primitive against a designated grouplike companion
-(Delta x = 1 (x) x + x (x) a, eps x = 0); both maps extend to algebra
-maps.  Membership of a tensor element in I (x) F + F (x) I is decided by
+The coalgebra structure follows from the letter order.  An even letter 2k
+is grouplike (Delta c = c (x) c, eps c = 1); an odd letter 2k+1 is
+skew-primitive against letter 2k (Delta c = 1 (x) c + c (x) (c - 1),
+eps c = 0); both maps extend to algebra maps.  Every alphabet of the
+package lists its letters in these pairs, (a, x) for A(x, a, g), (b, y)
+for A(y, b, f) and (a, x, b, y) for A(g, f), so the one rule gives all
+three algebras: a and b are grouplike, x is skew-primitive against a and
+y against b.
+
+Membership of a tensor element in I (x) F + F (x) I is decided by
 reducing each tensor leg to normal form.  That computes in the quotient
 tensor square, so correctness of a zero verdict as a *certificate of
 membership* needs the underlying system to be confluent, and the report
@@ -15,95 +21,57 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freealg import Alphabet, NcPoly, TensorPoly, bidegree_sum
-from .presentations import DefiningPolynomial, Presentation, build_system
+from .presentations import AX, DefiningPolynomial, Presentation, build_system
 from .rewrite import ReductionSystem, check_confluence, normal_form
 
-GROUPLIKE = "grouplike"
-SKEW = "skew"
 
-
-@dataclass(frozen=True)
-class CoalgebraContext:
-    """Per-generator coproduct shapes over one alphabet."""
-
-    alphabet: Alphabet
-    shapes: tuple  # per generator: (GROUPLIKE,) or (SKEW, companion_index)
-
-    def __post_init__(self):
-        for shape in self.shapes:
-            if shape[0] == SKEW:
-                companion = self.shapes[shape[1]]
-                if companion[0] != GROUPLIKE:
-                    raise ValueError("skew companion must be a grouplike generator")
-
-    @classmethod
-    def standard(cls, alphabet: Alphabet, skew_pairs) -> "CoalgebraContext":
-        """Build from (skew, companion) name pairs; all other generators are
-        grouplike."""
-        shapes = [(GROUPLIKE,)] * len(alphabet)
-        for skew_name, companion_name in skew_pairs:
-            shapes[alphabet.index(skew_name)] = (SKEW, alphabet.index(companion_name))
-        return cls(alphabet, tuple(shapes))
-
-    def is_grouplike(self, letter: int) -> bool:
-        return self.shapes[letter][0] == GROUPLIKE
-
-
-#: the (a, x) context: a grouplike, x skew against a
-AX_CONTEXT = CoalgebraContext.standard(Alphabet(("a", "x")), [("x", "a")])
-
-
-def _letter_coproduct(ctx: CoalgebraContext, letter: int) -> TensorPoly:
-    shape = ctx.shapes[letter]
-    if shape[0] == GROUPLIKE:
-        return TensorPoly.simple(ctx.alphabet, (letter,), (letter,))
-    companion = shape[1]
-    return TensorPoly.simple(ctx.alphabet, (), (letter,)) + TensorPoly.simple(
-        ctx.alphabet, (letter,), (companion,)
+def _letter_coproduct(alphabet: Alphabet, letter: int) -> TensorPoly:
+    if letter % 2 == 0:
+        return TensorPoly.simple(alphabet, (letter,), (letter,))
+    return TensorPoly.simple(alphabet, (), (letter,)) + TensorPoly.simple(
+        alphabet, (letter,), (letter - 1,)
     )
 
 
-def coproduct(poly: NcPoly, ctx: CoalgebraContext) -> TensorPoly:
-    """Algebra-map extension of the generator coproducts."""
-    if poly.alphabet != ctx.alphabet:
-        raise ValueError("alphabet mismatch")
+def coproduct(poly: NcPoly) -> TensorPoly:
+    """Algebra-map extension of the letter coproducts."""
+    alphabet = poly.alphabet
     terms = []
     for word, coeff in poly.items():
-        value = TensorPoly.one(ctx.alphabet)
+        value = TensorPoly.one(alphabet)
         for letter in word:
-            value = value * _letter_coproduct(ctx, letter)
+            value = value * _letter_coproduct(alphabet, letter)
         terms.extend((key, coeff * c) for key, c in value.items())
-    return TensorPoly(ctx.alphabet, terms)
+    return TensorPoly(alphabet, terms)
 
 
-def counit(poly: NcPoly, ctx: CoalgebraContext):
+def counit(poly: NcPoly):
     """Multiplicative-linear extension: a word counts 1 unless it contains a
-    skew-primitive letter."""
+    skew-primitive (odd) letter."""
     total = 0
     for word, coeff in poly.items():
-        if all(ctx.is_grouplike(c) for c in word):
+        if all(c % 2 == 0 for c in word):
             total = total + coeff
     return total
 
 
 def check_coproduct_bidegree(j: int, t: int) -> bool:
-    """Closed form for the coproduct of a bidegree sum in the (a, x) context:
+    """Closed form for the coproduct of a bidegree sum over (a, x):
 
         Delta(P(j, t)) = sum_l  P(j, l) (x) P(j + l, t - l).
 
     At j = 0 this is the closed form for the powers of the skew-primitive
     letter, since P(0, t) = x^t.
     """
-    alphabet = AX_CONTEXT.alphabet
-    lhs = coproduct(bidegree_sum(alphabet, j, t), AX_CONTEXT)
+    lhs = coproduct(bidegree_sum(AX, j, t))
     terms = []
     for ell in range(t + 1):
-        left = bidegree_sum(alphabet, j, ell)
-        right = bidegree_sum(alphabet, j + ell, t - ell)
+        left = bidegree_sum(AX, j, ell)
+        right = bidegree_sum(AX, j + ell, t - ell)
         terms.extend(
             ((wl, wr), cl * cr) for wl, cl in left.items() for wr, cr in right.items()
         )
-    return lhs == TensorPoly(alphabet, terms)
+    return lhs == TensorPoly(AX, terms)
 
 
 def tensor_normal_form(tensor: TensorPoly, system: ReductionSystem) -> TensorPoly:
@@ -124,34 +92,36 @@ def tensor_normal_form(tensor: TensorPoly, system: ReductionSystem) -> TensorPol
     return TensorPoly(tensor.alphabet, terms)
 
 
-def coassociativity_holds(poly: NcPoly, ctx: CoalgebraContext) -> bool:
+def coassociativity_holds(poly: NcPoly) -> bool:
     """(Delta (x) id) Delta = (id (x) Delta) Delta, exactly; both sides are
     term maps on word triples."""
+    alphabet = poly.alphabet
 
     def leg(word):
-        return coproduct(NcPoly.monomial(ctx.alphabet, word), ctx).items()
+        return coproduct(NcPoly.monomial(alphabet, word)).items()
 
-    delta = coproduct(poly, ctx)
+    delta = coproduct(poly)
     left = NcPoly(
-        ctx.alphabet,
+        alphabet,
         [((u1, u2, v), coeff * c) for (u, v), coeff in delta.items() for (u1, u2), c in leg(u)],
     )
     right = NcPoly(
-        ctx.alphabet,
+        alphabet,
         [((u, v1, v2), coeff * c) for (u, v), coeff in delta.items() for (v1, v2), c in leg(v)],
     )
     return left == right
 
 
-def counit_laws_hold(poly: NcPoly, ctx: CoalgebraContext) -> bool:
+def counit_laws_hold(poly: NcPoly) -> bool:
     """(eps (x) id) Delta(p) = p = (id (x) eps) Delta(p)."""
+    alphabet = poly.alphabet
 
     def eps(word):
-        return counit(NcPoly.monomial(ctx.alphabet, word), ctx)
+        return counit(NcPoly.monomial(alphabet, word))
 
-    delta = coproduct(poly, ctx)
-    left = NcPoly(ctx.alphabet, ((v, coeff * eps(u)) for (u, v), coeff in delta.items()))
-    right = NcPoly(ctx.alphabet, ((u, coeff * eps(v)) for (u, v), coeff in delta.items()))
+    delta = coproduct(poly)
+    left = NcPoly(alphabet, ((v, coeff * eps(u)) for (u, v), coeff in delta.items()))
+    right = NcPoly(alphabet, ((u, coeff * eps(v)) for (u, v), coeff in delta.items()))
     return left == poly and right == poly
 
 
@@ -188,7 +158,7 @@ class HopfIdealReport:
         }
 
 
-def hopf_ideal_check(g: DefiningPolynomial, ctx: CoalgebraContext = AX_CONTEXT) -> HopfIdealReport:
+def hopf_ideal_check(g: DefiningPolynomial) -> HopfIdealReport:
     """Check that every defining relation generates a bialgebra ideal:
     eps(sigma_j) = 0 and Delta(sigma_j) lies in I (x) F + F (x) I.
 
@@ -196,11 +166,11 @@ def hopf_ideal_check(g: DefiningPolynomial, ctx: CoalgebraContext = AX_CONTEXT) 
     the per-leg reduction is representative-dependent and the zero verdicts
     are not certificates, so the report is marked uncertified.
     """
-    pres = build_system(g, ctx.alphabet)
+    pres = build_system(g)
     confluent = check_confluence(pres.system).overall
     entries = []
     for label, sigma in pres.relations:
-        eps_zero = not counit(sigma, ctx)
-        cop_zero = tensor_normal_form(coproduct(sigma, ctx), pres.system).is_zero()
+        eps_zero = not counit(sigma)
+        cop_zero = tensor_normal_form(coproduct(sigma), pres.system).is_zero()
         entries.append((label, eps_zero, cop_zero))
     return HopfIdealReport(pres, confluent, entries)

@@ -235,7 +235,7 @@ class ReductionSystem:
     are stored with ``int`` coefficients.
     """
 
-    def __init__(self, alphabet: Alphabet, order, rules, name="", budget=DEFAULT_BUDGET):
+    def __init__(self, alphabet: Alphabet, order, rules, name=""):
         rules = list(rules)
         seen = set()
         for rule in rules:
@@ -267,7 +267,7 @@ class ReductionSystem:
         self._walks = {}
         self._triples = {}
         self.name = name
-        self.budget = budget
+        self.budget = DEFAULT_BUDGET
 
     @cached_property
     def automaton(self) -> ObstructionAutomaton:

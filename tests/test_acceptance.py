@@ -24,7 +24,6 @@ from diamond.analysis import (
 )
 from diamond.claims import run_claim_suites
 from diamond.coalgebra import (
-    AX_CONTEXT,
     check_coproduct_bidegree,
     coassociativity_holds,
     coproduct,
@@ -183,9 +182,9 @@ def test_criterion_05_coalgebra_suite():
         pres = build_system(g)
         for j in range(1, g.degree):
             sigma = defining_relation(g.monic(), j)
-            if counit(sigma, AX_CONTEXT) != 0:
+            if counit(sigma) != 0:
                 ok = False
-            if not tensor_normal_form(coproduct(sigma, AX_CONTEXT), pres.system).is_zero():
+            if not tensor_normal_form(coproduct(sigma), pres.system).is_zero():
                 ok = False
     for _ in range(10):
         terms = {
@@ -195,7 +194,7 @@ def test_criterion_05_coalgebra_suite():
             for _ in range(4)
         }
         p = NcPoly(AX, terms)
-        if not coassociativity_holds(p, AX_CONTEXT) or not counit_laws_hold(p, AX_CONTEXT):
+        if not coassociativity_holds(p) or not counit_laws_hold(p):
             ok = False
     report(5, "coalgebra suite", ok)
 

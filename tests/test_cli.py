@@ -14,9 +14,11 @@ from diamond import cli
 from diamond.cli import (
     MAX_CYCLOTOMIC_ORDER,
     MAX_DEGREE,
+    MAX_EXPR_DEPTH,
     MAX_EXPR_LETTERS,
     MAX_EXPR_TERMS,
     MAX_GROWTH_LEN,
+    MAX_HOPF_DEGREE,
     ExprError,
     UsageError,
     parse_defining,
@@ -24,6 +26,7 @@ from diamond.cli import (
     run_command,
 )
 from diamond.claims import run_claim_suites
+from diamond.coalgebra import hopf_ideal_check
 from diamond.freealg import Alphabet, NcPoly, bidegree_sum
 from diamond.presentations import AX, DefiningPolynomial, build_system
 from diamond.rewrite import ReductionStats, check_confluence, normal_form, resolve_ambiguity
@@ -275,6 +278,24 @@ def test_cmd_hopf_ideal(capsys):
     assert run_command(["hopf-ideal", "--g", "x^3"]) == 0
 
 
+def test_hopf_ideal_guard(capsys, monkeypatch):
+    # the guard is checked before the system is built; the check itself
+    # runs on x^2 here, since x^10 takes over a second
+    checked = []
+
+    def check(g):
+        checked.append(g.degree)
+        return hopf_ideal_check(DefiningPolynomial.from_coefficients((0, 1)))
+
+    monkeypatch.setattr(cli, "hopf_ideal_check", check)
+    assert run_command(["hopf-ideal", "--g", f"x^{MAX_HOPF_DEGREE + 1}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"hopf-ideal needs degree <= {MAX_HOPF_DEGREE}" in err
+    assert checked == []
+    assert run_command(["hopf-ideal", "--g", f"x^{MAX_HOPF_DEGREE}"]) == 0
+    assert checked == [MAX_HOPF_DEGREE]
+
+
 def test_cmd_tensor(capsys):
     assert run_command(["tensor", "--g", "x^2 + x^3", "--f", "y^2"]) == 0
     out = capsys.readouterr().out
@@ -342,6 +363,28 @@ def test_parser_size_guard(capsys):
     # both caps are inclusive
     assert len(parse_expr("(a+x)^16", AX)) == MAX_EXPR_TERMS
     assert parse_expr(f"x^{MAX_EXPR_LETTERS}", AX).degree() == MAX_EXPR_LETTERS
+
+
+def test_parser_depth_guard(capsys):
+    # the parser recurses on each '(' and each unary '-'; deep nesting used
+    # to end in a RecursionError traceback
+    nested = "(" * 250 + "x" + ")" * 250
+    for argv in (
+        ["nf", "--g", "x^2", "--expr", nested],
+        ["nf", "--g", "x^2", "--expr=" + "-" * 500 + "x"],
+        ["present", "--g", "(" * 300 + "x" + ")" * 300 + "^2"],
+    ):
+        assert run_command(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: resource guard")
+    depth = MAX_EXPR_DEPTH
+    assert parse_expr("(" * depth + "x" + ")" * depth, AX) == parse_expr("x", AX)
+    assert parse_expr("-" * depth + "x", AX) == parse_expr("x", AX)
+    assert parse_expr("-(" * (depth // 2) + "a" + ")" * (depth // 2), AX) == parse_expr("a", AX)
+    for text in ("(" * (depth + 1) + "x" + ")" * (depth + 1), "-" * (depth + 1) + "x"):
+        with pytest.raises(ExprError, match="resource guard"):
+            parse_expr(text, AX)
+    assert run_command(["present", "--g", "(" * depth + "x" + ")" * depth + "^2"]) == 0
 
 
 def test_unwritable_json_path(tmp_path, capsys, monkeypatch):

@@ -1,11 +1,7 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from diamond.coalgebra import (
-    AX_CONTEXT,
-    CoalgebraContext,
     check_coproduct_bidegree,
     coassociativity_holds,
     coproduct,
@@ -14,8 +10,14 @@ from diamond.coalgebra import (
     hopf_ideal_check,
     tensor_normal_form,
 )
-from diamond.freealg import Alphabet, NcPoly, TensorPoly, bidegree_sum
-from diamond.presentations import AX, DefiningPolynomial, build_system, defining_relation
+from diamond.freealg import NcPoly, TensorPoly, bidegree_sum
+from diamond.presentations import (
+    AX,
+    DefiningPolynomial,
+    build_system,
+    defining_relation,
+    tensor_alphabet,
+)
 
 A, X = 0, 1
 
@@ -36,8 +38,8 @@ def tensor(left, right):
 
 
 def test_generator_coproducts():
-    assert coproduct(mono(A), AX_CONTEXT) == simple((A,), (A,))
-    assert coproduct(mono(X), AX_CONTEXT) == simple((), (X,)) + simple((X,), (A,))
+    assert coproduct(mono(A)) == simple((A,), (A,))
+    assert coproduct(mono(X)) == simple((), (X,)) + simple((X,), (A,))
 
 
 def test_coproduct_of_x_squared():
@@ -47,11 +49,11 @@ def test_coproduct_of_x_squared():
         + simple((X,), (X, A))
         + simple((X, X), (A, A))
     )
-    assert coproduct(mono(X, X), AX_CONTEXT) == expected
+    assert coproduct(mono(X, X)) == expected
 
 
 def test_coproduct_of_bidegree_one_one():
-    lhs = coproduct(bidegree_sum(AX, 1, 1), AX_CONTEXT)
+    lhs = coproduct(bidegree_sum(AX, 1, 1))
     rhs = tensor(mono(A), bidegree_sum(AX, 1, 1)) + tensor(bidegree_sum(AX, 1, 1), mono(A, A))
     assert lhs == rhs
 
@@ -70,20 +72,15 @@ def test_counit():
     for coeffs in ((0, 1), (1, 1), (0, 0, 1), (2, 3, 1)):
         g = DefiningPolynomial.from_coefficients(coeffs)
         for j in range(1, g.degree):
-            assert counit(defining_relation(g, j), AX_CONTEXT) == 0
-    assert counit(mono(A, A, A, A, A), AX_CONTEXT) == 1
-    assert counit(mono(X).scale(Fraction(3)) + mono(A).scale(Fraction(2)), AX_CONTEXT) == 2
-
-
-def test_skew_companion_must_be_grouplike():
-    with pytest.raises(ValueError):
-        CoalgebraContext(AX, (("skew", 1), ("skew", 0)))
+            assert counit(defining_relation(g, j)) == 0
+    assert counit(mono(A, A, A, A, A)) == 1
+    assert counit(mono(X).scale(Fraction(3)) + mono(A).scale(Fraction(2))) == 2
 
 
 def test_tensor_normal_form():
     g = DefiningPolynomial.from_coefficients((0, 1))
     pres = build_system(g)
-    delta_g = coproduct(mono(X, X), AX_CONTEXT)
+    delta_g = coproduct(mono(X, X))
     reduced = tensor_normal_form(delta_g, pres.system)
     assert reduced == simple((), (X, X)) + simple((X, X), (A, A))
 
@@ -99,7 +96,7 @@ def test_skew_primitivity_of_defining_polynomial():
         g = DefiningPolynomial.from_coefficients(coeffs)
         pres = build_system(g)
         gx = g.as_ncpoly(AX, X)
-        delta = coproduct(gx, AX_CONTEXT)
+        delta = coproduct(gx)
         expected = tensor(NcPoly.one(AX), gx) + tensor(gx, mono(*((A,) * n)))
         assert tensor_normal_form(delta - expected, pres.system).is_zero()
 
@@ -118,7 +115,7 @@ def test_grouped_relation_coproduct():
                 c = g.coefficient(i)
                 if c:
                     summed = summed + bidegree_sum(AX, j, i - j).scale(c)
-            reduced = tensor_normal_form(coproduct(summed, AX_CONTEXT), pres.system)
+            reduced = tensor_normal_form(coproduct(summed), pres.system)
             expected = TensorPoly.simple(AX, (A,) * n, (A,) * n, g.coefficient(j))
             assert reduced == expected
 
@@ -143,19 +140,33 @@ def test_coalgebra_laws_random():
             for _ in range(4)
         }
         p = NcPoly(AX, terms)
-        assert coassociativity_holds(p, AX_CONTEXT)
-        assert counit_laws_hold(p, AX_CONTEXT)
+        assert coassociativity_holds(p)
+        assert counit_laws_hold(p)
 
 
 def test_four_generator_context():
-    alphabet = Alphabet(("a", "x", "b", "y"))
-    ctx = CoalgebraContext.standard(alphabet, [("x", "a"), ("y", "b")])
-    y = alphabet.index("y")
-    b = alphabet.index("b")
-    delta_y = coproduct(NcPoly.generator(alphabet, y), ctx)
+    # the letters of tensor_alphabet pair as (a, x), (b, y): b grouplike, y
+    # skew-primitive against b
+    alphabet = tensor_alphabet(2, 3)
+    a, _, b, y = range(4)
+    delta_y = coproduct(NcPoly.generator(alphabet, y))
     assert delta_y == TensorPoly.simple(alphabet, (), (y,)) + TensorPoly.simple(
         alphabet, (y,), (b,)
     )
-    p = NcPoly.monomial(alphabet, (y, 0, y))
-    assert coassociativity_holds(p, ctx)
-    assert counit_laws_hold(p, ctx)
+    assert coproduct(NcPoly.generator(alphabet, b)) == TensorPoly.simple(alphabet, (b,), (b,))
+    assert counit(NcPoly.monomial(alphabet, (b, y, a))) == 0
+    assert counit(NcPoly.monomial(alphabet, (b, a, b))) == 1
+    p = NcPoly.monomial(alphabet, (y, a, y))
+    assert coassociativity_holds(p)
+    assert counit_laws_hold(p)
+    rng = random.Random(37)
+    for _ in range(6):
+        terms = {
+            tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 4))): Fraction(
+                rng.randint(-4, 4), rng.randint(1, 4)
+            )
+            for _ in range(3)
+        }
+        p = NcPoly(alphabet, terms)
+        assert coassociativity_holds(p)
+        assert counit_laws_hold(p)

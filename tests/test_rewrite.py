@@ -510,7 +510,8 @@ def draw_deglex_system(draw):
             words.append(tuple(fill[:cut]) + small + tuple(fill[cut:]))
         terms = {w: draw(small_coefficients) for w in words}
         rules.append(Rule(lhs, NcPoly(ABC, terms), f"r{i}"))
-    system = ReductionSystem(ABC, Deglex(ABC), rules, budget=DEGLEX_BUDGET)
+    system = ReductionSystem(ABC, Deglex(ABC), rules)
+    system.budget = DEGLEX_BUDGET
     # input words glued from left sides, right-side words and letters
     pieces = st.sampled_from(
         sorted({*left_sides, *(w for rule in rules for w in rule.rhs.support()), (0,), (1,), (2,)})
@@ -528,7 +529,9 @@ def deglex_systems_and_inputs(draw):
 
 def deglex_system(rules):
     rules = [Rule(lhs, NcPoly(ABC, rhs), f"r{i}") for i, (lhs, rhs) in enumerate(rules)]
-    return ReductionSystem(ABC, Deglex(ABC), rules, budget=DEGLEX_BUDGET)
+    system = ReductionSystem(ABC, Deglex(ABC), rules)
+    system.budget = DEGLEX_BUDGET
+    return system
 
 
 def deglex_case(rules, word):

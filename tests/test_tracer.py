@@ -8,6 +8,7 @@ from pathlib import Path
 
 from diamond import coalgebra
 from diamond.freealg import NcPoly, bidegree_sum
+from diamond.presentations import AX
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -49,8 +50,7 @@ def test_tracer_targets_resolve_and_uninstall_restores():
     probe.install()
     try:
         # looked up on the module, where the probe is bound
-        ctx = coalgebra.AX_CONTEXT
-        coalgebra.coproduct(bidegree_sum(ctx.alphabet, 1, 2), ctx)
+        coalgebra.coproduct(bidegree_sum(AX, 1, 2))
     finally:
         probe.uninstall()
     after = bindings(tracer)
