@@ -1,6 +1,6 @@
 """PBW enumeration, the growth census and its exact classification, the
 independent linear-algebra dimension oracle, centrality checks,
-tensor-quotient counts, and the claim suites.
+tensor-quotient counts, and the degree-2 identities.
 
 The census counts the walks of the obstruction automaton's live states, and
 the classification reads polynomial or exponential growth, with its
@@ -45,8 +45,6 @@ from .freealg import (
     NcPoly,
     TensorPoly,
     Word,
-    bidegree_sum,
-    check_splitting_identity,
 )
 from .presentations import (
     AX,
@@ -568,19 +566,6 @@ def cubic_centre_elements():
     ]
 
 
-def cubic_centre_suite() -> dict:
-    """Check centrality of every listed generator of the cubic centre."""
-    pres = build_system(DefiningPolynomial.from_coefficients((0, 0, 1)))
-    entries = []
-    for label, element in cubic_centre_elements():
-        entries.append((label, is_central(element, pres.system)))
-    return {
-        "system": pres.system.describe(),
-        "entries": entries,
-        "ok": all(v for _, v in entries),
-    }
-
-
 def degree_three_centre_element(g: DefiningPolynomial) -> NcPoly:
     """axax - x^2 a^2 - r_2 x a^2 - r_1 a^2, central for every monic cubic g."""
     if g.degree != 3:
@@ -760,41 +745,11 @@ def quotient_dimension_tensor(
 
 
 # ---------------------------------------------------------------------------
-# Power-of-the-variable chains and the degree-2 identity
+# The degree-2 identities
 # ---------------------------------------------------------------------------
 
 
-def power_chain_report(m: int, n: int) -> dict:
-    """Reduce each generator of the degree-m power ideal under the confluent
-    degree-n power system and report the normal forms; verdicts only, the
-    containment itself is a known discrepancy candidate."""
-    if not 2 <= n < m or n > 5:
-        raise ValueError("need 2 <= n < m with n <= 5")
-    pres = build_system(DefiningPolynomial.from_coefficients((0,) * (n - 1) + (1,)))
-    entries = []
-    for j in range(1, m):
-        generator = bidegree_sum(AX, j, m - j)
-        nf = normal_form(generator, pres.system)
-        entries.append(
-            {
-                "generator": f"sum_bidegree({j},{m - j})",
-                "normal_form": nf.render(pres.system.order),
-                "zero": nf.is_zero(),
-            }
-        )
-    recursion = all(
-        check_splitting_identity("tail1", j, m - j) for j in range(1, m)
-    )
-    return {
-        "m": m,
-        "n": n,
-        "entries": entries,
-        "all_zero": all(e["zero"] for e in entries),
-        "recursion_identity": recursion,
-    }
-
-
-def degree_two_suite(r, s) -> dict:
+def degree_two_identities(r, s) -> tuple:
     """The degree-2 change of variable and the tensor-square identity.
 
     With x' = x + (r/2)(1 - a):  a x' + x' a  reduces to zero, and in the
@@ -804,7 +759,8 @@ def degree_two_suite(r, s) -> dict:
 
     The juxtaposed variant with f - g in place of g - f is also evaluated:
     it differs by 2(g - f) and is reported as a discrepancy witness, not
-    asserted.
+    asserted.  Returns (a x' + x' a is zero, the identity holds, the
+    variant is zero).
     """
     r, s = Fraction(r), Fraction(s)
     g = DefiningPolynomial.from_coefficients((r, 1))
@@ -845,13 +801,7 @@ def degree_two_suite(r, s) -> dict:
     )
     identity_ok = (lhs - (g_minus_f + correction)).is_zero()
     displayed_variant = lhs - ((-g_minus_f) + correction)
-    return {
-        "r": str(r),
-        "s": str(s),
-        "anticommute_ok": anticommute,
-        "identity_ok": identity_ok,
-        "displayed_variant_zero": displayed_variant.is_zero(),
-    }
+    return anticommute, identity_ok, displayed_variant.is_zero()
 
 
 # ---------------------------------------------------------------------------

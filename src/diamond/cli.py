@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import __version__
 from .analysis import growth_classify, irreducible_census, is_central, pbw_words
-from .claims import SUITES, run_claim_suites
+from .claims import DEFAULT_SEED, SUITES, run_claim_suites
 from .coalgebra import hopf_ideal_check
 from .freealg import Alphabet, NcPoly, render_word
 from .presentations import (
@@ -336,14 +336,14 @@ def _cmd_present(args, argv) -> int:
     field = _field_from_args(args)
     g = parse_defining(args.g, "x", field)
     pres = build_system(g)
+    doc = pres.to_json_dict()
     print(f"system: {pres.system.describe()}")
-    for label, sigma in pres.relations:
-        print(f"{label} = {sigma.render(pres.system.order)}")
+    for entry in doc["relations"]:
+        print(f"{entry['label']} = {entry['poly']}")
     print("rules:")
-    for rule in pres.system.rules:
-        lhs = render_word(pres.alphabet, rule.lhs)
-        print(f"  {rule.label}: {lhs} -> {rule.rhs.render(pres.system.order)}")
-    _write_json(args, pres.to_json_dict())
+    for rule in doc["rules"]:
+        print(f"  {rule['label']}: {rule['lhs']} -> {rule['rhs']}")
+    _write_json(args, doc)
     return 0
 
 
@@ -544,8 +544,38 @@ def _positive_int(text: str) -> int:
     return value
 
 
+#: the options whose value is an expression, which may begin with '-'
+EXPR_OPTIONS = ("--g", "--f", "--expr")
+
+
+class _ArgParser(argparse.ArgumentParser):
+    """argparse reads a separate value that begins with '-', as in
+    ``--expr -a*x``, as an unknown option.  This parser, which also parses
+    each subcommand, joins such a value to an expression option of its own
+    (``--expr=-a*x``), unless the value is an option here or the
+    abbreviation of one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        options = self._option_string_actions
+
+        def is_option(token: str) -> bool:
+            name = token.split("=", 1)[0]
+            if name.startswith("--"):
+                return any(option.startswith(name) for option in options)
+            return name[:2] in options
+
+        joined = []
+        for token in sys.argv[1:] if args is None else args:
+            if (joined and joined[-1] in EXPR_OPTIONS and joined[-1] in options
+                    and token.startswith("-") and not is_option(token)):
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgParser(
         prog="diamond",
         description="Exact noncommutative rewriting over free algebras",
     )
@@ -610,7 +640,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run claim suites and emit a report")
     p.add_argument("suite", nargs="?", default="all",
                    choices=["all", *sorted(SUITES)])
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(handler=_cmd_verify)
 

@@ -134,10 +134,6 @@ class HopfIdealReport:
     entries: list  # [(label, counit_zero, coproduct_in_ideal)]
 
     @property
-    def certified(self) -> bool:
-        return self.confluent
-
-    @property
     def ok(self) -> bool:
         return self.confluent and all(e and c for _, e, c in self.entries)
 
@@ -145,7 +141,8 @@ class HopfIdealReport:
         return {
             "system": self.presentation.system.describe(),
             "confluent": self.confluent,
-            "certified": self.certified,
+            # the zero verdicts are certificates only for a confluent system
+            "certified": self.confluent,
             "relations": [
                 {
                     "label": label,

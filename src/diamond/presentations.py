@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .freealg import Alphabet, NcPoly, Word, bidegree_sum, render_word
+from .freealg import Alphabet, NcPoly, Word, bidegree_sum
 from .ordering import GrlexPlus, ProductGrlex
 from .rewrite import ReductionSystem, Rule
 from .scalars import CyclotomicField
@@ -147,14 +147,7 @@ class Presentation:
                 {"label": label, "poly": poly.render(self.system.order)}
                 for label, poly in self.relations
             ],
-            "rules": [
-                {
-                    "label": rule.label,
-                    "lhs": render_word(self.alphabet, rule.lhs),
-                    "rhs": rule.rhs.render(self.system.order),
-                }
-                for rule in self.system.rules
-            ],
+            "rules": self.system.rules_json(),
             "metadata": {
                 k: str(v) for k, v in sorted(self.metadata.items())
             },

@@ -290,6 +290,17 @@ class ReductionSystem:
     def describe(self) -> str:
         return self.name or f"system({len(self.rules)} rules)"
 
+    def rules_json(self) -> list:
+        """The rules as the {label, lhs, rhs} entries of a JSON report."""
+        return [
+            {
+                "label": rule.label,
+                "lhs": render_word(self.alphabet, rule.lhs),
+                "rhs": rule.rhs.render(self.order),
+            }
+            for rule in self.rules
+        ]
+
 
 class _Rev:
     # max-heap adaptor for heapq; carries the word's match, found on push
@@ -554,14 +565,6 @@ class ConfluenceReport:
 
     def to_json_dict(self) -> dict:
         alphabet = self.system.alphabet
-        rules = [
-            {
-                "label": rule.label,
-                "lhs": render_word(alphabet, rule.lhs),
-                "rhs": rule.rhs.render(self.system.order),
-            }
-            for rule in self.system.rules
-        ]
         ambiguities = []
         for res in self.resolutions:
             amb = res.ambiguity
@@ -580,7 +583,7 @@ class ConfluenceReport:
         return {
             "system": self.system.describe(),
             "order": self.system.order.describe(),
-            "rules": rules,
+            "rules": self.system.rules_json(),
             "ambiguities": ambiguities,
             "overall": RESOLVABLE if self.overall else NOT_CONFLUENT,
             "stats": {

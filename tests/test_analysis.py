@@ -18,9 +18,8 @@ from diamond.analysis import (
     _reduce_row,
     _word_column,
     cubic_centre_elements,
-    cubic_centre_suite,
     degree_three_centre_element,
-    degree_two_suite,
+    degree_two_identities,
     dimension_oracle,
     growth_classify,
     ideal_filtration_profile,
@@ -29,7 +28,6 @@ from diamond.analysis import (
     is_central,
     pbw_block_letters,
     pbw_words,
-    power_chain_report,
     quotient_dimension_tensor,
     random_defining_polynomial,
 )
@@ -506,9 +504,9 @@ def test_cubic_centre_element_deformed():
         assert is_central(degree_three_centre_element(g.monic()), system)
 
 
-def test_cubic_centre_suite():
-    suite = cubic_centre_suite()
-    assert suite["ok"]
+def test_cubic_centre_elements():
+    system = build_system(power_poly(3)).system
+    assert all(is_central(element, system) for _, element in cubic_centre_elements())
     labels = [label for label, _ in cubic_centre_elements()]
     assert labels == [
         "a^3",
@@ -561,26 +559,12 @@ def test_tensor_quotient_report_mismatch_shape():
     assert doc["first_mismatch"] == 1
 
 
-def test_power_chain_report():
-    chain = power_chain_report(3, 2)
-    assert chain["entries"][0]["normal_form"] == "x^2*a"
-    assert not chain["all_zero"]
-    assert chain["recursion_identity"]
-    chain43 = power_chain_report(4, 3)
-    assert [e["zero"] for e in chain43["entries"]] == [False, True, False]
-    with pytest.raises(ValueError):
-        power_chain_report(2, 3)
-
-
-def test_degree_two_suite():
-    r0 = degree_two_suite(0, 0)
-    assert r0["anticommute_ok"] and r0["identity_ok"]
-    r20 = degree_two_suite(2, 0)
-    assert r20["anticommute_ok"] and r20["identity_ok"]
-    assert not r20["displayed_variant_zero"]
+def test_degree_two_identities():
+    # the displayed variant differs by 2(g - f), which is never zero
+    assert degree_two_identities(0, 0) == (True, True, False)
+    assert degree_two_identities(2, 0) == (True, True, False)
     # equal parameters: the constant correction vanishes but the identity holds
-    rss = degree_two_suite(Fraction(3, 2), Fraction(3, 2))
-    assert rss["identity_ok"]
+    assert degree_two_identities(Fraction(3, 2), Fraction(3, 2)) == (True, True, False)
 
 
 def test_growth_classification():

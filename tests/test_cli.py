@@ -436,6 +436,30 @@ def test_order_flag_validation(capsys):
         assert "unrecognized arguments: --" in err, argv
 
 
+def test_expression_values_may_begin_with_minus(capsys):
+    # a separate value that begins with '-' is read as the option's value,
+    # as the '=' form is; a missing value, or an option in its place, is not
+    for argv, joined in (
+        (["nf", "--g", "x^2", "--expr", "-a*x"], ["nf", "--g", "x^2", "--expr=-a*x"]),
+        (["nf", "--g", "-x^2", "--expr", "a"], ["nf", "--g=-x^2", "--expr", "a"]),
+        (["nf", "--g", "x^2", "--f", "-y^3", "--expr", "-a*x*y"],
+         ["nf", "--g", "x^2", "--f=-y^3", "--expr=-a*x*y"]),
+    ):
+        assert run_command(joined) == 0
+        expected = capsys.readouterr().out
+        assert run_command(argv) == 0, argv
+        assert capsys.readouterr().out == expected
+    assert expected == "x*a*y\n"
+    for argv in (
+        ["nf", "--g", "x^2", "--expr"],
+        ["nf", "--g", "x^2", "--expr", "--json", "-"],
+        ["nf", "--g", "x^2", "--expr", "--js", "-"],
+        ["nf", "--g", "x^2", "--expr", "-h"],
+    ):
+        assert run_command(argv) == 2, argv
+        assert "--expr: expected one argument" in capsys.readouterr().err
+
+
 def test_tensor_usage_errors(capsys):
     assert run_command(["tensor", "--g", "x^2"]) == 2
     captured = capsys.readouterr()

@@ -84,3 +84,30 @@ def test_tracer_counts_repeated_matches_in_confluence():
     assert probe.stats["rewrite.match"].calls > 0
     assert probe.stats["rewrite.check_confluence"].calls == 1
     assert probe.metrics()["rewrite.match_distinct_ratio"] < 1
+
+
+def test_suite_probe_forwards_the_seed(monkeypatch):
+    # the tracer puts a _SuiteProbe, which copies the suite's __code__, in
+    # place of each suite; run_claim_suites calls it as suite(seed)
+    from diamond import claims
+
+    seen = []
+
+    def recording_suite(seed):
+        seen.append(seed)
+        return []
+
+    monkeypatch.setitem(claims.SUITES, "recording", recording_suite)
+    tracer = load_tracer()
+    probe = tracer.Tracer()
+    probe.install()
+    try:
+        installed = claims.SUITES["recording"]
+        assert installed is not recording_suite
+        assert installed.__code__ is recording_suite.__code__
+        assert claims.run_claim_suites(["recording"], seed=5) == []
+    finally:
+        probe.uninstall()
+    assert claims.SUITES["recording"] is recording_suite
+    assert seen == [5]
+    assert probe.stats["claims.recording"].calls == 1
