@@ -26,7 +26,6 @@ from .presentations import (
     build_quantum_plane,
     build_system,
     build_tensor_presentation,
-    CurvePresentation,
     defining_relation,
     downup_relations,
     leading_filtered_part,
@@ -62,7 +61,6 @@ __all__ = [
     "check_confluence",
     "check_splitting_identity",
     "ConfluenceReport",
-    "CurvePresentation",
     "Cyclotomic",
     "cyclotomic_polynomial",
     "CyclotomicField",

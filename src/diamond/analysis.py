@@ -28,7 +28,10 @@ central z = g(x) - f(y) and z = a^n - b^m is spanned by the rows
 (u (x) w) * z over pairs of normal words.  For z = p (x) 1 - 1 (x) q each
 row is nf(u p) (x) w - u (x) nf(w q), so each leg word takes one normal
 form per relation, and the rows are reduced by the same ``_reduce_row``
-into one pivot table.
+into one pivot table.  The census it is checked against is a product of
+series, one per factor of the product basis: the curve monomials x^i y^j
+(j < m), the block products in a and x and in b and y, and the tails
+a^i b^j (j < m).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import groupby, islice
+from itertools import accumulate, islice
 from weakref import WeakKeyDictionary
 from math import gcd
 
@@ -48,10 +51,10 @@ from .freealg import (
 )
 from .presentations import (
     AX,
-    CurvePresentation,
     DefiningPolynomial,
     build_system,
     defining_relation,
+    tensor_alphabet,
 )
 from .rewrite import check_confluence, normal_form
 from .scalars import CyclotomicField, common_denominator
@@ -118,11 +121,7 @@ class GrowthReport:
     live: list
 
     def cumulative(self) -> list:
-        out, total = [], 0
-        for c in self.counts:
-            total += c
-            out.append(total)
-        return out
+        return list(accumulate(self.counts))
 
 
 def irreducible_census(system, max_len: int) -> GrowthReport:
@@ -471,38 +470,37 @@ def _dimension_at(profile: list, ell: int) -> int:
 
 
 MAX_ORACLE_BOUND = 12
+ORACLE_SLACK = 2
 
 
 @dataclass
 class DimOracleResult:
-    ell: int
-    slack: int
     dimension: int
     stable: bool
-    values: tuple  # dimensions at slack, slack+1, slack+2
+    values: tuple  # dimensions at bounds ell+s, ell+s+1, ell+s+2
 
 
-def dimension_oracle(g: DefiningPolynomial, ell: int, slack: int = 2) -> DimOracleResult:
+def dimension_oracle(g: DefiningPolynomial, ell: int) -> DimOracleResult:
     """Filtration dimension of the quotient at degree <= ell, via exact rank.
 
-    Reads the row space at bounds ell+slack, ell+slack+1, ell+slack+2; the
-    value is certified (``stable``) only when all three agree, since the
-    free algebra gives no a-priori degree bound on ideal elements.  The
-    three bounds are three levels of one level-by-level build of g, shared
-    with every other call for the same g.  Every bound is capped at 12
-    words of length, as a resource guard.
+    Reads the row space at bounds ell+s, ell+s+1, ell+s+2, with s =
+    ``ORACLE_SLACK``; the value is certified (``stable``) only when all
+    three agree, since the free algebra gives no a-priori degree bound on
+    ideal elements.  The three bounds are three levels of one level-by-level
+    build of g, shared with every other call for the same g.  Every bound is
+    capped at 12 words of length, as a resource guard.
     """
-    if ell < 0 or slack < 0:
-        raise ValueError("ell and slack must be nonnegative")
-    if ell + slack + 2 > MAX_ORACLE_BOUND:
+    if ell < 0:
+        raise ValueError("ell must be nonnegative")
+    if ell + ORACLE_SLACK + 2 > MAX_ORACLE_BOUND:
         raise ValueError(
-            f"resource guard: ell + slack + 2 must be <= {MAX_ORACLE_BOUND}"
+            f"resource guard: ell must be <= {MAX_ORACLE_BOUND - ORACLE_SLACK - 2}"
         )
     values = tuple(
-        _dimension_at(ideal_filtration_profile(g, ell + slack + k), ell)
+        _dimension_at(ideal_filtration_profile(g, ell + ORACLE_SLACK + k), ell)
         for k in range(3)
     )
-    return DimOracleResult(ell, slack, values[-1], len(set(values)) == 1, values)
+    return DimOracleResult(values[-1], len(set(values)) == 1, values)
 
 
 def ideal_span_contains(g: DefiningPolynomial, poly: NcPoly, bound: int | None = None) -> bool:
@@ -617,44 +615,30 @@ class TensorQuotientReport:
 def _census_counts(g: DefiningPolynomial, f: DefiningPolynomial, max_degree: int) -> list:
     """Cumulative counts of the product basis
     { x^al y^be * <blocks(a,x)> <blocks(b,y)> * a^i b^j : be < m, j < m }
-    by weighted degree (letters of the first factor weigh m, of the second n)."""
+    by weighted degree, each letter weighing as in ``tensor_alphabet``.
+
+    The count per degree is the product of four series: the curve monomials
+    x^i y^j (j < m), the block series 1 / (1 - sum_b t^(w |b|)) of each
+    factor, and the tails a^i b^j (j < m), which weigh as the curve
+    monomials do."""
     n, m = g.degree, f.degree
-    wx, wy = m, n
-
-    def block_length_counts(k: int, weight: int) -> list:
-        counts = [0] * (max_degree + 1)
-        counts[0] = 1
-        lengths = [len(b) for b in pbw_block_letters(k)]
-        for degree in range(1, max_degree + 1):
-            total = 0
-            for blen in lengths:
-                w = blen * weight
-                if w <= degree:
-                    total += counts[degree - w]
-            counts[degree] += total
-        return counts
-
-    blocks1 = block_length_counts(n, wx)
-    blocks2 = block_length_counts(m, wy)
-    curve = CurvePresentation(g, f).basis_counts(max_degree, (wx, wy))
-
-    def convolve(u: list, v: list) -> list:
-        out = [0] * (max_degree + 1)
-        for i, a in enumerate(u):
-            if a:
-                for j_, b in enumerate(v):
-                    if b and i + j_ <= max_degree:
-                        out[i + j_] += a * b
-        return out
-
-    # a^i b^j with j < m weigh m*i + n*j, as x^i y^j with j < m do in the
-    # curve basis, so the tails count like the curve
-    per_degree = convolve(convolve(convolve(curve, blocks1), blocks2), curve)
-    out, total = [], 0
-    for c in per_degree:
-        total += c
-        out.append(total)
-    return out
+    _, wx, _, wy = tensor_alphabet(n, m).weights
+    degrees = range(max_degree + 1)
+    curve = [0] * (max_degree + 1)
+    for j in range(m):
+        for d in range(wy * j, max_degree + 1, wx):
+            curve[d] += 1
+    factors = [curve, curve]
+    for k, weight in ((n, wx), (m, wy)):
+        steps = [weight * len(block) for block in pbw_block_letters(k)]
+        series = [1]
+        for d in degrees[1:]:
+            series.append(sum(series[d - step] for step in steps if step <= d))
+        factors.append(series)
+    product = [1] + [0] * max_degree
+    for factor in factors:
+        product = [sum(product[i] * factor[d - i] for i in range(d + 1)) for d in degrees]
+    return list(accumulate(product))
 
 
 def quotient_dimension_tensor(
@@ -675,10 +659,10 @@ def quotient_dimension_tensor(
         raise ValueError("first factor system is not confluent")
     if not check_confluence(right).overall:
         raise ValueError("second factor system is not confluent")
-    wx, wy = m, n
+    _, wx, _, wy = tensor_alphabet(n, m).weights
 
-    left_words = [w for w in pbw_words(n, max_degree // wx) if wx * len(w) <= max_degree]
-    right_words = [w for w in pbw_words(m, max_degree // wy) if wy * len(w) <= max_degree]
+    left_words = pbw_words(n, max_degree // wx)
+    right_words = pbw_words(m, max_degree // wy)
     pairs = []
     for u in left_words:
         for w in right_words:
@@ -686,12 +670,9 @@ def quotient_dimension_tensor(
             if wdeg <= max_degree:
                 pairs.append((wdeg, u, w))
     pairs.sort()
-    # ranks run by descending weighted degree, then by (u, w): the degree
-    # blocks of ``pairs`` in reverse
-    blocks = [list(block) for _, block in groupby(pairs, key=lambda t: t[0])]
-    ordered = [t for block in reversed(blocks) for t in block]
+    # ranks run by descending weighted degree, then by (u, w)
+    ordered = sorted(pairs, key=lambda t: -t[0])
     rank_of = {(u, w): i for i, (_, u, w) in enumerate(ordered)}
-    wdeg_of_rank = [t[0] for t in ordered]
 
     top = n * m
 
@@ -724,24 +705,17 @@ def quotient_dimension_tensor(
             reduced = _reduce_row(_integer_row(dict(row.items()), rank_of.__getitem__), pivots)
             if reduced:
                 pivots[min(reduced)] = reduced
-    pivot_by_degree = [0] * (max_degree + 1)
-    for lead in pivots:
-        pivot_by_degree[wdeg_of_rank[lead]] += 1
-    pair_by_degree = [0] * (max_degree + 1)
+    # pairs minus pivot leads, per weighted degree
+    free = [0] * (max_degree + 1)
     for wdeg, _, _ in pairs:
-        pair_by_degree[wdeg] += 1
-
-    rank_dims, census = [], _census_counts(g, f, max_degree)
-    total_pairs = total_pivots = 0
-    first_mismatch = None
-    degrees = list(range(max_degree + 1))
-    for d in degrees:
-        total_pairs += pair_by_degree[d]
-        total_pivots += pivot_by_degree[d]
-        rank_dims.append(total_pairs - total_pivots)
-        if first_mismatch is None and rank_dims[d] != census[d]:
-            first_mismatch = d
-    return TensorQuotientReport(degrees, rank_dims, census, first_mismatch)
+        free[wdeg] += 1
+    for lead in pivots:
+        free[ordered[lead][0]] -= 1
+    rank_dims, census = list(accumulate(free)), _census_counts(g, f, max_degree)
+    first_mismatch = next(
+        (d for d, (rank, count) in enumerate(zip(rank_dims, census)) if rank != count), None
+    )
+    return TensorQuotientReport(list(range(max_degree + 1)), rank_dims, census, first_mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -809,23 +783,23 @@ def degree_two_identities(r, s) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def random_defining_polynomial(rng, degree: int, bound: int = 9) -> DefiningPolynomial:
+def random_defining_polynomial(rng, degree: int) -> DefiningPolynomial:
     """Random monic defining polynomial with numerators and denominators
-    bounded by ``bound``."""
+    bounded by 9."""
     coeffs = [
-        Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         for _ in range(degree - 1)
     ]
     coeffs.append(Fraction(1))
     return DefiningPolynomial(tuple(coeffs))
 
 
-def random_ncpoly(rng, alphabet: Alphabet, max_len: int, terms: int, bound: int = 5) -> NcPoly:
+def random_ncpoly(rng, alphabet: Alphabet, max_len: int, terms: int) -> NcPoly:
     out = {}
     for _ in range(terms):
         length = rng.randint(0, max_len)
         word = tuple(rng.randrange(len(alphabet)) for _ in range(length))
         out[word] = out.get(word, 0) + Fraction(
-            rng.randint(-bound, bound), rng.randint(1, bound)
+            rng.randint(-5, 5), rng.randint(1, 5)
         )
     return NcPoly(alphabet, out)

@@ -194,7 +194,7 @@ def pbw_suite(seed: int) -> list:
             g = _power(n)
             cumulative = irreducible_census(build_system(g).system, 8).cumulative()
             for ell in range(9):
-                result = dimension_oracle(g, ell, 2)
+                result = dimension_oracle(g, ell)
                 if not result.stable or result.dimension != cumulative[ell]:
                     yield {"n": n, "ell": ell, "oracle": result.values,
                            "census": cumulative[ell]}
@@ -229,7 +229,7 @@ def pbw_suite(seed: int) -> list:
             "slack-stabilized exact-rank dimensions equal cumulative "
             "irreducible counts for degrees 2..4 up to filtration 8",
             oracle_failures(),
-            {"ell": 8, "slack": 2},
+            {"ell": 8, "slack": analysis.ORACLE_SLACK},
         ),
     ]
 

@@ -415,16 +415,13 @@ def _power_system(n: int) -> ReductionSystem:
 
 def _cmd_basis(args, argv) -> int:
     # the census counts the same words as pbw_words, in milliseconds
-    total = sum(irreducible_census(_power_system(args.n), args.max_len).counts)
-    if total > MAX_BASIS_WORDS:
+    counts = irreducible_census(_power_system(args.n), args.max_len).counts
+    if sum(counts) > MAX_BASIS_WORDS:
         raise UsageError(
-            f"resource guard: the basis has {total} words, more than {MAX_BASIS_WORDS}; "
+            f"resource guard: the basis has {sum(counts)} words, more than {MAX_BASIS_WORDS}; "
             "lower --max-len"
         )
     words = pbw_words(args.n, args.max_len)
-    counts = [0] * (args.max_len + 1)
-    for word in words:
-        counts[len(word)] += 1
     for word in words:
         print(render_word(AX, word))
     print(f"counts per length: {counts}")

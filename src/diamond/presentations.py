@@ -2,9 +2,8 @@
 
 Everything here turns defining polynomial data into oriented reduction
 systems: the skew-primitive systems generated by a single polynomial g, the
-one-rule root-of-unity plane, down-up relation sets, the combined
-two-polynomial tensor system over four generators, and the commutative
-plane-curve quotient used as its census oracle.
+one-rule root-of-unity plane, down-up relation sets, and the combined
+two-polynomial tensor system over four generators.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .freealg import Alphabet, NcPoly, Word, bidegree_sum
+from .freealg import Alphabet, NcPoly, bidegree_sum
 from .ordering import GrlexPlus, ProductGrlex
 from .rewrite import ReductionSystem, Rule
 from .scalars import CyclotomicField
@@ -274,7 +273,7 @@ def build_tensor_presentation(g: DefiningPolynomial, f: DefiningPolynomial) -> P
 
     Relations: the four cross commutators (oriented with first-factor
     letters leftmost), both skew-primitive families, the group relation
-    b^m -> a^n and the curve relation y^m -> g(x) - (f(y) - s_m y^m)/s_m.
+    b^m -> a^n and the curve relation y^m -> (g(x) - f(y))/s_m + y^m.
     All rules are oriented under the product order and compatibility is
     checked at construction.
     """
@@ -341,34 +340,3 @@ def build_tensor_presentation(g: DefiningPolynomial, f: DefiningPolynomial) -> P
             "f": f.render("y"),
         },
     )
-
-
-@dataclass
-class CurvePresentation:
-    """The commutative quotient k[x, y] / (g(x) - f(y)).
-
-    Standard monomials eliminate y^m: the basis is { x^i y^j : j < m }.
-    """
-
-    g: DefiningPolynomial
-    f: DefiningPolynomial
-
-    def basis(self, max_degree: int, weights=(1, 1)):
-        """Standard monomials (i, j), j < deg f, of weighted degree <= bound."""
-        wx, wy = weights
-        m = self.f.degree
-        out = []
-        for j in range(m):
-            if wy * j > max_degree:
-                break
-            for i in range((max_degree - wy * j) // wx + 1):
-                out.append((i, j))
-        return sorted(out, key=lambda ij: (wx * ij[0] + wy * ij[1], ij))
-
-    def basis_counts(self, max_degree: int, weights=(1, 1)) -> list:
-        """Number of standard monomials at each weighted degree 0..max."""
-        counts = [0] * (max_degree + 1)
-        wx, wy = weights
-        for i, j in self.basis(max_degree, weights):
-            counts[wx * i + wy * j] += 1
-        return counts

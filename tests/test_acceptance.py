@@ -122,7 +122,7 @@ def test_criterion_03_pbw_suite():
         g = power_poly(n)
         cumulative = irreducible_census(build_system(g).system, 8).cumulative()
         for ell in range(9):
-            result = dimension_oracle(g, ell, 2)
+            result = dimension_oracle(g, ell)
             if not result.stable or result.dimension != cumulative[ell]:
                 ok = False
     elapsed = time.time() - started

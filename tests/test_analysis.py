@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,8 +12,10 @@ from diamond import analysis
 from diamond.analysis import (
     Classification,
     TensorQuotientReport,
+    _census_counts,
     _column_length,
     _column_word,
+    _dimension_at,
     _echelon,
     _IdealEchelon,
     _integer_row,
@@ -42,7 +46,7 @@ from diamond.presentations import (
     build_tensor_presentation,
     defining_relation,
 )
-from diamond.rewrite import ReductionSystem, Rule, normal_form
+from diamond.rewrite import ReductionSystem, Rule, check_confluence, normal_form
 from diamond.scalars import CyclotomicField
 
 A, X = 0, 1
@@ -420,17 +424,20 @@ def test_dimension_oracle_examples():
 
 def test_dimension_oracle_guard():
     with pytest.raises(ValueError):
-        dimension_oracle(power_poly(2), 9, 2)
+        dimension_oracle(power_poly(2), 9)
     with pytest.raises(ValueError):
-        dimension_oracle(power_poly(2), -1, 2)
+        dimension_oracle(power_poly(2), -1)
 
 
 def test_dimension_oracle_monotone_in_slack():
-    # adding slack can only add relation rows, so dimensions never increase
+    # a larger bound can only add relation rows, so dimensions never increase
     for n in (2, 3):
         for ell in (3, 5):
-            values = dimension_oracle(power_poly(n), ell, 0).values
-            assert list(values) == sorted(values, reverse=True)
+            values = [
+                _dimension_at(ideal_filtration_profile(power_poly(n), ell + k), ell)
+                for k in range(3)
+            ]
+            assert values == sorted(values, reverse=True)
 
 
 def test_ideal_span_soundness():
@@ -557,6 +564,60 @@ def test_tensor_quotient_report_mismatch_shape():
     assert not report.ok
     doc = report.to_json_dict()
     assert doc["first_mismatch"] == 1
+
+
+def weighted_automaton_census(system, max_degree: int) -> list:
+    """Cumulative irreducible words per weighted degree, by the transfer
+    matrix of the obstruction automaton with each letter stepping by its
+    alphabet weight (Ufnarovski 1982)."""
+    automaton = system.automaton
+    none = len(automaton.rules)
+    weights = system.alphabet.weights
+    ending = [{0: 1}]  # per degree: live state -> words of that degree ending there
+    for degree in range(1, max_degree + 1):
+        here: dict = {}
+        for letter, weight in enumerate(weights):
+            if weight <= degree:
+                for state, count in ending[degree - weight].items():
+                    target = automaton.delta[state][letter]
+                    if automaton.rank[target] == none:
+                        here[target] = here.get(target, 0) + count
+        ending.append(here)
+    return list(accumulate(sum(here.values()) for here in ending))
+
+
+def census_pairs():
+    fixed = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (5, 4)]
+    pairs = [(power_poly(n), power_poly(m)) for n, m in fixed]
+    rng = random.Random(21)
+    for _ in range(5):
+        g = random_defining_polynomial(rng, rng.randint(2, 5))
+        pairs.append((g, random_defining_polynomial(rng, rng.randint(2, 5))))
+    return pairs
+
+
+@pytest.mark.parametrize("g, f", census_pairs())
+def test_census_counts_match_tensor_automaton(g, f):
+    # the closed form is the four-letter system's census at every weighted
+    # degree up to 4nm, once that system is confluent
+    system = build_tensor_presentation(g, f).system
+    assert check_confluence(system).overall
+    bound = 4 * g.degree * f.degree
+    assert _census_counts(g, f, bound) == weighted_automaton_census(system, bound)
+
+
+TENSOR_GOLDEN = Path(__file__).parent / "golden" / "tensor_quotient.json"
+
+
+def test_tensor_quotient_matches_golden():
+    # reports and census counts recorded before the census was rewritten
+    for case in json.loads(TENSOR_GOLDEN.read_text()):
+        g = DefiningPolynomial.from_coefficients(Fraction(c) for c in case["g"])
+        f = DefiningPolynomial.from_coefficients(Fraction(c) for c in case["f"])
+        report = quotient_dimension_tensor(g, f, case["max_degree"])
+        assert report.to_json_dict() == case["report"]
+        for degree in range(len(case["census_counts"])):
+            assert _census_counts(g, f, degree) == case["census_counts"][: degree + 1]
 
 
 def test_degree_two_identities():

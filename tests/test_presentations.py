@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from diamond.freealg import Alphabet, NcPoly, bidegree_sum
 from diamond.presentations import (
     AX,
-    CurvePresentation,
     DefiningPolynomial,
     build_quantum_plane,
     build_system,
@@ -306,24 +305,3 @@ def test_tensor_presentation_nodal_relations():
     assert pres.relation("sigma_1") == bidegree_sum(
         pres.alphabet, 1, 1, (a, x)
     ) + bidegree_sum(pres.alphabet, 1, 2, (a, x))
-
-
-def test_curve_presentation():
-    square = CurvePresentation(
-        DefiningPolynomial.from_coefficients((0, 1)),
-        DefiningPolynomial.from_coefficients((0, 1)),
-    )
-    basis = square.basis(3)
-    assert set(basis) == {(i, j) for i in range(4) for j in (0, 1) if i + j <= 3}
-    assert square.basis_counts(3) == [1, 2, 2, 2]
-
-    cusp = CurvePresentation(
-        DefiningPolynomial.from_coefficients((0, 0, 1)),
-        DefiningPolynomial.from_coefficients((0, 1)),
-    )
-    assert all(j < 2 for _, j in cusp.basis(6))
-    nodal = CurvePresentation(
-        DefiningPolynomial.from_coefficients((0, 1, 1)),
-        DefiningPolynomial.from_coefficients((0, 1)),
-    )
-    assert all(j < 2 for _, j in nodal.basis(6))
