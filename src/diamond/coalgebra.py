@@ -7,7 +7,11 @@ eps c = 0); both maps extend to algebra maps.  Every alphabet of the
 package lists its letters in these pairs, (a, x) for A(x, a, g), (b, y)
 for A(y, b, f) and (a, x, b, y) for A(g, f), so the one rule gives all
 three algebras: a and b are grouplike, x is skew-primitive against a and
-y against b.
+y against b.  Multiplied out, Delta(w) for a word w is the sum over the
+subsets T of the positions of its odd letters of l (x) r, each with the
+coefficient of w: l keeps the even letters of w and those at T, and r is w
+with each letter at T lowered by one.  r fixes T, so the 2^k terms of a
+word with k odd letters are distinct; ``coproduct`` enumerates them.
 
 Membership of a tensor element in I (x) F + F (x) I is decided by
 reducing each tensor leg to normal form.  That computes in the quotient
@@ -20,29 +24,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import Alphabet, NcPoly, TensorPoly, bidegree_sum
+from .freealg import NcPoly, TensorPoly, bidegree_sum
 from .presentations import AX, DefiningPolynomial, Presentation, build_system
 from .rewrite import ReductionSystem, check_confluence, normal_form
 
 
-def _letter_coproduct(alphabet: Alphabet, letter: int) -> TensorPoly:
-    if letter % 2 == 0:
-        return TensorPoly.simple(alphabet, (letter,), (letter,))
-    return TensorPoly.simple(alphabet, (), (letter,)) + TensorPoly.simple(
-        alphabet, (letter,), (letter - 1,)
-    )
-
-
 def coproduct(poly: NcPoly) -> TensorPoly:
-    """Algebra-map extension of the letter coproducts."""
-    alphabet = poly.alphabet
+    """Algebra-map extension of the letter coproducts, in closed form: the
+    leg pairs of each word are doubled at each odd letter, with no product."""
     terms = []
     for word, coeff in poly.items():
-        value = TensorPoly.one(alphabet)
-        for letter in word:
-            value = value * _letter_coproduct(alphabet, letter)
-        terms.extend((key, coeff * c) for key, c in value.items())
-    return TensorPoly(alphabet, terms)
+        legs = [((), ())]
+        for c in word:
+            # an odd c stays right, or goes left and leaves c - 1 right
+            moves = (((), (c,)), ((c,), (c - 1,))) if c % 2 else (((c,), (c,)),)
+            legs = [(l + dl, r + dr) for dl, dr in moves for l, r in legs]
+        terms.extend((key, coeff) for key in legs)
+    return TensorPoly(poly.alphabet, terms)
 
 
 def counit(poly: NcPoly):
@@ -80,14 +78,14 @@ def tensor_normal_form(tensor: TensorPoly, system: ReductionSystem) -> TensorPol
     This computes the image in (F/I) (x) (F/I); its kernel is exactly
     I (x) F + F (x) I.  Representative-independence needs confluence.
     """
-    terms = []
+    terms, nf = [], {}  # each distinct leg word is reduced once
     for (left, right), coeff in tensor.items():
-        nf_left = normal_form(NcPoly.monomial(system.alphabet, left), system)
-        nf_right = normal_form(NcPoly.monomial(system.alphabet, right), system)
+        for word in {left, right} - nf.keys():
+            nf[word] = normal_form(NcPoly.monomial(system.alphabet, word), system)
         terms.extend(
             ((wl, wr), coeff * (cl * cr))
-            for wl, cl in nf_left.items()
-            for wr, cr in nf_right.items()
+            for wl, cl in nf[left].items()
+            for wr, cr in nf[right].items()
         )
     return TensorPoly(tensor.alphabet, terms)
 

@@ -11,15 +11,16 @@ integral rules computes in ``int`` end to end.
 The module also provides the structured sums this package revolves
 around: ``bidegree_sum(j, i)``, the sum P(j, i) of all words containing j
 copies of one letter a and i of another x.  Its words come from one
-enumeration by definition, ``bidegree_words``: each word is a copy of
-pair[1]^(i+j) with pair[0] written at one j-subset of the positions, in
-``combinations`` order, so the sorted word comes first, and the rest-sum
-Q(j, i), P(j, i) without its sorted word, is the stream without it.  The
-sum wraps these distinct words, each with the int 1, without a cleaning
-pass.  The enumeration never recurses through the identities below, which
-are checked against it.  The splitting identities peel h letters off the
-head and t off the tail of every word of a bidegree sum, all instances of
-one formula,
+definition in two encodings: a is written at one j-subset of the L = i+j
+positions of x^L, the subsets taken in ``combinations`` order.
+``bidegree_words`` yields tuples; ``bidegree_masks`` yields ints, with bit
+L-1-p set when position p holds a, which strictly decrease.  The sorted
+word a^j x^i comes first, so the rest-sum Q(j, i), P(j, i) without it, is
+the stream without its first item.  The sum wraps the distinct tuple
+words, each with the int 1, without a cleaning pass.  Neither encoding
+recurses through the identities below, which are checked against them.
+The splitting identities peel h letters off the head and t off the tail
+of every word of a bidegree sum, all instances of one formula,
 
     P(r,s) = sum_{u in {a,x}^h, v in {a,x}^t} u * P(r - #a(uv), s - #x(uv)) * v,
 
@@ -29,17 +30,17 @@ with (h, t) = (0, 1) for "tail1", (0, 2) "tail2", (2, 0) "head2",
 "q_tail1", the one-letter recursion of the rest-sums.
 ``check_splitting_identity`` checks any of them exactly, in the letters
 a = 0 and x = 1, so they can be property-tested wholesale.  It builds no
-term map: both sides are streams of words with coefficient 1, and each
-word w of the left side is routed by its head u and tail v to the
-right-side part u * P(...) * v, whose next word must be w.  A one-to-one
-pairing of the two streams is equality of the two polynomials, whatever
-order the words come in.
+term map and no tuple: both sides are streams of masks with coefficient
+1, and each mask w of the left side is routed by its head u and tail v,
+read off with shifts, to the right-side part u * P(...) * v, whose next
+mask must be the middle of w.  A one-to-one pairing of the two streams is
+equality of the two polynomials, whatever order the words come in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 
 Word = tuple  # tuple[int, ...]
 
@@ -285,10 +286,18 @@ def bidegree_words(j: int, i: int, pair=(0, 1)):
         yield tuple(word)
 
 
-def _rest_words(m: int, q: int):
-    # the words of bidegree_words(m, q) but its first, the sorted a^m x^q:
+def bidegree_masks(j: int, i: int):
+    """The words of ``bidegree_words(j, i)``, in its order, as ints: bit
+    i+j-1-p is set when position p holds a.  Empty when j or i is negative."""
+    if i < 0 or j < 0:
+        return iter(())
+    return map(sum, combinations([1 << (i + j - 1 - p) for p in range(i + j)], j))
+
+
+def _rest_masks(m: int, q: int):
+    # the masks of bidegree_masks(m, q) but its first, the sorted a^m x^q:
     # the rest-sum Q(m, q)
-    return islice(bidegree_words(m, q), 1, None)
+    return islice(bidegree_masks(m, q), 1, None)
 
 
 def bidegree_sum(alphabet: Alphabet, j: int, i: int, pair=(0, 1)) -> NcPoly:
@@ -320,21 +329,22 @@ PEELS = {
 }
 
 
-def _routed_match(words, h: int, t: int, parts: dict) -> bool:
-    """Whether the words of ``words`` are, with multiplicity, the words
-    u * m * v for m from ``parts[(u, v)]``, each part an iterator of words.
+def _routed_match(masks, length: int, h: int, t: int, parts: dict) -> bool:
+    """Whether the ``length``-letter masks of ``masks`` are, with multiplicity,
+    the words u * m * v for m from ``parts[(u, v)]``, each an iterator of masks.
 
-    Every word w is routed by its head u = w[:h] and tail v = w[len - t:]
-    to one part, whose next word must be the middle of w; then every part
-    must be used up.  A True answer pairs the two streams one to one, so
-    the sums of their words are equal, whatever order the words come in.
+    Every word w is routed by its head u = w >> (length - h) and tail
+    v = w & (2^t - 1) to one part, whose next mask must be w's middle; then
+    every part must be used up.  A True answer pairs the two streams one to
+    one, so the sums of their words are equal, whatever order they come in.
     """
-    for word in words:
-        cut = len(word) - t
-        if cut < h:
+    cut, mid = length - h, length - h - t
+    tail, middle = (1 << t) - 1, (1 << max(mid, 0)) - 1
+    for mask in masks:
+        if mid < 0:
             return False
-        part = parts.get((word[:h], word[cut:]))
-        if part is None or next(part, None) != word[h:cut]:
+        part = parts.get((mask >> cut, mask & tail))
+        if part is None or next(part, None) != (mask >> t) & middle:
             return False
     return all(next(part, None) is None for part in parts.values())
 
@@ -354,23 +364,23 @@ def check_splitting_identity(kind: str, r: int, s: int) -> bool:
     Q(r,s) = Q(r,s-1)x + P(r-1,s)a, which fails exactly when s = 0 < r (the
     right side is then a^r).
 
-    No sum is built: ``_routed_match`` pairs the left side's words with the
-    words of the right-side parts as both are enumerated.
+    No sum is built: ``_routed_match`` pairs the left side's masks with the
+    masks of the right-side parts as both are enumerated.
     """
     if r < 0 or s < 0:
         raise ValueError("indices must be nonnegative")
     if kind == "q_tail1":
-        parts = {((), (1,)): _rest_words(r, s - 1), ((), (0,)): bidegree_words(r - 1, s)}
-        return _routed_match(_rest_words(r, s), 0, 1, parts)
+        parts = {(0, 0): _rest_masks(r, s - 1), (0, 1): bidegree_masks(r - 1, s)}  # tails x, a
+        return _routed_match(_rest_masks(r, s), r + s, 0, 1, parts)
     if kind not in PEELS:
         raise ValueError(f"unknown identity kind {kind!r}")
     h, t = PEELS[kind]
+    # uv is the mask of the h + t peeled letters; divmod splits it into (u, v)
     parts = {
-        (u, v): bidegree_words(r - (u + v).count(0), s - (u + v).count(1))
-        for u in product((0, 1), repeat=h)
-        for v in product((0, 1), repeat=t)
+        divmod(uv, 1 << t): bidegree_masks(r - uv.bit_count(), s - h - t + uv.bit_count())
+        for uv in range(1 << (h + t))
     }
-    return _routed_match(bidegree_words(r, s), h, t, parts)
+    return _routed_match(bidegree_masks(r, s), r + s, h, t, parts)
 
 
 class TensorPoly(NcPoly):

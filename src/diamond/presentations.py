@@ -191,7 +191,8 @@ def build_system(g: DefiningPolynomial, alphabet: Alphabet = AX) -> Presentation
     gm = g.monic()
     order = GrlexPlus(alphabet, weight_letter=1, lex_top=0)
     rules, relations = _skew_primitive_rules(gm, "sigma", alphabet, (0, 1))
-    system = ReductionSystem(alphabet, order, rules, name=f"Sigma[{gm.render(alphabet.names[1])}]")
+    rendered = gm.render(alphabet.names[1])
+    system = ReductionSystem(alphabet, order, rules, name=f"Sigma[{rendered}]")
     return Presentation(
         alphabet,
         relations,
@@ -199,7 +200,7 @@ def build_system(g: DefiningPolynomial, alphabet: Alphabet = AX) -> Presentation
         metadata={
             "construction": "skew-primitive",
             "degree": n,
-            "defining_polynomial": gm.render(alphabet.names[1]),
+            "defining_polynomial": rendered,
             "scale": scale,
         },
     )

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from diamond.analysis import random_ncpoly
 from diamond.coalgebra import (
     check_coproduct_bidegree,
     coassociativity_holds,
@@ -18,6 +19,7 @@ from diamond.presentations import (
     defining_relation,
     tensor_alphabet,
 )
+from diamond.scalars import CyclotomicField
 
 A, X = 0, 1
 
@@ -40,6 +42,47 @@ def tensor(left, right):
 def test_generator_coproducts():
     assert coproduct(mono(A)) == simple((A,), (A,))
     assert coproduct(mono(X)) == simple((), (X,)) + simple((X,), (A,))
+
+
+def letter_product_coproduct(poly):
+    """The coproduct as the algebra map it extends: one ``TensorPoly`` per
+    letter, multiplied along each word, scaled and summed."""
+    alphabet = poly.alphabet
+
+    def letter(c):
+        if c % 2 == 0:
+            return TensorPoly.simple(alphabet, (c,), (c,))
+        return TensorPoly.simple(alphabet, (), (c,)) + TensorPoly.simple(alphabet, (c,), (c - 1,))
+
+    total = TensorPoly.zero(alphabet)
+    for word, coeff in poly.items():
+        value = TensorPoly.one(alphabet)
+        for c in word:
+            value = value * letter(c)
+        total = total + value.scale(coeff)
+    return total
+
+
+def test_closed_form_coproduct_matches_letter_products():
+    # over (a, x), over (a, x, b, y) with b even and y odd, and with
+    # Q(zeta_8) coefficients
+    rng = random.Random(41)
+    zeta = CyclotomicField(8).q
+    cases = [(AX, 1), (tensor_alphabet(2, 3), 1), (AX, zeta), (tensor_alphabet(3, 2), zeta)]
+    for alphabet, unit in cases:
+        for _ in range(12):
+            p = random_ncpoly(rng, alphabet, 7, 5).scale(unit)
+            assert coproduct(p) == letter_product_coproduct(p)
+
+
+def test_coproduct_of_a_word_has_two_to_the_odd_letters_terms():
+    alphabet = tensor_alphabet(2, 2)
+    for word in ((), (0, 2), (1,), (1, 1, 0), (3, 1, 2, 3), (1, 0, 3, 3, 1, 2, 1)):
+        p = NcPoly.monomial(alphabet, word, Fraction(-2, 3))
+        delta = coproduct(p)
+        assert len(delta) == 2 ** sum(c % 2 for c in word)
+        assert {c for _, c in delta.items()} == {Fraction(-2, 3)}
+        assert delta == letter_product_coproduct(p)
 
 
 def test_coproduct_of_x_squared():

@@ -12,8 +12,9 @@ from diamond.freealg import (
     Alphabet,
     NcPoly,
     TensorPoly,
-    _rest_words,
+    _rest_masks,
     _routed_match,
+    bidegree_masks,
     bidegree_sum,
     bidegree_words,
     check_splitting_identity,
@@ -30,6 +31,16 @@ def mono(*letters):
 
 def words_of(poly):
     return set(poly.support())
+
+
+def encode(word):
+    """The mask of a word in (a, x): bit len - 1 - p is set when position p holds a."""
+    return sum(1 << (len(word) - 1 - p) for p, c in enumerate(word) if c == A)
+
+
+def decode(mask, length):
+    """The word in (a, x) of a mask of ``length`` letters."""
+    return tuple(A if mask >> (length - 1 - p) & 1 else X for p in range(length))
 
 
 def rest_sum(alphabet, m, q, pair=(A, X)):
@@ -95,10 +106,10 @@ def test_bidegree_sum_rejects_bad_pairs():
 
 def test_bidegree_rest():
     # the rest-sum stream of the q_tail1 check: P(m, q) without a^m x^q
-    assert list(_rest_words(1, 0)) == []
-    assert list(_rest_words(0, 5)) == []
-    assert list(_rest_words(1, 1)) == [(X, A)]
-    assert sorted(_rest_words(1, 2)) == [(X, A, X), (X, X, A)]
+    assert list(_rest_masks(1, 0)) == []
+    assert list(_rest_masks(0, 5)) == []
+    assert list(_rest_masks(1, 1)) == [encode((X, A))]
+    assert list(_rest_masks(1, 2)) == [encode((X, A, X)), encode((X, X, A))]
 
 
 def test_product_examples():
@@ -222,43 +233,64 @@ def test_bidegree_sum_holds_the_enumerated_words():
                 words = list(bidegree_words(j, i, pair))
                 assert len(set(words)) == len(words)
                 assert list(bidegree_sum(alphabet, j, i, pair).support()) == words
-    for j in range(-1, 8):
-        for i in range(-1, 8):
+
+
+def test_masks_decode_to_the_enumerated_words():
+    # the second encoding of the one enumeration: the same words, in the
+    # same order, strictly decreasing; the rest stream drops only the sorted
+    # word a^j x^i
+    for j in range(-1, 9):
+        for i in range(-1, 9):
+            masks = list(bidegree_masks(j, i))
+            assert [decode(m, i + j) for m in masks] == list(bidegree_words(j, i))
+            assert all(m > n for m, n in zip(masks, masks[1:]))
             sorted_word = (A,) * j + (X,) * i
-            assert list(_rest_words(j, i)) == [w for w in bidegree_words(j, i) if w != sorted_word]
+            rest = [decode(m, i + j) for m in _rest_masks(j, i)]
+            assert rest == [w for w in bidegree_words(j, i) if w != sorted_word]
 
 
 def peel_parts(r, s, h, t):
-    """The right-side parts of a peel identity on (a, x), as word lists."""
+    """The right-side parts of a peel identity on (a, x), as mask lists keyed
+    by the masks of their head and tail, encoded from the tuple words."""
     return {
-        (u, v): list(bidegree_words(r - (u + v).count(A), s - (u + v).count(X)))
+        (encode(u), encode(v)): [
+            encode(w) for w in bidegree_words(r - (u + v).count(A), s - (u + v).count(X))
+        ]
         for u in product((A, X), repeat=h)
         for v in product((A, X), repeat=t)
     }
 
 
-def routed(words, h, t, parts):
-    return _routed_match(iter(words), h, t, {key: iter(p) for key, p in parts.items()})
+def routed(masks, length, h, t, parts):
+    return _routed_match(iter(masks), length, h, t, {key: iter(p) for key, p in parts.items()})
 
 
 def test_routed_match_negative_controls():
     h, t = PEELS["head1_tail2"]
-    words = list(bidegree_words(3, 3))
+    words = [encode(w) for w in bidegree_words(3, 3)]
     parts = peel_parts(3, 3, h, t)
-    assert routed(words, h, t, parts)
-    key = ((A,), (X, X))
+    assert routed(words, 6, h, t, parts)
+    key = (encode((A,)), encode((X, X)))
     middles = parts[key]
     assert len(middles) == 3
-    # a part that drops one word, yields one twice, or yields one extra
-    for broken in (middles[1:], middles[:1] + middles, middles + [middles[0]], middles + [(X,)]):
-        assert not routed(words, h, t, {**parts, key: broken})
+    # a part that drops one middle, yields one twice, yields one extra, or
+    # yields a wrong one in place of the last
+    for broken in (
+        middles[1:],
+        middles[:1] + middles,
+        middles + [middles[0]],
+        middles + [0],
+        middles[:-1] + [0],
+    ):
+        assert not routed(words, 6, h, t, {**parts, key: broken})
     # a left word that names no part, or is shorter than h + t
-    assert not routed(words, h, t, {k: p for k, p in parts.items() if k != key})
-    assert not routed([(A, X)] + words, h, t, parts)
-    assert not routed([()], 0, 1, {((), (A,)): [], ((), (X,)): []})
+    assert not routed(words, 6, h, t, {k: p for k, p in parts.items() if k != key})
+    assert not routed([encode((A, X))], 2, h, t, parts)
+    assert not routed([0], 0, 0, 1, {(0, 1): [], (0, 0): []})
     # the pairing is one to one, not an order: a word twice on both sides
     # is a coefficient 2 on both sides
-    assert routed([(A, X), (A, X)], 0, 1, {((), (X,)): [(A,), (A,)], ((), (A,)): []})
+    ax, a = encode((A, X)), encode((A,))
+    assert routed([ax, ax], 2, 0, 1, {(0, encode((X,))): [a, a], (0, encode((A,))): []})
 
 
 def traced_peak(check):

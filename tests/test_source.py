@@ -10,9 +10,9 @@ may step the transition table.  Every top-level definition is referenced by
 other code of the package, so nothing is kept for the tests alone; a
 re-export in ``__init__.py`` is not a use, and ``__all__`` lists exactly
 the names ``__init__.py`` imports.
-``bidegree_words`` and ``bidegree_sum`` enumerate the words by definition:
-built from a peel identity, the splitting claims would check that identity
-against itself.
+``bidegree_words``, ``bidegree_masks`` and ``bidegree_sum`` enumerate the
+words by definition: built from a peel identity, the splitting claims would
+check that identity against itself.
 """
 
 import ast
@@ -208,12 +208,12 @@ def test_imported_names_reads_from_imports():
     assert imported_names(ast.parse(code)) == {"b", "d", "e"}
 
 
-#: what ``bidegree_words`` and ``bidegree_sum`` may not be built from: the
-#: sum itself, the rest-sum stream, and the peel identities the splitting
-#: claims check against them
+#: what ``bidegree_words``, ``bidegree_masks`` and ``bidegree_sum`` may not
+#: be built from: the sum itself, the rest-sum mask stream, and the peel
+#: identities the splitting claims check against them
 PEEL_NAMES = {
     "bidegree_sum",
-    "_rest_words",
+    "_rest_masks",
     "check_splitting_identity",
     "_routed_match",
     "PEELS",
@@ -234,6 +234,7 @@ def test_bidegree_sum_is_a_direct_enumeration():
     tree = ast.parse(path.read_text(), path.name)
     assert peel_references(tree) == set()
     assert peel_references(tree, "bidegree_words") == set()
+    assert peel_references(tree, "bidegree_masks") == set()
 
 
 def test_peel_references_detects_a_recursive_sum():
@@ -249,21 +250,31 @@ def test_peel_references_detects_a_recursive_sum():
         "from .freealg import PEELS\n\n"
         "def bidegree_sum(alphabet, j, i, pair=(0, 1)):\n"
         "    h, t = PEELS['tail1']\n"
-        "    return rest(_rest_words(j, i)) + sorted_word(j, i)\n"
+        "    return rest(_rest_masks(j, i)) + sorted_word(j, i)\n"
     )
-    assert peel_references(ast.parse(peeled)) == {"PEELS", "_rest_words"}
+    assert peel_references(ast.parse(peeled)) == {"PEELS", "_rest_masks"}
 
 
 def test_peel_references_detects_a_peeled_word_stream():
     peeled = (
         "def bidegree_words(j, i, pair=(0, 1)):\n"
-        "    yield from _rest_words(j, i, pair)\n"
+        "    yield from _rest_masks(j, i)\n"
         "    yield from bidegree_words(j - 1, i, pair)\n"
         "    yield from bidegree_sum(AX, j, i, pair).support()\n"
+        "\n"
+        "def bidegree_masks(j, i):\n"
+        "    assert check_splitting_identity('tail1', j, i)\n"
+        "    yield from (m << 1 for m in bidegree_masks(j, i - 1))\n"
+        "    yield from (m << 1 | 1 for m in _rest_masks(j - 1, i))\n"
     )
     tree = ast.parse(peeled)
     assert peel_references(tree, "bidegree_words") == {
-        "_rest_words",
+        "_rest_masks",
         "bidegree_words",
         "bidegree_sum",
+    }
+    assert peel_references(tree, "bidegree_masks") == {
+        "_rest_masks",
+        "bidegree_masks",
+        "check_splitting_identity",
     }

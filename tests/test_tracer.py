@@ -7,7 +7,7 @@ import importlib.util
 from pathlib import Path
 
 from diamond import coalgebra
-from diamond.freealg import NcPoly, bidegree_sum
+from diamond.freealg import NcPoly, TensorPoly, bidegree_sum
 from diamond.presentations import AX
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
@@ -50,7 +50,11 @@ def test_tracer_targets_resolve_and_uninstall_restores():
     probe.install()
     try:
         # looked up on the module, where the probe is bound
-        coalgebra.coproduct(bidegree_sum(AX, 1, 2))
+        delta = coalgebra.coproduct(bidegree_sum(AX, 1, 2))
+        # the closed-form coproduct neither multiplies nor adds term maps,
+        # so the product and sum probes are driven here
+        delta * TensorPoly.one(AX)
+        bidegree_sum(AX, 1, 1) + bidegree_sum(AX, 2, 0)
     finally:
         probe.uninstall()
     after = bindings(tracer)
