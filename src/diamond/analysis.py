@@ -136,7 +136,7 @@ def irreducible_census(system, max_len: int) -> GrowthReport:
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     automaton = system.automaton
-    rank, none = automaton.rank, len(automaton.rules)
+    rank, none = automaton.rank, len(automaton.left_sides)
     live = [[t for t in row if rank[t] == none] for row in automaton.delta]
     frontier = {0: 1}
     counts = []

@@ -300,6 +300,13 @@ def _rest_masks(m: int, q: int):
     return islice(bidegree_masks(m, q), 1, None)
 
 
+def check_pair(alphabet: Alphabet, pair):
+    """Raise ValueError unless ``pair`` is two distinct letters of ``alphabet``."""
+    first, second = pair
+    if first == second or not (0 <= first < len(alphabet) and 0 <= second < len(alphabet)):
+        raise ValueError(f"pair {pair!r} is not two distinct letters of the alphabet")
+
+
 def bidegree_sum(alphabet: Alphabet, j: int, i: int, pair=(0, 1)) -> NcPoly:
     """Sum of all words with j copies of pair[0] and i copies of pair[1].
 
@@ -308,9 +315,7 @@ def bidegree_sum(alphabet: Alphabet, j: int, i: int, pair=(0, 1)) -> NcPoly:
     two distinct letters of ``alphabet``.  The words are those of
     ``bidegree_words``, in its order.
     """
-    first, second = pair
-    if first == second or not (0 <= first < len(alphabet) and 0 <= second < len(alphabet)):
-        raise ValueError(f"pair {pair!r} is not two distinct letters of the alphabet")
+    check_pair(alphabet, pair)
     # the words are distinct and every coefficient is 1, so the map is clean
     return NcPoly.zero(alphabet)._make(dict.fromkeys(bidegree_words(j, i, pair), 1))
 

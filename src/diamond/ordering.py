@@ -73,25 +73,12 @@ class ProductGrlex:
         return f"product-grlex({wts}; {names[2]}>{names[3]}>{names[0]}>{names[1]})"
 
 
-@dataclass
-class CompatibilityReport:
-    """check_compatibility outcome: one entry per rule whose right side is
-    not strictly below its left side."""
-
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_compatibility(order, rules) -> CompatibilityReport:
-    """Every monomial of every right side must sit strictly below the rule's
-    left side; the report lists all violators."""
+def check_compatibility(order, shape) -> list:
+    """Every word of every right side must sit strictly below the rule's
+    left side.  ``shape`` lists (lhs, right-side words) per rule, since
+    nothing else matters; returns (rule index, word) for each violator."""
     violations = []
-    for rule in rules:
-        lhs_key = order.sort_key(rule.lhs)
-        for word in rule.rhs.support():
-            if order.sort_key(word) >= lhs_key:
-                violations.append((rule.label, word))
-    return CompatibilityReport(violations)
+    for index, (lhs, words) in enumerate(shape):
+        lhs_key = order.sort_key(lhs)
+        violations.extend((index, w) for w in words if order.sort_key(w) >= lhs_key)
+    return violations

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .freealg import Alphabet, NcPoly, bidegree_sum
+from .freealg import Alphabet, NcPoly, bidegree_words, check_pair
 from .ordering import GrlexPlus, ProductGrlex
-from .rewrite import ReductionSystem, Rule
+from .rewrite import MEMO_SIZE, ReductionSystem, Rule
 from .scalars import CyclotomicField
 
 AX = Alphabet(("a", "x"))
@@ -97,6 +98,34 @@ class DefiningPolynomial:
         return self.as_ncpoly(Alphabet((name,)), 0).render()
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _bidegree_words(j: int, i: int, pair) -> tuple:
+    # kept for the next g: the rule words depend on the degree, not on g
+    return tuple(bidegree_words(j, i, pair))
+
+
+def _relation_terms(g: DefiningPolynomial, j: int, alphabet: Alphabet, pair):
+    """The clean term dicts of sigma_j = ``defining_relation(g, j)`` and of
+    -sigma_j, built in one pass over the word groups P(j, i - j) of r_i != 0."""
+    n = g.degree
+    if not 1 <= j <= n - 1:
+        raise ValueError(f"relation index {j} outside 1..{n - 1}")
+    check_pair(alphabet, pair)
+    # the groups for distinct i have distinct lengths and none holds a^n, so
+    # no word repeats
+    sigma, negated = {}, {}
+    for i, c in enumerate(g.coefficients[j - 1 :], j):
+        if c:
+            words = _bidegree_words(j, i - j, pair)
+            sigma.update(dict.fromkeys(words, c))
+            negated.update(dict.fromkeys(words, -c))
+    rj = g.coefficients[j - 1]
+    if rj:
+        sigma[(pair[0],) * n] = -rj
+        negated[(pair[0],) * n] = rj
+    return sigma, negated
+
+
 def defining_relation(
     g: DefiningPolynomial, j: int, alphabet: Alphabet = AX, pair=(0, 1)
 ) -> NcPoly:
@@ -106,21 +135,7 @@ def defining_relation(
 
     for 1 <= j <= n - 1, written in the letters ``pair`` = (a-like, x-like).
     """
-    n = g.degree
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"relation index {j} outside 1..{n - 1}")
-    first, _ = pair
-    # the sums for distinct i have distinct lengths and none holds a^n, so
-    # no word repeats
-    terms = {}
-    for i in range(j, n + 1):
-        c = g.coefficient(i)
-        if c:
-            terms.update(dict.fromkeys(bidegree_sum(alphabet, j, i - j, pair).support(), c))
-    rj = g.coefficient(j)
-    if rj:
-        terms[(first,) * n] = -rj
-    return NcPoly(alphabet, terms)
+    return NcPoly.zero(alphabet)._make(_relation_terms(g, j, alphabet, pair)[0])
 
 
 @dataclass
@@ -160,16 +175,17 @@ def _skew_primitive_rules(gm: DefiningPolynomial, name: str, alphabet: Alphabet,
     first, second = pair
     n = gm.degree
     rules, relations = [], []
+    zero = NcPoly.zero(alphabet)
     for j in range(1, n):
-        sigma = defining_relation(gm, j, alphabet, pair)
+        sigma, rhs = _relation_terms(gm, j, alphabet, pair)
         lhs = (first,) * j + (second,) * (n - j)
         # sigma holds lhs once, from r_n P(j, n - j), so the rule's right
         # side lhs - sigma is -sigma without that term
-        if sigma.coeff(lhs) != 1:
+        if sigma.get(lhs) != 1:
             raise ValueError(f"{name}_{j} does not hold its left side with coefficient 1")
-        rhs = NcPoly(alphabet, {w: -c for w, c in sigma.items() if w != lhs})
-        rules.append(Rule(lhs, rhs, f"{name}_{j}"))
-        relations.append((f"{name}_{j}", sigma))
+        del rhs[lhs]
+        rules.append(Rule(lhs, zero._make(rhs), f"{name}_{j}"))
+        relations.append((f"{name}_{j}", zero._make(sigma)))
     return rules, relations
 
 

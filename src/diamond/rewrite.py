@@ -37,11 +37,16 @@ irreducible words in ``analysis``.  A step of ``normal_form`` rewrites
 ``word = P lhs S`` into the words ``P r S``, one per right-side word ``r``,
 and resumes their walks instead of starting each at state 0: the prefix
 ``P`` is walked once, the walk of every ``r`` from the state after ``P`` is
-looked up in a per-system memo keyed by (lhs, state), and only ``S`` is
-walked per new word.  The state after ``P`` depends only on ``P``, and no
-rank-0 left side ends inside ``P`` (the step's match is the best rank at
-its leftmost end), so the resumed walk finds the same match as a walk of
-the whole word.
+looked up in a memo keyed by (lhs, state), and only ``S`` is walked per
+new word.  The state after ``P`` depends only on ``P``, and no rank-0 left
+side ends inside ``P`` (the step's match is the best rank at its leftmost
+end), so the resumed walk finds the same match as a walk of the whole word.
+
+The compatibility check, the rank order, the automaton and these walks
+depend only on the rule words and the order, not on the coefficients.
+``RuleShape`` holds them, shared by every system with the same words and
+order from a memo of at most ``MEMO_SIZE`` shapes: the g of one degree
+differ only in their coefficients, so ``diamond verify all`` needs few.
 
 A system over Q reduces in the integers.  Let D be the lcm of its
 coefficient denominators and, for a letter set T, let e(w) count the
@@ -65,7 +70,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .freealg import Alphabet, NcPoly, Word, render_word
@@ -73,6 +78,9 @@ from .ordering import check_compatibility
 from .scalars import common_denominator, letter_count, rescale, scaled_integer, unscale
 
 DEFAULT_BUDGET = 10_000_000
+
+#: the most entries a memo of rule words keeps; the least recently used goes
+MEMO_SIZE = 128
 
 RESOLVABLE = "resolvable"
 NOT_CONFLUENT = "not_confluent"
@@ -83,13 +91,12 @@ class ReductionBudgetExceeded(RuntimeError):
 
 
 class IncompatibleSystem(ValueError):
-    """Raised at construction when some rule is not oriented downhill."""
+    """Raised at construction when some rule is not oriented downhill;
+    ``violations`` lists (rule label, word) per right side's offending word."""
 
-    def __init__(self, report, alphabet):
-        self.report = report
-        words = ", ".join(
-            f"{label}: {render_word(alphabet, w)}" for label, w in report.violations
-        )
+    def __init__(self, violations, rules, alphabet):
+        self.violations = [(rules[i].label, w) for i, w in violations]
+        words = ", ".join(f"{label}: {render_word(alphabet, w)}" for label, w in self.violations)
         super().__init__(f"rules not compatible with the order ({words})")
 
 
@@ -116,33 +123,34 @@ class ObstructionAutomaton:
     """Aho-Corasick automaton of a system's left sides (Aho & Corasick 1975),
     completed to a DFA over the letters ``0 .. k-1``.
 
-    ``rules`` come in rank order, rank 0 first: ``ReductionSystem`` ranks
-    its rules by descending left side, ties in rule order.  State 0 is the
+    ``left_sides`` are words in rank order, rank 0 first: ``RuleShape``
+    ranks them by descending order, ties in rule order.  State 0 is the
     empty prefix; ``delta[s][c]`` is the state after reading letter ``c``
     in state ``s``; ``rank[s]`` is the smallest rank of a left side that
     ends at ``s``, on ``s`` itself or on its failure chain, and
-    ``len(rules)`` when none does.  A word is irreducible exactly when its
-    walk from state 0 stays on states of rank ``len(rules)``.
+    ``len(left_sides)`` when none does.  A word is irreducible exactly when
+    its walk from state 0 stays on states of rank ``len(left_sides)``.
 
     ``walk`` is the one walk loop.  It can resume: the triple it returns
     for ``u``, passed back in with the offset ``len(u)``, continues the
     walk through ``v`` exactly as a walk of ``u + v`` would.
     ``normal_form`` uses this to walk only the prefix and the suffix of
     each rewritten word, and keeps the walks of the right-side words in
-    ``ReductionSystem._walks``: one (state, best, end) triple per right-side
-    word, keyed by (lhs, state), so at most rules x states keys.
+    ``RuleShape.walks``: one (state, best, end) triple per right-side word,
+    keyed by (lhs, state), so at most rules x states keys per shape and at
+    most ``MEMO_SIZE`` shapes.
     """
 
-    __slots__ = ("rules", "delta", "rank")
+    __slots__ = ("left_sides", "delta", "rank")
 
-    def __init__(self, rules, k: int):
-        self.rules = tuple(rules)
-        none = len(self.rules)
+    def __init__(self, left_sides, k: int):
+        self.left_sides = tuple(left_sides)
+        none = len(self.left_sides)
         goto = [{}]
         rank = [none]
-        for r, rule in enumerate(self.rules):
+        for r, lhs in enumerate(self.left_sides):
             state = 0
-            for c in rule.lhs:
+            for c in lhs:
                 nxt = goto[state].get(c)
                 if nxt is None:
                     nxt = len(goto)
@@ -172,7 +180,7 @@ class ObstructionAutomaton:
     ):
         """Walk ``word`` from ``state`` and return (state, best, end).
 
-        ``best`` is the smallest rank seen (``len(rules)`` for none, the
+        ``best`` is the smallest rank seen (``len(left_sides)`` for none, the
         default) and ``end`` the position where it first ends, counting the
         letters of ``word`` from ``offset``.  Strict ``<`` keeps the
         leftmost end of the best rank; rank 0 cannot be beaten and stops
@@ -180,7 +188,7 @@ class ObstructionAutomaton:
         when ``best`` is not 0.
         """
         if best is None:
-            best = len(self.rules)
+            best = len(self.left_sides)
         elif not best:
             return state, best, end
         delta, rank = self.delta, self.rank
@@ -225,6 +233,37 @@ def _rescaling(rules, k: int):
     return None
 
 
+class RuleShape:
+    """What the rule words and the order determine (see the module
+    docstring).  ``words`` lists (lhs, right-side words in term order) per
+    rule; ``violations`` is ``check_compatibility``'s, ``ranks`` the rule
+    indices by descending left side, and ``walks`` maps (lhs, state) to the
+    walks of lhs's right-side words from state; ``triples`` interns them."""
+
+    def __init__(self, k: int, order, words):
+        seen = set()
+        for lhs, _ in words:
+            if lhs in seen:
+                raise ValueError(f"duplicate rule left side {lhs}")
+            seen.add(lhs)
+        self.k = k
+        self.words = words
+        self.violations = check_compatibility(order, words)
+        # a stable sort keeps ties in rule order
+        keys = [order.sort_key(lhs) for lhs, _ in words]
+        self.ranks = sorted(range(len(words)), key=keys.__getitem__, reverse=True)
+        self.walks = {}
+        self.triples = {}
+
+    @cached_property
+    def automaton(self) -> ObstructionAutomaton:
+        """The obstruction automaton of the left sides, built on first use."""
+        return ObstructionAutomaton((self.words[i][0] for i in self.ranks), self.k)
+
+
+_rule_shape = lru_cache(maxsize=MEMO_SIZE)(RuleShape)
+
+
 class ReductionSystem:
     """Oriented rules over one alphabet together with a compatible order.
 
@@ -237,14 +276,10 @@ class ReductionSystem:
 
     def __init__(self, alphabet: Alphabet, order, rules, name=""):
         rules = list(rules)
-        seen = set()
-        for rule in rules:
-            if rule.lhs in seen:
-                raise ValueError(f"duplicate rule left side {rule.lhs}")
-            seen.add(rule.lhs)
-        report = check_compatibility(order, rules)
-        if not report.ok:
-            raise IncompatibleSystem(report, alphabet)
+        words = tuple((rule.lhs, tuple(rule.rhs.support())) for rule in rules)
+        shape = _rule_shape(len(alphabet), order, words)
+        if shape.violations:
+            raise IncompatibleSystem(shape.violations, rules, alphabet)
         found = _rescaling(rules, len(alphabet))
         if found is None:
             self.rescaling = None
@@ -257,22 +292,19 @@ class ReductionSystem:
         self.alphabet = alphabet
         self.order = order
         self.rules = tuple(rules)
-        # the automaton's rank order (a stable sort keeps ties in rule
-        # order); sorted here so the lazy build spends no sort_key calls
-        self._ranked = sorted(rules, key=lambda r: order.sort_key(r.lhs), reverse=True)
-        # what normal_form substitutes for each left side
+        self._shape = shape
+        # the rules in the automaton's rank order
+        self._ranked = [rules[i] for i in shape.ranks]
+        # what normal_form substitutes for each left side, in the order of
+        # the given terms, so aligned with the shape's words and walks
         self._reducts = {rule.lhs: tuple(rule.rhs.items()) for rule in reducing}
-        # (lhs, state) -> the walk of each word of _reducts[lhs] from state,
-        # filled by normal_form; _triples interns equal walks
-        self._walks = {}
-        self._triples = {}
         self.name = name
         self.budget = DEFAULT_BUDGET
 
-    @cached_property
+    @property
     def automaton(self) -> ObstructionAutomaton:
         """The obstruction automaton of the left sides, built on first use."""
-        return ObstructionAutomaton(self._ranked, len(self.alphabet))
+        return self._shape.automaton
 
     def match(self, word: Word):
         """(rule, position) for the order-largest applicable left side at its
@@ -280,11 +312,11 @@ class ReductionSystem:
 
         One walk of the automaton from state 0 (``ObstructionAutomaton.walk``).
         """
-        automaton = self.automaton
-        _, best, end = automaton.walk(word)
-        if best == len(automaton.rules):
+        _, best, end = self._shape.automaton.walk(word)
+        ranked = self._ranked
+        if best == len(ranked):
             return None
-        rule = automaton.rules[best]
+        rule = ranked[best]
         return rule, end + 1 - len(rule.lhs)
 
     def describe(self) -> str:
@@ -328,10 +360,10 @@ def normal_form(
     budget = system.budget
     order = system.order
     match = system.match
-    reducts = system._reducts
-    automaton = system.automaton
-    walk, ranked, none = automaton.walk, automaton.rules, len(automaton.rules)
-    walks, triples = system._walks, system._triples
+    reducts, ranked = system._reducts, system._ranked
+    shape = system._shape
+    walk, walks, triples = shape.automaton.walk, shape.walks, shape.triples
+    none = len(ranked)
     rescaling = system.rescaling
     if rescaling is None:
         terms = dict(poly.items())

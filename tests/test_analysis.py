@@ -571,7 +571,7 @@ def weighted_automaton_census(system, max_degree: int) -> list:
     matrix of the obstruction automaton with each letter stepping by its
     alphabet weight (Ufnarovski 1982)."""
     automaton = system.automaton
-    none = len(automaton.rules)
+    none = len(automaton.left_sides)
     weights = system.alphabet.weights
     ending = [{0: 1}]  # per degree: live state -> words of that degree ending there
     for degree in range(1, max_degree + 1):

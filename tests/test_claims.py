@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from diamond import claims
+from diamond import claims, rewrite
 from diamond.analysis import random_defining_polynomial
 from diamond.freealg import NcPoly
 from diamond.presentations import AX
@@ -72,3 +72,19 @@ def test_pbw_draws_its_polynomials_from_the_seed(monkeypatch, seed):
     claims.run_claim_suites(["pbw"], seed=seed)
     rng = random.Random(seed)
     assert drawn == [random_defining_polynomial(rng, rng.randint(2, 5)) for _ in range(5)]
+
+
+def test_claim_suites_share_automata_across_systems(monkeypatch):
+    # the 474 systems of the suites have 25 rule shapes: one automaton per
+    # shape that matches, not one per system (447 before shapes were shared)
+    built = []
+    init = rewrite.ObstructionAutomaton.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    rewrite._rule_shape.cache_clear()
+    monkeypatch.setattr(rewrite.ObstructionAutomaton, "__init__", counting)
+    claims.run_claim_suites(seed=1)
+    assert 0 < len(built) <= 30

@@ -14,7 +14,6 @@ from diamond.presentations import (
     defining_relation,
     tensor_alphabet,
 )
-from diamond.rewrite import Rule
 
 AX = Alphabet(("a", "x"))
 A, X = 0, 1
@@ -79,15 +78,12 @@ def test_max_word_of_zero_raises():
 
 def test_compatibility_good_and_bad():
     pres = build_system(DefiningPolynomial.from_coefficients((0, 0, 1)))
-    assert check_compatibility(pres.system.order, pres.system.rules).ok
-    bad = Rule(
-        (A, X),
-        NcPoly.monomial(AX, (X, A)) + NcPoly.monomial(AX, (A, X, X)),
-        "bad",
-    )
-    report = check_compatibility(ORDER, [bad])
-    assert not report.ok
-    assert report.violations == [("bad", (A, X, X))]
+    shape = [(rule.lhs, rule.rhs.support()) for rule in pres.system.rules]
+    assert check_compatibility(pres.system.order, shape) == []
+    bad = NcPoly.monomial(AX, (X, A)) + NcPoly.monomial(AX, (A, X, X))
+    assert check_compatibility(ORDER, [((X, X), ()), ((A, X), bad.support())]) == [
+        (1, (A, X, X))
+    ]
 
 
 def test_tensor_order_facts():

@@ -10,6 +10,7 @@ from diamond.freealg import Alphabet, NcPoly, bidegree_sum
 from diamond.presentations import (
     AX,
     DefiningPolynomial,
+    _skew_primitive_rules,
     build_quantum_plane,
     build_system,
     build_tensor_presentation,
@@ -17,6 +18,7 @@ from diamond.presentations import (
     downup_relations,
     leading_filtered_part,
     rescale_letter,
+    tensor_alphabet,
 )
 from diamond.rewrite import normal_form
 from diamond.scalars import Cyclotomic, CyclotomicField
@@ -154,6 +156,46 @@ def test_defining_relation_matches_textbook_formula(g):
         if integral:
             # g keeps its ints, so an integral g gives int relations
             assert all(type(c) is int for _, c in sigma.items())
+
+
+def summed_relation(g, j, alphabet, pair):
+    """The relation sigma_j as built from whole bidegree sums: each
+    ``bidegree_sum(j, i - j).support()`` with coefficient r_i, then
+    -r_j a^n, cleaned by ``NcPoly``."""
+    n = g.degree
+    terms = {}
+    for i in range(j, n + 1):
+        c = g.coefficient(i)
+        if c:
+            terms.update(dict.fromkeys(bidegree_sum(alphabet, j, i - j, pair).support(), c))
+    if g.coefficient(j):
+        terms[(pair[0],) * n] = -g.coefficient(j)
+    return NcPoly(alphabet, terms)
+
+
+def test_relations_and_rules_match_the_summed_construction():
+    # the relation and the rule right side -(sigma_j - lhs), dict order too
+    rng = random.Random(23)
+    cases = [(AX, (A, X)), (tensor_alphabet(3, 2), (2, 3))]
+    for n in range(2, 10):
+        for _ in range(3):
+            coeffs = [rng.choice((0, 0, 1, -2, Fraction(1, 3), Fraction(-5, 2))) for _ in range(n)]
+            g = DefiningPolynomial((*coeffs[:-1], Fraction(rng.randint(1, 4), rng.randint(1, 3))))
+            gm = g.monic()
+            for alphabet, pair in cases:
+                rules, relations = _skew_primitive_rules(gm, "r", alphabet, pair)
+                for j in range(1, n):
+                    old = summed_relation(gm, j, alphabet, pair)
+                    new = defining_relation(gm, j, alphabet, pair)
+                    assert list(new.items()) == list(old.items())
+                    assert list(relations[j - 1][1].items()) == list(old.items())
+                    lhs = rules[j - 1].lhs
+                    expected = [(w, -c) for w, c in old.items() if w != lhs]
+                    assert list(rules[j - 1].rhs.items()) == expected
+    g = DefiningPolynomial((1, 2, 1))
+    for j, pair in ((0, (A, X)), (3, (A, X)), (1, (A, A)), (1, (A, 2))):
+        with pytest.raises(ValueError):
+            defining_relation(g, j, AX, pair)
 
 
 def test_build_system_rules():

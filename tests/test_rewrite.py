@@ -18,8 +18,10 @@ from diamond.presentations import (
     build_tensor_presentation,
     defining_relation,
 )
+from diamond import rewrite
 from diamond.rewrite import (
     INCLUSION,
+    MEMO_SIZE,
     NOT_CONFLUENT,
     OVERLAP,
     RESOLVABLE,
@@ -394,12 +396,17 @@ def test_int_domain_commutes_with_rational_scaling(terms, c):
 # -- the rescaled domain ----------------------------------------------------
 
 
+def exact(c):
+    return c if isinstance(c, Cyclotomic) else Fraction(c)
+
+
 def reference_normal_form(poly, system, budget=None):
     """Test oracle for ``normal_form``: the same strategy in ``Fraction``
-    arithmetic over the public ``system.rules``, with ``scan_match`` in place
-    of the automaton and no rescaling.  Returns (normal form, steps); raises
+    arithmetic (``Cyclotomic`` stays as it is) over the public
+    ``system.rules``, with ``scan_match`` in place of the automaton and no
+    rescaling.  Returns (normal form, steps); raises
     ``ReductionBudgetExceeded`` past ``budget`` steps."""
-    terms = {w: Fraction(c) for w, c in poly.items()}
+    terms = {w: exact(c) for w, c in poly.items()}
     found = {}
     steps = 0
     while True:
@@ -417,7 +424,7 @@ def reference_normal_form(poly, system, budget=None):
         steps += 1
         for rword, rcoeff in rule.rhs.items():
             new_word = word[:pos] + rword + word[pos + len(rule.lhs) :]
-            total = terms.get(new_word, 0) + coeff * Fraction(rcoeff)
+            total = terms.get(new_word, 0) + coeff * exact(rcoeff)
             if total:
                 terms[new_word] = total
             else:
@@ -682,6 +689,99 @@ def test_cyclotomic_input_in_a_rescaled_system():
     assert normal_form(NcPoly.monomial(AX, word, q), system) == normal_form(
         mono(*word), system
     ).scale(q)
+
+
+# -- shared rule shapes ----------------------------------------------------
+
+
+def same_word_quintics():
+    """Quintics with every coefficient nonzero, so their systems have the
+    same rule words: integral, rescaled rational, and over Q(zeta_8)."""
+    field = CyclotomicField(8)
+    q, half = field.q, Fraction(1, 2)
+    return [
+        DefiningPolynomial((2, -1, 3, 1, 1)),
+        DefiningPolynomial((half, Fraction(-2, 3), 1, Fraction(3, 4), 1)),
+        DefiningPolynomial(
+            (q, Cyclotomic(8, [half, 0, -1]), q**2, Cyclotomic(8, [1, 0, 0, half]), 1)
+        ),
+    ]
+
+
+# 11, 10 and 221 steps in each quintic system
+SHAPE_INPUTS = [
+    mono(A, X, A, A, X, X, X, A, X),
+    mono(A, A, A, X, X, X, X) - mono(X, A, X, X, X, X, A).scale(Fraction(5, 7)),
+    mono(A, A, A, A, X, X, A, X, X, X),
+]
+SHAPE_BUDGET = 2_000
+
+
+def budgeted(system):
+    # a misaligned walk memo can loop: fail fast instead
+    system.budget = SHAPE_BUDGET
+    return system
+
+
+def test_systems_with_the_same_words_share_a_sound_shape():
+    gs = same_word_quintics()
+    # each system alone, with nothing in the memo
+    alone = []
+    for g in gs:
+        rewrite._rule_shape.cache_clear()
+        system = budgeted(build_system(g).system)
+        alone.append([normal_form(p, system) for p in SHAPE_INPUTS])
+    rewrite._rule_shape.cache_clear()
+    systems = [budgeted(build_system(g).system) for g in gs]
+    assert systems[0]._shape is systems[1]._shape is systems[2]._shape
+    assert systems[0].rescaling == (1, ()) and systems[1].rescaling[1]
+    assert systems[2].rescaling is None
+    # the systems take turns filling one walk memo
+    for i, p in enumerate(SHAPE_INPUTS):
+        for system, expected in zip(systems, alone):
+            assert normal_form(p, system) == expected[i]
+            assert normal_form(p, system) == reference_normal_form(p, system)[0]
+    words = [word for p in SHAPE_INPUTS for word in p.support()]
+    for word in words + [rule.lhs for rule in systems[0].rules]:
+        for system in systems:
+            found = system.match(word)
+            assert found == scan_match(system, word)
+            if found is not None:
+                assert any(found[0] is own for own in system.rules)
+
+
+def test_shapes_keep_the_order_of_right_side_words():
+    # the same rule words, each right side listed in reverse: the walk memo
+    # of the first system must not be read for the second
+    system = budgeted(build_system(same_word_quintics()[1]).system)
+    reversed_rules = [
+        Rule(rule.lhs, NcPoly(AX, list(rule.rhs.items())[::-1]), rule.label)
+        for rule in system.rules
+    ]
+    flipped = budgeted(ReductionSystem(AX, system.order, reversed_rules))
+    for p in SHAPE_INPUTS:
+        expected = reference_normal_form(p, system)[0]
+        assert normal_form(p, system) == expected
+        assert normal_form(p, flipped) == expected
+
+
+def test_incompatible_system_names_its_own_labels():
+    order = GrlexPlus(AX, weight_letter=X, lex_top=A)
+    uphill = mono(X, A) + mono(A, X, X)
+    for label in ("first", "second"):
+        with pytest.raises(IncompatibleSystem) as caught:
+            ReductionSystem(AX, order, [Rule((X, X), mono(A), "down"), Rule((A, X), uphill, label)])
+        assert caught.value.violations == [(label, (A, X, X))]
+        assert f"{label}: a*x^2" in str(caught.value)
+
+
+def test_shape_memo_is_bounded():
+    order = GrlexPlus(AX, weight_letter=X, lex_top=A)
+    zero = NcPoly.zero(AX)
+    for k in range(1, MEMO_SIZE + 10):
+        ReductionSystem(AX, order, [Rule((A,) * k, zero, "power")])
+    info = rewrite._rule_shape.cache_info()
+    assert info.maxsize == MEMO_SIZE and info.currsize == MEMO_SIZE
 
 
 GOLDEN = Path(__file__).parent / "golden"
