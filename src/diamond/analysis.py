@@ -16,12 +16,15 @@ a basis of the quotient.
 The echelon is built once per g, level by level in t = |u| + |v|: the rows
 of level t are a and x times the rows of level t - 1, plus the rows new at
 level t - 1 times a and times x, which span every sigma_j * v with |v| = t.
-Columns are ordered by length, then x-count, then lexicographically, and a
-letter added on either side keeps that order, so the prefixed rows of an
-echelon basis of level t - 1 keep distinct leading words and need no
-reduction; only the new rows times a letter are reduced.  The pivot profile
-after level t is the profile at bound t + n, so one build serves every
-bound, extended only when a larger bound is asked for.
+A column is minus a code of three fixed fields, most significant first: the
+word's length, its x-count and its letters as binary digits.  Columns are
+thus ordered by length, then x-count, then lexicographically, the length is
+one shift of the code, and a letter added on either side is a few additions
+on it that keep the order, so the prefixed rows of an echelon basis of
+level t - 1 keep distinct leading words and need no reduction; only the new
+rows times a letter are reduced.  The pivot profile after level t is the
+profile at bound t + n, so one build serves every bound, extended only when
+a larger bound is asked for.
 
 In the tensor product of the factor algebras of g and f, the ideal of the
 central z = g(x) - f(y) and z = a^n - b^m is spanned by the rows
@@ -287,60 +290,39 @@ def _integer_row(terms, column) -> dict:
 
 
 _MEMBERSHIP_BOUND = 10
-
-
-def _column(length: int, xcount: int, bits: int) -> int:
-    """Column of the word over {a, x} with this length, this number of x and
-    its letters read as binary digits (a = 0, x = 1, first letter highest).
-
-    Columns fall as words rise in the order (length, x-count,
-    lexicographic), so a row's leading word is its smallest column, and no
-    column depends on a bound.  Within length L the codes
-    (L + xcount - 1) * 2^L + bits fill a block that ends where length L + 1
-    begins.
-    """
-    return -(((length + xcount - 1) << length) + bits + 1)
+MAX_ORACLE_BOUND = 12
+_FIELD = MAX_ORACLE_BOUND + 1  # bits of the x-count and of the letters
 
 
 def _word_column(word: Word) -> int:
+    """Column of a word over {a, x} of at most ``MAX_ORACLE_BOUND`` letters:
+    minus its code of three fields, most significant first: the length, the
+    number of x, and the letters as binary digits (a = 0, x = 1, first
+    letter highest).  The lower two are ``_FIELD`` bits wide, so none
+    carries into the next and every code stays below 2^30.
+
+    Columns fall as words rise in the order (length, x-count,
+    lexicographic), so a row's leading word is its smallest column, and no
+    column depends on a bound.  The length is ``-column >> 2 * _FIELD``.
+    """
     bits = 0
     for letter in word:
         bits = 2 * bits + letter
-    return _column(len(word), sum(word), bits)
-
-
-def _column_length(column: int) -> int:
-    """Length of the word of a column.
-
-    A length L >= 1 holds the codes from (L - 1) * 2^L to just below
-    L * 2^(L + 1), so a code of b bits has L >= b - 1 - bit_length(b), and
-    the search starts there.
-    """
-    code = -column - 1
-    bits = code.bit_length()
-    length = max(bits - 1 - bits.bit_length(), 0)
-    while code >= length << (length + 1):
-        length += 1
-    return length
-
-
-def _column_word(column: int) -> tuple:
-    """(length, xcount, bits) of a column; inverse of ``_column``."""
-    code = -column - 1
-    length = _column_length(column)
-    return length, (code >> length) - length + 1, code & ((1 << length) - 1)
+    return -((len(word) << 2 * _FIELD) + (sum(word) << _FIELD) + bits)
 
 
 def _grow(column: int) -> tuple:
     """The columns of a * w, x * w, w * a and w * x for the word w of a
-    column.  A letter added on either side keeps the column order."""
-    length, xcount, bits = _column_word(column)
-    return (
-        _column(length + 1, xcount, bits),
-        _column(length + 1, xcount + 1, bits | (1 << length)),
-        _column(length + 1, xcount, bits << 1),
-        _column(length + 1, xcount + 1, bits << 1 | 1),
-    )
+    column, by additions on its code: each adds one to the length field,
+    w * a and w * x add the letters field to itself, and an x adds one to
+    the x-count and its digit, 2^|w| on the left or 1 on the right.  A
+    letter added on either side keeps the column order."""
+    code = -column
+    length, bits = code >> 2 * _FIELD, code & ((1 << _FIELD) - 1)
+    a_w = code + (1 << 2 * _FIELD)
+    w_a = a_w + bits
+    x = 1 << _FIELD
+    return -a_w, -(a_w + x + (1 << length)), -w_a, -(w_a + x + 1)
 
 
 class _IdealEchelon:
@@ -430,7 +412,7 @@ class _IdealEchelon:
                     continue
                 lead = min(row)
             self.pivots[lead] = row
-            profile[_column_length(lead)] += 1
+            profile[-lead >> 2 * _FIELD] += 1
         self.sizes.append(len(self.pivots))
         self.profiles.append(tuple(profile))
 
@@ -456,8 +438,12 @@ def ideal_filtration_profile(g: DefiningPolynomial, bound: int) -> list:
     lexicographically, so the pivot profile yields dim(span cap F_ell) for
     every ell <= bound at once.  The rows come from one level-by-level
     echelon per g (see ``_IdealEchelon``): the profile at bound b is the
-    one after level b - n, and a larger bound only adds levels.
+    one after level b - n, and a larger bound only adds levels.  The bound
+    is at most ``MAX_ORACLE_BOUND``, as a resource guard and the longest
+    word a column holds.
     """
+    if bound > MAX_ORACLE_BOUND:
+        raise ValueError(f"resource guard: bound must be <= {MAX_ORACLE_BOUND}")
     if bound < g.degree:
         return [0] * (bound + 1)
     return _echelon(g).profile(bound - g.degree)
@@ -469,7 +455,6 @@ def _dimension_at(profile: list, ell: int) -> int:
     return words - pivots
 
 
-MAX_ORACLE_BOUND = 12
 ORACLE_SLACK = 2
 
 
@@ -508,7 +493,8 @@ def ideal_span_contains(g: DefiningPolynomial, poly: NcPoly, bound: int | None =
     u * sigma_j * v with total length <= bound?
 
     Every elementary reduction step stays within the starting length, so
-    bound = poly.degree() suffices to witness normal_form(w) - w.
+    bound = poly.degree() suffices to witness normal_form(w) - w.  The span
+    holds no word longer than the bound, and only zero below degree n.
     """
     if poly.is_zero():
         return True
@@ -518,9 +504,9 @@ def ideal_span_contains(g: DefiningPolynomial, poly: NcPoly, bound: int | None =
         raise ValueError(f"resource guard: membership bound must be <= {_MEMBERSHIP_BOUND}")
     if len(poly.alphabet) != 2:
         raise ValueError("membership is defined for the two-letter alphabet {a, x}")
-    vector = _integer_row(dict(poly.items()), _word_column)
-    if bound < g.degree:
+    if poly.degree() > bound or bound < g.degree:
         return False
+    vector = _integer_row(dict(poly.items()), _word_column)
     return not _reduce_row(vector, _echelon(g).pivots_at(bound - g.degree))
 
 

@@ -59,9 +59,9 @@ class UsageError(Exception):
 #: exponentially in --max-len (342,092 words for n = 5 at length 20)
 MAX_BASIS_WORDS = 100_000
 
-#: resource guard for ``growth``: the counts of an exponential system have
-#: Theta(L) digits, so time, memory and output grow as --max-len squared
-#: (8.8 MB printed for n = 6 at length 8,000)
+#: resource guard for ``growth`` and ``basis``: the counts of an exponential
+#: system have Theta(L) digits, so time, memory and output grow as --max-len
+#: squared (8.8 MB printed for n = 6 at length 8,000)
 MAX_GROWTH_LEN = 1_000
 
 #: resource guard for --g and --f: build_system creates 2^n - 2 words
@@ -413,7 +413,15 @@ def _power_system(n: int) -> ReductionSystem:
     return ReductionSystem(AX, order, rules)
 
 
+def _check_max_len(args) -> None:
+    if args.max_len > MAX_GROWTH_LEN:
+        raise UsageError(
+            f"resource guard: --max-len must be <= {MAX_GROWTH_LEN}, got {args.max_len}"
+        )
+
+
 def _cmd_basis(args, argv) -> int:
+    _check_max_len(args)  # before the census, whose counts may be too long to print
     # the census counts the same words as pbw_words, in milliseconds
     counts = irreducible_census(_power_system(args.n), args.max_len).counts
     if sum(counts) > MAX_BASIS_WORDS:
@@ -438,10 +446,7 @@ def _cmd_basis(args, argv) -> int:
 
 
 def _cmd_growth(args, argv) -> int:
-    if args.max_len > MAX_GROWTH_LEN:
-        raise UsageError(
-            f"resource guard: --max-len must be <= {MAX_GROWTH_LEN}, got {args.max_len}"
-        )
+    _check_max_len(args)
     census = irreducible_census(_power_system(args.n), args.max_len)
     classification = growth_classify(census)
     print(f"counts: {census.counts}")

@@ -12,11 +12,12 @@ from diamond import analysis
 from diamond.analysis import (
     Classification,
     TensorQuotientReport,
+    _FIELD,
+    MAX_ORACLE_BOUND,
     _census_counts,
-    _column_length,
-    _column_word,
     _dimension_at,
     _echelon,
+    _grow,
     _IdealEchelon,
     _integer_row,
     _reduce_row,
@@ -292,7 +293,7 @@ def level_build_leads(g, bound):
         return set()
     leads = set()
     for lead in _echelon(g).pivots_at(bound - g.degree):
-        length, _, bits = _column_word(lead)
+        length, bits = -lead >> 2 * _FIELD, -lead & ((1 << _FIELD) - 1)
         leads.add(tuple((bits >> (length - 1 - i)) & 1 for i in range(length)))
     return leads
 
@@ -375,14 +376,43 @@ def test_level_build_reduces_new_rows_times_a_letter(monkeypatch):
     assert sum(map(sum, per_level.values())) == 864
 
 
-def test_column_length_is_the_decoded_length():
-    # the pivot profile counts leads by _column_length, which starts its
-    # search from the code's bit length; every word up to length 14
-    assert _column_length(_word_column(())) == 0
-    for length in range(1, 15):
-        for word in product((A, X), repeat=length):
-            column = _word_column(word)
-            assert _column_length(column) == length == _column_word(column)[0]
+def test_columns_order_words_and_grow_by_a_letter():
+    # every word up to the longest the oracle builds
+    words = list(all_words(2, MAX_ORACLE_BOUND))
+    assert len(words) == 8191
+    by_column = sorted(words, key=_word_column)
+    assert by_column == sorted(words, key=lambda w: (len(w), sum(w), w), reverse=True)
+    for word in words:
+        if len(word) < MAX_ORACLE_BOUND:
+            grown = ((A,) + word, (X,) + word, word + (A,), word + (X,))
+            assert _grow(_word_column(word)) == tuple(map(_word_column, grown))
+
+
+@pytest.mark.parametrize(
+    "n, pivots, entries", [(2, 8100, 16200), (3, 7939, 21948), (4, 6781, 28210)]
+)
+def test_echelon_work_at_the_largest_bound(n, pivots, entries):
+    # a column order that kept every profile but filled the pivot rows would
+    # slow the oracle down without failing any other test
+    table = _echelon(power_poly(n)).pivots_at(MAX_ORACLE_BOUND - n)
+    assert (len(table), sum(map(len, table.values()))) == (pivots, entries)
+
+
+def test_oracle_guards_words_longer_than_the_bound():
+    with pytest.raises(ValueError, match="resource guard"):
+        ideal_filtration_profile(power_poly(2), MAX_ORACLE_BOUND + 1)
+    # sigma_1 is in the span at bound 8, and the 12-letter word has no
+    # column there, in either build; it is refused before it is encoded
+    g = power_poly(2)
+    sigma = defining_relation(g, 1)
+    p = sigma + NcPoly.monomial(AX, (A, X) * 6)
+    assert ideal_span_contains(g, sigma, 8)
+    assert not ideal_span_contains(g, p, 8)
+    rank_of, pivots = all_rows_echelon(g, 8)
+    expected = all(w in rank_of for w in p.support()) and not _reduce_row(
+        _integer_row(dict(p.items()), rank_of.__getitem__), pivots
+    )
+    assert expected is False
 
 
 def test_ideal_span_contains_matches_all_rows_oracle():

@@ -192,6 +192,12 @@ def test_cmd_basis(capsys):
     assert run_command(["basis", "--n", "5", "--max-len", "20"]) == 2
     err = capsys.readouterr().err
     assert "resource guard: the basis has 342092 words" in err
+    # --max-len is checked before the census, whose counts of an exponential
+    # system would be too long to print in the word-count message
+    assert run_command(["basis", "--n", "6", "--max-len", "20000"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"<= {MAX_GROWTH_LEN}" in err
+    assert "integer string conversion" not in err
     assert run_command(["basis", "--n", "3", "--max-len", "-1"]) == 2
     assert run_command(["growth", "--n", "3", "--max-len", "-3"]) == 2
     err = capsys.readouterr().err
