@@ -33,7 +33,7 @@ to zero, so its verdicts and differences are those of reducing all of them.
 One mechanism finds left sides in a word: ``ObstructionAutomaton.walk``,
 a walk of the system's obstruction automaton, answers ``match`` (None for
 an irreducible word), and the same automaton drives the census of
-irreducible words in ``analysis``.  A step of ``normal_form`` rewrites
+irreducible words in ``analysis``.  A step of ``_reduce`` rewrites
 ``word = P lhs S`` into the words ``P r S``, one per right-side word ``r``,
 and resumes their walks instead of starting each at state 0: the prefix
 ``P`` is walked once, the walk of every ``r`` from the state after ``P`` is
@@ -54,15 +54,20 @@ letters of w in T.  The algebra automorphism w -> D^(-e(w)) * w sends each
 rule lhs -> sum c_w w to a scalar multiple of the rule
 lhs -> sum c_w D^(e(lhs) - e(w)) w, and for the first T (in the order
 empty set, singletons, pairs, ...) that makes every such coefficient an
-integer, the system reduces with these ``int`` rules: ``normal_form`` maps
-its input in (c -> c * m / D^e(w), m clearing denominators), runs its one
-loop on the same words, matches and steps, and maps the result back.  An
-integral system is the case D = 1, T empty; it stores its rules with
-``int`` coefficients.  A system with no such T, or over Q(zeta_N), reduces
-with its coefficients as given.  The helpers live in ``scalars``; ``int``
-shares the arithmetic protocol of ``Fraction`` and the term maps use the
-integers 1 and 0 as units, so no ``Fraction`` is built between the two
-maps (the fraction-free idea of Bareiss 1968).
+integer, the system reduces with these ``int`` right sides, its reducts
+(the exponents e(lhs) - e(w) are kept on the rule shape, per letter set).
+``normal_form`` maps its input in (c -> c * m / D^e(w), m clearing
+denominators), runs the one loop ``_reduce`` on the same words, matches
+and steps, and maps the result back.  ``resolve_ambiguity`` needs no map
+in: the S-polynomial of an ambiguity on A B C, built from the two reducts,
+is D^e(ABC) times the rescaled one, so it is in Z already, and only a
+nonzero result is mapped back.  An integral system is the case D = 1,
+T empty; it stores its rules with ``int`` coefficients.  A system with no
+such T, or over Q(zeta_N), reduces with its coefficients as given.  The
+helpers live in ``scalars``; ``int`` shares the arithmetic protocol of
+``Fraction`` and the term maps use the integers 1 and 0 as units, so no
+``Fraction`` is built between the two maps (the fraction-free idea of
+Bareiss 1968).
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import gcd
 
 from .freealg import Alphabet, NcPoly, Word, render_word
 from .ordering import check_compatibility
@@ -134,7 +140,7 @@ class ObstructionAutomaton:
     ``walk`` is the one walk loop.  It can resume: the triple it returns
     for ``u``, passed back in with the offset ``len(u)``, continues the
     walk through ``v`` exactly as a walk of ``u + v`` would.
-    ``normal_form`` uses this to walk only the prefix and the suffix of
+    ``_reduce`` uses this to walk only the prefix and the suffix of
     each rewritten word, and keeps the walks of the right-side words in
     ``RuleShape.walks``: one (state, best, end) triple per right-side word,
     keyed by (lhs, state), so at most rules x states keys per shape and at
@@ -202,34 +208,36 @@ class ObstructionAutomaton:
         return state, best, end
 
 
-def _scaled_rules(rules, scale: int, letters):
-    # each rule lhs -> sum c_w w as lhs -> sum c_w scale^(e(lhs) - e(w)) w,
-    # or None when some coefficient is not an integer
+def _scaled(coeffs, scale: int, powers):
+    # the values c * scale^power, or None when one is not an integer
     out = []
-    for rule in rules:
-        top = letter_count(rule.lhs, letters)
-        terms = {}
-        for word, c in rule.rhs.items():
-            value = scaled_integer(c, scale, top - letter_count(word, letters))
-            if value is None:
-                return None
-            terms[word] = value
-        out.append(Rule(rule.lhs, NcPoly(rule.rhs.alphabet, terms), rule.label))
+    for c, power in zip(coeffs, powers):
+        value = scaled_integer(c, scale, power)
+        if value is None:
+            return None
+        out.append(value)
     return out
 
 
-def _rescaling(rules, k: int):
-    """(D, T, scaled rules) for the first letter set T, in the order empty
+def _rescaling(rules, shape):
+    """(D, T, scaled reducts) for the first letter set T, in the order empty
     set, singletons, pairs, ..., whose rescaling makes every coefficient an
-    integer; None when the coefficients are not rational or no T does."""
-    scale = common_denominator(c for rule in rules for _, c in rule.rhs.items())
+    integer; None when the coefficients are not rational or no T does.  The
+    reducts map each left side to its (word, int) pairs in term order."""
+    coeffs = [tuple(c for _, c in rule.rhs.items()) for rule in rules]
+    scale = common_denominator(c for row in coeffs for c in row)
     if scale is None:
         return None
-    for size in range(k + 1):
-        for letters in combinations(range(k), size):
-            scaled = _scaled_rules(rules, scale, letters)
-            if scaled is not None:
-                return scale, letters, scaled
+    for size in range(shape.k + 1):
+        for letters in combinations(range(shape.k), size):
+            reducts = {}
+            for row, powers, (lhs, rwords) in zip(coeffs, shape.exponents(letters), shape.words):
+                values = _scaled(row, scale, powers)
+                if values is None:
+                    break
+                reducts[lhs] = tuple(zip(rwords, values))
+            else:
+                return scale, letters, reducts
     return None
 
 
@@ -238,7 +246,8 @@ class RuleShape:
     docstring).  ``words`` lists (lhs, right-side words in term order) per
     rule; ``violations`` is ``check_compatibility``'s, ``ranks`` the rule
     indices by descending left side, and ``walks`` maps (lhs, state) to the
-    walks of lhs's right-side words from state; ``triples`` interns them."""
+    walks of lhs's right-side words from state; ``triples`` interns them.
+    ``exponents`` gives the rescaling exponents of the right-side words."""
 
     def __init__(self, k: int, order, words):
         seen = set()
@@ -254,6 +263,19 @@ class RuleShape:
         self.ranks = sorted(range(len(words)), key=keys.__getitem__, reverse=True)
         self.walks = {}
         self.triples = {}
+        self._exponents = {}
+
+    def exponents(self, letters) -> tuple:
+        """Per rule, e(lhs) - e(w) for each right-side word w in term order,
+        where e counts the letters in ``letters``; kept per letter set."""
+        rows = self._exponents.get(letters)
+        if rows is None:
+            rows = []
+            for lhs, rwords in self.words:
+                top = letter_count(lhs, letters)
+                rows.append(tuple(top - letter_count(w, letters) for w in rwords))
+            rows = self._exponents[letters] = tuple(rows)
+        return rows
 
     @cached_property
     def automaton(self) -> ObstructionAutomaton:
@@ -280,24 +302,26 @@ class ReductionSystem:
         shape = _rule_shape(len(alphabet), order, words)
         if shape.violations:
             raise IncompatibleSystem(shape.violations, rules, alphabet)
-        found = _rescaling(rules, len(alphabet))
+        # _reducts: what _reduce substitutes for each left side, in the
+        # order of the given terms, so aligned with the shape's words and walks
+        found = _rescaling(rules, shape)
         if found is None:
             self.rescaling = None
-            reducing = rules
+            self._reducts = {rule.lhs: tuple(rule.rhs.items()) for rule in rules}
         else:
-            scale, letters, reducing = found
+            scale, letters, self._reducts = found
             self.rescaling = (scale, letters)
             if scale == 1:
-                rules = reducing
+                rules = [
+                    Rule(rule.lhs, NcPoly(alphabet, self._reducts[rule.lhs]), rule.label)
+                    for rule in rules
+                ]
         self.alphabet = alphabet
         self.order = order
         self.rules = tuple(rules)
         self._shape = shape
         # the rules in the automaton's rank order
         self._ranked = [rules[i] for i in shape.ranks]
-        # what normal_form substitutes for each left side, in the order of
-        # the given terms, so aligned with the shape's words and walks
-        self._reducts = {rule.lhs: tuple(rule.rhs.items()) for rule in reducing}
         self.name = name
         self.budget = DEFAULT_BUDGET
 
@@ -355,8 +379,21 @@ def normal_form(
 
     Terminates for every compatible system by the descending chain
     condition; the step budget ``system.budget`` is a diagnostic guard
-    against misuse with incompatible inputs.
+    against misuse with incompatible inputs.  A rescaled system maps the
+    input into its integral domain and the result back (see the module
+    docstring); ``_reduce`` does the steps.
     """
+    rescaling = system.rescaling
+    if rescaling is None:
+        return NcPoly(poly.alphabet, _reduce(dict(poly.items()), system, stats))
+    scale, letters = rescaling
+    terms, m = rescale(poly.items(), scale, letters)
+    return NcPoly(poly.alphabet, unscale(_reduce(terms, system, stats), scale, letters, m))
+
+
+def _reduce(terms: dict, system: ReductionSystem, stats: ReductionStats | None) -> dict:
+    """The normal form of ``terms``, a word -> coefficient map in the
+    system's reduction domain, reduced in place and returned."""
     budget = system.budget
     order = system.order
     match = system.match
@@ -364,12 +401,6 @@ def normal_form(
     shape = system._shape
     walk, walks, triples = shape.automaton.walk, shape.walks, shape.triples
     none = len(ranked)
-    rescaling = system.rescaling
-    if rescaling is None:
-        terms = dict(poly.items())
-    else:
-        scale, letters = rescaling
-        terms, m = rescale(poly.items(), scale, letters)
     heap = []
     for word in terms:
         found = match(word)
@@ -430,9 +461,7 @@ def normal_form(
     if stats is not None:
         stats.steps += steps
         stats.max_support = max(stats.max_support, max_support)
-    if rescaling is not None:
-        terms = unscale(terms, scale, letters, m)
-    return NcPoly(poly.alphabet, terms)
+    return terms
 
 
 OVERLAP = "overlap"
@@ -522,6 +551,33 @@ class Resolution:
         return normal_form(_rewrites(self.ambiguity, self.system)[0], self.system)
 
 
+def _s_polynomial(ambiguity: Ambiguity, system: ReductionSystem) -> dict:
+    """The S-polynomial of the ambiguity as a term map over the system's
+    reducts: {w + C: c} - {A + w: d} for an overlap, {w: c} - {A + w + C: d}
+    for an inclusion, where sigma's reduct holds the (w, c) and tau's the
+    (w, d)."""
+    reducts = system._reducts
+    sigma = reducts[system.rules[ambiguity.sigma].lhs]
+    tau = reducts[system.rules[ambiguity.tau].lhs]
+    a, c = ambiguity.a, ambiguity.c
+    if ambiguity.kind == OVERLAP:
+        terms = {w + c: k for w, k in sigma}
+        right = ((a + w, k) for w, k in tau)
+    else:
+        terms = dict(sigma)
+        right = ((a + w + c, k) for w, k in tau)
+    for word, k in right:
+        if word in terms:
+            total = terms[word] - k
+            if total:
+                terms[word] = total
+            else:
+                del terms[word]
+        else:
+            terms[word] = -k
+    return terms
+
+
 def resolve_ambiguity(
     ambiguity: Ambiguity,
     system: ReductionSystem,
@@ -538,11 +594,29 @@ def resolve_ambiguity(
     not confluent, with the result as witness.  Terms the two sides share
     cancel before any of them is reduced.
 
+    The S-polynomial is built from the reducts, in the reduction domain,
+    and reduced there.  A reduct of the rule W holds c_w D^(e(W) - e(w)),
+    so for a rescaled system it is D^e(ABC) times the rescaled
+    S-polynomial; its content is divided out first, as ``rescale`` would,
+    and only a nonzero result is mapped back.  The result equals
+    ``normal_form(left - right)``, coefficient types included.
+
     The step budget bounds this one reduction, not the two sides apart:
     it can take more steps than the larger side alone would.
     """
-    left, right = _rewrites(ambiguity, system)
-    difference = normal_form(left - right, system, stats=stats)
+    terms = _s_polynomial(ambiguity, system)
+    rescaling = system.rescaling
+    if rescaling is not None:
+        scale, letters = rescaling
+        m = scale ** letter_count(ambiguity.word(), letters)
+        common = gcd(m, *terms.values())
+        if common > 1:
+            m //= common
+            terms = {w: k // common for w, k in terms.items()}
+    terms = _reduce(terms, system, stats)
+    if terms and rescaling is not None:
+        terms = unscale(terms, scale, letters, m)
+    difference = NcPoly(system.alphabet, terms)
     verdict = RESOLVABLE if difference.is_zero() else NOT_CONFLUENT
     return Resolution(ambiguity, verdict, difference, system)
 

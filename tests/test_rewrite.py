@@ -592,29 +592,122 @@ def test_normal_form_is_linear(case):
         reject()
 
 
-@settings(max_examples=60, deadline=None)
-@given(systems_and_input_pairs().map(lambda case: case[0]))
-@example(TOY_NOT_CONFLUENT)
-def test_s_polynomial_gives_the_two_normal_forms_difference(system):
-    for ambiguity in find_ambiguities(system):
-        try:
-            res = resolve_ambiguity(ambiguity, system)
-            left, right = (normal_form(p, system) for p in _rewrites(ambiguity, system))
-        except ReductionBudgetExceeded:
-            reject()
-        assert res.difference == left - right
-        assert (res.verdict == RESOLVABLE) == (left == right)
+def zeta8_quintic():
+    # the system of a quintic over Q(zeta_8)
+    field = CyclotomicField(8)
+    half = Fraction(1, 2)
+    g = DefiningPolynomial(
+        (field.q, Cyclotomic(8, [half, 0, -1]), field.zero, Cyclotomic(8, [1, 0, 0, half]), 1)
+    )
+    return build_system(g).system
+
+
+def not_confluent_quartic():
+    """The system of g = x^4 - 2/3 x^2 + 1/2 x with 1/3 x added to the right
+    side of sigma_1: still rescaled (D = 6, T = {x}), and not confluent."""
+    system = system_for(Fraction(1, 2), Fraction(-2, 3), 0, 1)
+    first, *rest = system.rules
+    extra = NcPoly.monomial(AX, (X,), Fraction(1, 3))
+    rules = [Rule(first.lhs, first.rhs + extra, first.label), *rest]
+    return ReductionSystem(AX, system.order, rules, name=system.name)
+
+
+# two letters rescaled: D = 60, T = {x, y}
+TENSOR_TWO_LETTERS = build_tensor_presentation(
+    DefiningPolynomial((Fraction(1, 2), Fraction(1, 5), 1)),
+    DefiningPolynomial((Fraction(3, 4), Fraction(-1, 3), 1)),
+).system
+# b inside cbc: an inclusion and an overlap, rescaled by D = 6 on {b, c}
+INCLUSION_SYSTEM = deglex_system(
+    [((2, 1, 2), {(0,): Fraction(1, 2), (1, 1): 1}), ((1,), {(0,): Fraction(1, 3)})]
+)
+# cc -> 2 aa + 1/2, rescaled by D = 2 on {c}: the S-polynomial of ccc is
+# 8 aac - 8 caa, whose content 8 = D^3 maps it back with int coefficients
+CONTENT_SYSTEM = deglex_system([((2, 2), {(0, 0): 2, (): Fraction(1, 2)})])
+
+
+def draw_zeta8_system(draw):
+    """The system of a random g over Q(zeta_8) of degree 2..5."""
+    n = draw(st.integers(2, 5))
+    entries = st.lists(fractions_, min_size=4, max_size=4)
+    coeffs = [Cyclotomic(8, draw(entries)) for _ in range(n - 1)]
+    top = draw(entries.filter(any))
+    return build_system(DefiningPolynomial((*coeffs, Cyclotomic(8, top)))).system
 
 
 @st.composite
 def confluence_systems(draw):
-    """A rational, deglex or four-letter tensor system."""
-    kind = draw(st.sampled_from(("rational", "deglex", "tensor")))
+    """A rational, deglex, Q(zeta_8) or four-letter tensor system."""
+    kind = draw(st.sampled_from(("rational", "deglex", "zeta8", "tensor")))
     if kind == "tensor":
         g, f = draw_polynomial(draw, 2, 4), draw_polynomial(draw, 2, 4)
         return build_tensor_presentation(g, f).system
+    if kind == "zeta8":
+        return draw_zeta8_system(draw)
     draw_system = draw_rational_system if kind == "rational" else draw_deglex_system
     return draw_system(draw)[0]
+
+
+def typed(poly) -> dict:
+    return {w: (type(c), c) for w, c in poly.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(confluence_systems())
+@example(TOY_NOT_CONFLUENT)
+@example(INCLUSION_SYSTEM)
+@example(CONTENT_SYSTEM)
+@example(TENSOR_TWO_LETTERS)
+@example(zeta8_quintic())
+@example(not_confluent_quartic())
+def test_s_polynomial_gives_the_two_normal_forms_difference(system):
+    # resolve_ambiguity builds the S-polynomial from the reducts; the
+    # reference builds both one-step rewrites from the public rules
+    for ambiguity in find_ambiguities(system):
+        stats, expected_stats = ReductionStats(), ReductionStats()
+        left, right = _rewrites(ambiguity, system)
+        try:
+            res = resolve_ambiguity(ambiguity, system, stats)
+            expected = normal_form(left - right, system, expected_stats)
+            left, right = normal_form(left, system), normal_form(right, system)
+        except ReductionBudgetExceeded:
+            reject()
+        assert res.difference == left - right
+        assert typed(res.difference) == typed(expected)
+        assert stats == expected_stats
+        assert (res.verdict == RESOLVABLE) == (left == right)
+
+
+def test_s_polynomial_examples_cover_their_cases():
+    assert TENSOR_TWO_LETTERS.rescaling == (60, (X, 3))
+    assert INCLUSION_SYSTEM.rescaling == (6, (1, 2))
+    kinds = {amb.kind for amb in find_ambiguities(INCLUSION_SYSTEM)}
+    assert kinds == {OVERLAP, INCLUSION}
+    assert CONTENT_SYSTEM.rescaling == (2, (2,))
+    (res,) = check_confluence(CONTENT_SYSTEM).resolutions
+    assert typed(res.difference) == {(0, 0, 2): (int, 2), (2, 0, 0): (int, -2)}
+    assert zeta8_quintic().rescaling is None
+    system = not_confluent_quartic()
+    assert system.rescaling == (6, (X,))
+    assert not check_confluence(system).overall
+
+
+def test_check_confluence_builds_no_polynomial_product(monkeypatch):
+    rng = random.Random(3)
+    while True:
+        g = random_defining_polynomial(rng, 9)
+        if all(g.coefficients):
+            break
+    rational = build_system(g).system
+    assert rational.rescaling[0] > 1 and rational.rescaling[1]
+    systems = [rational, zeta8_quintic(), not_confluent_quartic()]
+
+    def product(*args):
+        raise AssertionError("NcPoly product in check_confluence")
+
+    monkeypatch.setattr(NcPoly, "__mul__", product)
+    verdicts = [check_confluence(system).overall for system in systems]
+    assert verdicts == [True, True, False]
 
 
 @settings(max_examples=80, deadline=None)
@@ -787,16 +880,6 @@ def test_shape_memo_is_bounded():
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def zeta8_quintic():
-    # the system of a quintic over Q(zeta_8)
-    field = CyclotomicField(8)
-    half = Fraction(1, 2)
-    g = DefiningPolynomial(
-        (field.q, Cyclotomic(8, [half, 0, -1]), field.zero, Cyclotomic(8, [1, 0, 0, half]), 1)
-    )
-    return build_system(g).system
-
-
 @pytest.mark.parametrize(
     "name, make_system",
     [
@@ -810,6 +893,7 @@ def zeta8_quintic():
             "confluence_tensor_x2_y3",
             lambda: build_tensor_presentation(power_poly(2), power_poly(3)).system,
         ),
+        ("confluence_not_confluent_deg4", not_confluent_quartic),
     ],
 )
 def test_confluence_report_matches_golden(name, make_system):
