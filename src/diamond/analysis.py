@@ -60,7 +60,7 @@ from .presentations import (
     tensor_alphabet,
 )
 from .rewrite import check_confluence, normal_form
-from .scalars import CyclotomicField, common_denominator
+from .scalars import CyclotomicField, common_denominator, rescale
 
 # ---------------------------------------------------------------------------
 # PBW words and the irreducible census
@@ -275,18 +275,13 @@ def _reduce_row(row: dict, pivots: dict) -> dict:
 
 
 def _integer_row(terms, column) -> dict:
-    """Clear the denominators of {key: rational} and rename each key by
-    ``column``; the result is a row {column: int}."""
-    scale = common_denominator(terms.values())
-    if scale is None:
+    """Clear the denominators of {key: rational}, each c times their lcm
+    (``rescale`` with no letters), and rename each key by ``column``; the
+    result is a row {column: int}."""
+    if common_denominator(terms.values()) is None:
         raise TypeError("the exact-rank oracle works over rational scalars only")
-    row = {}
-    for key, coeff in terms.items():
-        value = coeff * scale
-        if value.denominator != 1:
-            raise ArithmeticError("denominator clearing failed")
-        row[column(key)] = value.numerator
-    return row
+    row, _ = rescale(terms.items(), 1, ())
+    return {column(key): value for key, value in row.items()}
 
 
 _MEMBERSHIP_BOUND = 10

@@ -40,7 +40,7 @@ from .rewrite import (
     check_confluence,
     normal_form,
 )
-from .scalars import CyclotomicField
+from .scalars import CyclotomicField, common_denominator
 
 
 class ExprError(ValueError):
@@ -81,10 +81,13 @@ MAX_HOPF_DEGREE = 10
 MAX_CYCLOTOMIC_ORDER = 128
 
 #: resource guards for expression parsing, checked before each product is
-#: built: at most this many terms ((a+x)^16 is the largest power of a+x)
-#: and words of at most this many letters
+#: built: at most this many terms ((a+x)^16 is the largest power of a+x),
+#: words of at most this many letters, and coefficients of at most this
+#: many bits (``coefficient_bits``), well inside the 4,300 digits that
+#: Python turns into text
 MAX_EXPR_TERMS = 2**16
 MAX_EXPR_LETTERS = 1_000
+MAX_EXPR_BITS = 10_000
 
 #: resource guard for expression parsing: the parser recurses on each '('
 #: and each unary '-', so at most this many may be open at once
@@ -165,9 +168,9 @@ class _Parser:
     def expr(self) -> NcPoly:
         value = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
+            op, _, position = self.next()
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = self.checked(value + rhs if op == "+" else value - rhs, position)
         return value
 
     def term(self) -> NcPoly:
@@ -176,15 +179,20 @@ class _Parser:
             op, _, position = self.next()
             factor = self.factor()
             if op == "*":
-                self.check_size(len(value) * len(factor), value.degree() + factor.degree(), position)
-                value = value * factor
+                self.check_size(
+                    len(value) * len(factor),
+                    value.degree() + factor.degree(),
+                    coefficient_bits(value) + coefficient_bits(factor),
+                    position,
+                )
+                value = self.checked(value * factor, position)
                 continue
             divisor = constant_of(factor)
             if divisor is None:
                 raise ExprError("division by a non-constant", position)
             if not divisor:
                 raise ExprError("zero denominator", position)
-            value = value.scale(Fraction(1) / divisor)
+            value = self.checked(value.scale(Fraction(1) / divisor), position)
         token = self.peek()
         if token[0] in ("name", "int", "("):
             raise ExprError("missing '*' between factors", token[2])
@@ -199,18 +207,27 @@ class _Parser:
             if exponent < 1:
                 raise ExprError("exponent must be a positive integer", token[2])
             if exponent > MAX_EXPR_LETTERS:
-                # the letter bound below cannot see powers of constants
+                # the bounds below are computed from the exponent, the term
+                # bound as len(value) ** exponent
                 raise ExprError(
                     f"resource guard: exponent above {MAX_EXPR_LETTERS}", token[2]
                 )
-            self.check_size(len(value) ** exponent, value.degree() * exponent, token[2])
-            value = value ** exponent
+            self.check_size(
+                len(value) ** exponent,
+                value.degree() * exponent,
+                coefficient_bits(value) * exponent,
+                token[2],
+            )
+            value = self.checked(value**exponent, token[2])
         return value
 
     @staticmethod
-    def check_size(terms: int, letters: int, position: int) -> None:
-        """Refuse a product whose term bound is above MAX_EXPR_TERMS or whose
-        words may have more than MAX_EXPR_LETTERS letters."""
+    def check_size(terms: int, letters: int, bits: int, position: int) -> None:
+        """Refuse a product whose term bound is above MAX_EXPR_TERMS, whose
+        words may have more than MAX_EXPR_LETTERS letters, or whose
+        coefficients may have more than MAX_EXPR_BITS bits.  The bit bound
+        adds the bits of the factors; the carries of a sum of products are
+        left to ``checked``."""
         if terms > MAX_EXPR_TERMS:
             raise ExprError(
                 f"resource guard: a product of up to {terms} terms, more than {MAX_EXPR_TERMS}",
@@ -221,6 +238,18 @@ class _Parser:
                 f"resource guard: words of {letters} letters, more than {MAX_EXPR_LETTERS}",
                 position,
             )
+        if bits > MAX_EXPR_BITS:
+            raise ExprError(
+                f"resource guard: coefficients of up to {bits} bits, more than {MAX_EXPR_BITS}",
+                position,
+            )
+
+    @classmethod
+    def checked(cls, value: NcPoly, position: int) -> NcPoly:
+        """``value``, refused when its coefficients have more than
+        MAX_EXPR_BITS bits."""
+        cls.check_size(0, 0, coefficient_bits(value), position)
+        return value
 
     def atom(self) -> NcPoly:
         token = self.next()
@@ -239,6 +268,8 @@ class _Parser:
             self.depth -= 1
             return value
         if kind == "int":
+            # a digit has fewer than 10/3 bits
+            self.check_size(1, 0, len(text) * 10 // 3 + 1, pos)
             return NcPoly.one(self.alphabet).scale(int(text))
         if kind == "name":
             if text == "q" and self.field is not None:
@@ -252,6 +283,17 @@ class _Parser:
 def parse_expr(text: str, alphabet: Alphabet, field=None) -> NcPoly:
     """Parse expression text into an exact polynomial over the alphabet."""
     return _Parser(text, alphabet, field).parse()
+
+
+def coefficient_bits(poly: NcPoly) -> int:
+    """The bit length of the largest of D and the |N_w|, where the
+    coefficients of ``poly`` are N_w / D over their common denominator D.
+    Over Q(zeta_N) the rationals are the entries of the residues.  A text
+    form prints no integer of more bits."""
+    entries = [e for _, c in poly.items() for e in getattr(c, "coeffs", (c,))]
+    den = common_denominator(entries)
+    top = max((abs(e.numerator) * (den // e.denominator) for e in entries), default=0)
+    return max(den, top).bit_length()
 
 
 def constant_of(poly: NcPoly):

@@ -56,15 +56,16 @@ lhs -> sum c_w D^(e(lhs) - e(w)) w, and for the first T (in the order
 empty set, singletons, pairs, ...) that makes every such coefficient an
 integer, the system reduces with these ``int`` right sides, its reducts
 (the exponents e(lhs) - e(w) are kept on the rule shape, per letter set).
-``normal_form`` maps its input in (c -> c * m / D^e(w), m clearing
-denominators), runs the one loop ``_reduce`` on the same words, matches
-and steps, and maps the result back.  ``resolve_ambiguity`` needs no map
-in: the S-polynomial of an ambiguity on A B C, built from the two reducts,
-is D^e(ABC) times the rescaled one, so it is in Z already, and only a
-nonzero result is mapped back.  An integral system is the case D = 1,
-T empty; it stores its rules with ``int`` coefficients.  A system with no
-such T, or over Q(zeta_N), reduces with its coefficients as given.  The
-helpers live in ``scalars``; ``int`` shares the arithmetic protocol of
+The public rules stay as given; the reducts are the one working copy.
+Every reduction starts from a term map in Z and its multiplier m, the
+map in being c -> c * m / D^e(w).  ``normal_form`` maps its input in
+(m clearing denominators); the two one-step rewrites of an ambiguity on
+A B C, built from the reducts, are D^e(ABC) times their rescaled images,
+so they are in Z already.  ``_reduce_back`` then divides out the common
+factor of m and the content, runs the one loop ``_reduce``, and maps the
+result back (c -> c * D^e(w) / m).  A system with no such T, or over
+Q(zeta_N), reduces with its coefficients as given, with m = 1 and no map.
+The helpers live in ``scalars``; ``int`` shares the arithmetic protocol of
 ``Fraction`` and the term maps use the integers 1 and 0 as units, so no
 ``Fraction`` is built between the two maps (the fraction-free idea of
 Bareiss 1968).
@@ -290,10 +291,10 @@ class ReductionSystem:
     """Oriented rules over one alphabet together with a compatible order.
 
     The coefficient domain is chosen here (see the module docstring):
-    ``rescaling`` is (D, T) when the system reduces with ``int`` rules
+    ``rescaling`` is (D, T) when the system reduces with ``int`` reducts
     rescaled by D on the letters in T, and None when it reduces with its
-    coefficients as given.  ``rules`` are the given rules; when D = 1 they
-    are stored with ``int`` coefficients.
+    coefficients as given.  ``rules`` are the given rules, with the
+    caller's scalars.
     """
 
     def __init__(self, alphabet: Alphabet, order, rules, name=""):
@@ -311,17 +312,10 @@ class ReductionSystem:
         else:
             scale, letters, self._reducts = found
             self.rescaling = (scale, letters)
-            if scale == 1:
-                rules = [
-                    Rule(rule.lhs, NcPoly(alphabet, self._reducts[rule.lhs]), rule.label)
-                    for rule in rules
-                ]
         self.alphabet = alphabet
         self.order = order
         self.rules = tuple(rules)
         self._shape = shape
-        # the rules in the automaton's rank order
-        self._ranked = [rules[i] for i in shape.ranks]
         self.name = name
         self.budget = DEFAULT_BUDGET
 
@@ -337,10 +331,10 @@ class ReductionSystem:
         One walk of the automaton from state 0 (``ObstructionAutomaton.walk``).
         """
         _, best, end = self._shape.automaton.walk(word)
-        ranked = self._ranked
-        if best == len(ranked):
+        ranks = self._shape.ranks
+        if best == len(ranks):
             return None
-        rule = ranked[best]
+        rule = self.rules[ranks[best]]
         return rule, end + 1 - len(rule.lhs)
 
     def describe(self) -> str:
@@ -359,7 +353,8 @@ class ReductionSystem:
 
 
 class _Rev:
-    # max-heap adaptor for heapq; carries the word's match, found on push
+    # max-heap adaptor for heapq; carries the word's match (lhs, position),
+    # found on push
     __slots__ = ("key", "word", "found")
 
     def __init__(self, key, word, found):
@@ -380,15 +375,32 @@ def normal_form(
     Terminates for every compatible system by the descending chain
     condition; the step budget ``system.budget`` is a diagnostic guard
     against misuse with incompatible inputs.  A rescaled system maps the
-    input into its integral domain and the result back (see the module
-    docstring); ``_reduce`` does the steps.
+    input into its integral domain with ``rescale``, and ``_reduce_back``
+    does the steps and maps the result back (see the module docstring).
     """
     rescaling = system.rescaling
     if rescaling is None:
-        return NcPoly(poly.alphabet, _reduce(dict(poly.items()), system, stats))
-    scale, letters = rescaling
-    terms, m = rescale(poly.items(), scale, letters)
-    return NcPoly(poly.alphabet, unscale(_reduce(terms, system, stats), scale, letters, m))
+        terms, m = dict(poly.items()), 1
+    else:
+        terms, m = rescale(poly.items(), *rescaling)
+    return NcPoly(poly.alphabet, _reduce_back(terms, m, system, stats))
+
+
+def _reduce_back(terms: dict, m: int, system: ReductionSystem, stats=None) -> dict:
+    """The normal form of ``terms`` / ``m``, where ``terms`` is a term map in
+    the system's reduction domain, mapped back out of it.  A multiplier
+    m > 1 comes with ``int`` terms; their common factor with m is divided
+    out first, so that m is the least that clears the denominators and the
+    result has the coefficient types of ``unscale``."""
+    if m > 1:
+        common = gcd(m, *terms.values())
+        if common > 1:
+            m //= common
+            terms = {w: k // common for w, k in terms.items()}
+    terms = _reduce(terms, system, stats)
+    if system.rescaling is None:
+        return terms
+    return unscale(terms, *system.rescaling, m)
 
 
 def _reduce(terms: dict, system: ReductionSystem, stats: ReductionStats | None) -> dict:
@@ -397,15 +409,17 @@ def _reduce(terms: dict, system: ReductionSystem, stats: ReductionStats | None) 
     budget = system.budget
     order = system.order
     match = system.match
-    reducts, ranked = system._reducts, system._ranked
+    reducts = system._reducts
     shape = system._shape
     walk, walks, triples = shape.automaton.walk, shape.walks, shape.triples
-    none = len(ranked)
+    left_sides = shape.automaton.left_sides
+    none = len(left_sides)
     heap = []
     for word in terms:
         found = match(word)
         if found is not None:
-            heapq.heappush(heap, _Rev(order.sort_key(word), word, found))
+            rule, pos = found
+            heapq.heappush(heap, _Rev(order.sort_key(word), word, (rule.lhs, pos)))
     steps = 0
     max_support = len(terms)
     while heap:
@@ -415,14 +429,13 @@ def _reduce(terms: dict, system: ReductionSystem, stats: ReductionStats | None) 
         if not coeff:
             terms.pop(word, None)
             continue
-        rule, pos = item.found
+        lhs, pos = item.found
         del terms[word]
         steps += 1
         if steps > budget:
             raise ReductionBudgetExceeded(
                 f"exceeded {budget} elementary reductions in {system.describe()}"
             )
-        lhs = rule.lhs
         prefix = word[:pos]
         suffix = word[pos + len(lhs) :]
         # no rank-0 left side ends inside the prefix, so its walk runs to
@@ -453,8 +466,8 @@ def _reduce(terms: dict, system: ReductionSystem, stats: ReductionStats | None) 
                         best, end = pbest, pend
                     _, best, end = walk(suffix, rstate, best, end, pos + len(rword))
                     if best != none:
-                        hit = ranked[best]
-                        found = hit, end + 1 - len(hit.lhs)
+                        hit = left_sides[best]
+                        found = hit, end + 1 - len(hit)
                         heapq.heappush(heap, _Rev(order.sort_key(new_word), new_word, found))
         if len(terms) > max_support:
             max_support = len(terms)
@@ -511,21 +524,26 @@ def find_ambiguities(system: ReductionSystem) -> list:
 
 
 def _rewrites(ambiguity: Ambiguity, system: ReductionSystem):
-    # the two one-step rewrites (left, right) of A B C
-    sigma = system.rules[ambiguity.sigma]
-    tau = system.rules[ambiguity.tau]
-    alphabet = system.alphabet
+    """The two one-step rewrites (left, right) of A B C as (word,
+    coefficient) streams over the system's reducts: (w + C, c) and
+    (A + w, d) for an overlap, (w, c) and (A + w + C, d) for an inclusion,
+    where sigma's reduct holds the (w, c) and tau's the (w, d).  Each is
+    ``_multiplier`` times the rewrite's image in the reduction domain."""
+    reducts = system._reducts
+    sigma = reducts[system.rules[ambiguity.sigma].lhs]
+    tau = reducts[system.rules[ambiguity.tau].lhs]
+    a, c = ambiguity.a, ambiguity.c
     if ambiguity.kind == OVERLAP:
-        left = sigma.rhs * NcPoly.monomial(alphabet, ambiguity.c)
-        right = NcPoly.monomial(alphabet, ambiguity.a) * tau.rhs
-    else:
-        left = sigma.rhs
-        right = (
-            NcPoly.monomial(alphabet, ambiguity.a)
-            * tau.rhs
-            * NcPoly.monomial(alphabet, ambiguity.c)
-        )
-    return left, right
+        return ((w + c, k) for w, k in sigma), ((a + w, k) for w, k in tau)
+    return sigma, ((a + w + c, k) for w, k in tau)
+
+
+def _multiplier(ambiguity: Ambiguity, system: ReductionSystem) -> int:
+    """D^e(ABC), the multiplier of the streams of ``_rewrites``: a reduct of
+    the rule W holds c_w D^(e(W) - e(w)).  It is 1 when the system reduces
+    with its coefficients as given."""
+    scale, letters = system.rescaling or (1, ())
+    return scale ** letter_count(ambiguity.word(), letters)
 
 
 @dataclass
@@ -536,9 +554,10 @@ class Resolution:
     occurrence when ``check_confluence`` settled the ambiguity by the
     criterion, without reducing it, and None otherwise.  ``left_normal``,
     the normal form of the left one-step rewrite of A B C (under confluence
-    the normal form of A B C), is computed again on each access; it stays
-    for the normal-form digest of each ambiguity in
-    ``benchmarks/workloads.py``."""
+    the normal form of A B C), is reduced from the reducts like the
+    S-polynomial, again on each access; it equals ``normal_form`` of that
+    rewrite, coefficient types included.  It stays for the normal-form
+    digest of each ambiguity in ``benchmarks/workloads.py``."""
 
     ambiguity: Ambiguity
     verdict: str
@@ -548,34 +567,9 @@ class Resolution:
 
     @property
     def left_normal(self) -> NcPoly:
-        return normal_form(_rewrites(self.ambiguity, self.system)[0], self.system)
-
-
-def _s_polynomial(ambiguity: Ambiguity, system: ReductionSystem) -> dict:
-    """The S-polynomial of the ambiguity as a term map over the system's
-    reducts: {w + C: c} - {A + w: d} for an overlap, {w: c} - {A + w + C: d}
-    for an inclusion, where sigma's reduct holds the (w, c) and tau's the
-    (w, d)."""
-    reducts = system._reducts
-    sigma = reducts[system.rules[ambiguity.sigma].lhs]
-    tau = reducts[system.rules[ambiguity.tau].lhs]
-    a, c = ambiguity.a, ambiguity.c
-    if ambiguity.kind == OVERLAP:
-        terms = {w + c: k for w, k in sigma}
-        right = ((a + w, k) for w, k in tau)
-    else:
-        terms = dict(sigma)
-        right = ((a + w + c, k) for w, k in tau)
-    for word, k in right:
-        if word in terms:
-            total = terms[word] - k
-            if total:
-                terms[word] = total
-            else:
-                del terms[word]
-        else:
-            terms[word] = -k
-    return terms
+        left, _ = _rewrites(self.ambiguity, self.system)
+        m = _multiplier(self.ambiguity, self.system)
+        return NcPoly(self.system.alphabet, _reduce_back(dict(left), m, self.system))
 
 
 def resolve_ambiguity(
@@ -594,28 +588,26 @@ def resolve_ambiguity(
     not confluent, with the result as witness.  Terms the two sides share
     cancel before any of them is reduced.
 
-    The S-polynomial is built from the reducts, in the reduction domain,
-    and reduced there.  A reduct of the rule W holds c_w D^(e(W) - e(w)),
-    so for a rescaled system it is D^e(ABC) times the rescaled
-    S-polynomial; its content is divided out first, as ``rescale`` would,
-    and only a nonzero result is mapped back.  The result equals
+    The S-polynomial is the difference of the two streams of ``_rewrites``,
+    in the reduction domain, with the multiplier D^e(ABC);
+    ``_reduce_back`` reduces it there and maps it back.  The result equals
     ``normal_form(left - right)``, coefficient types included.
 
     The step budget bounds this one reduction, not the two sides apart:
     it can take more steps than the larger side alone would.
     """
-    terms = _s_polynomial(ambiguity, system)
-    rescaling = system.rescaling
-    if rescaling is not None:
-        scale, letters = rescaling
-        m = scale ** letter_count(ambiguity.word(), letters)
-        common = gcd(m, *terms.values())
-        if common > 1:
-            m //= common
-            terms = {w: k // common for w, k in terms.items()}
-    terms = _reduce(terms, system, stats)
-    if terms and rescaling is not None:
-        terms = unscale(terms, scale, letters, m)
+    left, right = _rewrites(ambiguity, system)
+    terms = dict(left)
+    for word, k in right:
+        if word in terms:
+            total = terms[word] - k
+            if total:
+                terms[word] = total
+            else:
+                del terms[word]
+        else:
+            terms[word] = -k
+    terms = _reduce_back(terms, _multiplier(ambiguity, system), system, stats)
     difference = NcPoly(system.alphabet, terms)
     verdict = RESOLVABLE if difference.is_zero() else NOT_CONFLUENT
     return Resolution(ambiguity, verdict, difference, system)

@@ -24,19 +24,9 @@ from math import gcd
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    """Euler's totient, by trial-division factorization, once per order."""
-    if n < 1:
-        raise ValueError("euler_phi needs a positive integer")
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    """Euler's totient, the degree of the n-th cyclotomic polynomial; a
+    ``ValueError`` for n < 1."""
+    return len(cyclotomic_polynomial(n)) - 1
 
 
 def _divmod_monic(num: list, den) -> tuple[list, list]:

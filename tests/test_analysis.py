@@ -398,6 +398,14 @@ def test_echelon_work_at_the_largest_bound(n, pivots, entries):
     assert (len(table), sum(map(len, table.values()))) == (pivots, entries)
 
 
+def test_oracle_refuses_a_non_rational_g():
+    # the rows are cleared to ints, and a Q(zeta_8) coefficient has no
+    # denominator to clear
+    q = CyclotomicField(8).q
+    with pytest.raises(TypeError, match="rational scalars only"):
+        ideal_filtration_profile(DefiningPolynomial((q, 1)), 4)
+
+
 def test_oracle_guards_words_longer_than_the_bound():
     with pytest.raises(ValueError, match="resource guard"):
         ideal_filtration_profile(power_poly(2), MAX_ORACLE_BOUND + 1)

@@ -14,6 +14,7 @@ from diamond import cli
 from diamond.cli import (
     MAX_CYCLOTOMIC_ORDER,
     MAX_DEGREE,
+    MAX_EXPR_BITS,
     MAX_EXPR_DEPTH,
     MAX_EXPR_LETTERS,
     MAX_EXPR_TERMS,
@@ -369,6 +370,36 @@ def test_parser_size_guard(capsys):
     # both caps are inclusive
     assert len(parse_expr("(a+x)^16", AX)) == MAX_EXPR_TERMS
     assert parse_expr(f"x^{MAX_EXPR_LETTERS}", AX).degree() == MAX_EXPR_LETTERS
+
+
+def test_parser_coefficient_guard(capsys):
+    # powers of constants used to build coefficients of a million bits and
+    # more, and then failed with Python's limit on integer text, not a guard
+    big_literal = "9" * (3 * MAX_EXPR_BITS // 10)
+    for text in (
+        "(2^1000)^1000",
+        "((2^1000)*x)^1000",
+        "(2^1000)^10",
+        "2^999*(2^1000)^9*a",
+        "9" * 5000,
+        big_literal + "*x",
+        "1/(2^1000)^9 + 1/(3^600)^9",
+    ):
+        start = time.monotonic()
+        assert run_command(["nf", "--g", "x^2", "--expr", text]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: resource guard: coefficients")
+        assert time.monotonic() - start < 5
+    # the largest power of 2^999 the guard allows renders, and so does a
+    # literal one digit shorter than the one refused
+    assert run_command(["nf", "--g", "x^2", "--expr", "(2^999)^10*a"]) == 0
+    assert capsys.readouterr().out == f"{2**9990}*a\n"
+    assert run_command(["nf", "--g", "x^2", "--expr", big_literal[1:] + "*x"]) == 0
+    assert capsys.readouterr().out == f"{big_literal[1:]}*x\n"
+    # the bound is on the coefficients, not on the exponent: (1+q)^1000 over
+    # Q(zeta_8) has coefficients of 885 bits
+    assert run_command(["nf", "--g", "x^2", "--cyclotomic", "8", "--expr", "(1+q)^1000*a"]) == 0
+    capsys.readouterr()
 
 
 def test_parser_depth_guard(capsys):

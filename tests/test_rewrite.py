@@ -30,7 +30,6 @@ from diamond.rewrite import (
     ReductionBudgetExceeded,
     ReductionSystem,
     Rule,
-    _rewrites,
     check_confluence,
     find_ambiguities,
     normal_form,
@@ -367,7 +366,7 @@ def test_integral_systems_compute_in_int():
 
 def test_rational_and_cyclotomic_systems_keep_their_domain():
     # the public rules hold the caller's scalars, here the Fraction 1/2 and
-    # the ints -2 and 1; only an integral system stores int rules
+    # the ints -2 and 1
     rational = build_system(DefiningPolynomial.from_coefficients((Fraction(1, 2), -2, 1)))
     assert coefficient_types(rule.rhs for rule in rational.system.rules) == {Fraction, int}
     field = CyclotomicField(8)
@@ -648,6 +647,18 @@ def confluence_systems(draw):
     return draw_system(draw)[0]
 
 
+def product_rewrites(ambiguity, system):
+    """The two one-step rewrites (left, right) of A B C, built as products
+    of the public rules with the monomials A and C."""
+    sigma = system.rules[ambiguity.sigma]
+    tau = system.rules[ambiguity.tau]
+    a = NcPoly.monomial(system.alphabet, ambiguity.a)
+    c = NcPoly.monomial(system.alphabet, ambiguity.c)
+    if ambiguity.kind == OVERLAP:
+        return sigma.rhs * c, a * tau.rhs
+    return sigma.rhs, a * tau.rhs * c
+
+
 def typed(poly) -> dict:
     return {w: (type(c), c) for w, c in poly.items()}
 
@@ -661,17 +672,19 @@ def typed(poly) -> dict:
 @example(zeta8_quintic())
 @example(not_confluent_quartic())
 def test_s_polynomial_gives_the_two_normal_forms_difference(system):
-    # resolve_ambiguity builds the S-polynomial from the reducts; the
-    # reference builds both one-step rewrites from the public rules
+    # resolve_ambiguity and left_normal build the rewrites from the reducts;
+    # the reference builds both one-step rewrites from the public rules
     for ambiguity in find_ambiguities(system):
         stats, expected_stats = ReductionStats(), ReductionStats()
-        left, right = _rewrites(ambiguity, system)
+        left, right = product_rewrites(ambiguity, system)
         try:
             res = resolve_ambiguity(ambiguity, system, stats)
             expected = normal_form(left - right, system, expected_stats)
             left, right = normal_form(left, system), normal_form(right, system)
+            left_normal = res.left_normal
         except ReductionBudgetExceeded:
             reject()
+        assert typed(left_normal) == typed(left)
         assert res.difference == left - right
         assert typed(res.difference) == typed(expected)
         assert stats == expected_stats
@@ -706,8 +719,17 @@ def test_check_confluence_builds_no_polynomial_product(monkeypatch):
         raise AssertionError("NcPoly product in check_confluence")
 
     monkeypatch.setattr(NcPoly, "__mul__", product)
-    verdicts = [check_confluence(system).overall for system in systems]
-    assert verdicts == [True, True, False]
+    reports = [check_confluence(system) for system in systems]
+    assert [report.overall for report in reports] == [True, True, False]
+    for report in reports:
+        normal_forms = [res.left_normal for res in report.resolutions]
+        if report.overall:
+            # under confluence, the normal form of the word A B C
+            alphabet = report.system.alphabet
+            assert normal_forms == [
+                normal_form(NcPoly.monomial(alphabet, res.ambiguity.word()), report.system)
+                for res in report.resolutions
+            ]
 
 
 @settings(max_examples=80, deadline=None)
@@ -760,6 +782,23 @@ def test_rational_system_reduces_in_int_rules():
     assert scan_match(system, (A, A, X, X)) == system.match((A, A, X, X))
     assert_matches_reference(mono(A, A, X, X, A, X) - mono(X, A, A, X).scale(Fraction(5, 7)), system)
     assert check_confluence(system).overall
+
+
+def test_integral_system_keeps_the_given_fractions():
+    # g = x^4 - 3x^2 + 2x with Fraction(k, 1) coefficients: D = 1, so the
+    # reducts hold ints, while the public rules keep the caller's Fractions
+    # and render as the rules of the same g given in ints do
+    given = system_for(Fraction(2), Fraction(-3), 0, Fraction(1))
+    ints = system_for(2, -3, 0, 1)
+    assert given.rescaling == ints.rescaling == (1, ())
+    assert coefficient_types(rule.rhs for rule in given.rules) == {Fraction}
+    assert {type(c) for rhs in given._reducts.values() for _, c in rhs} == {int}
+    assert given.rules_json() == ints.rules_json()
+    report = check_confluence(given)
+    assert report.to_json_dict() == check_confluence(ints).to_json_dict()
+    assert coefficient_types(res.left_normal for res in report.resolutions) == {int}
+    poly = mono(A, A, X, X, A, X) - mono(X, A, A, X).scale(Fraction(5, 7))
+    assert typed(normal_form(poly, given)) == typed(normal_form(poly, ints))
 
 
 def test_system_without_integral_grading_keeps_its_coefficients():

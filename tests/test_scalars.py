@@ -28,9 +28,19 @@ def test_cyclotomic_polynomials_small():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+# phi(1), ..., phi(30), listed by hand
+TOTIENTS = (
+    1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4, 12, 6, 8,
+    8, 16, 6, 18, 8, 12, 10, 22, 8, 20, 12, 18, 12, 28, 8,
+)
+
+
 def test_cyclotomic_degree_is_totient():
-    for n in range(1, 30):
-        assert len(cyclotomic_polynomial(n)) - 1 == euler_phi(n)
+    # euler_phi is the degree of the cyclotomic polynomial
+    assert [euler_phi(n) for n in range(1, 31)] == list(TOTIENTS)
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            euler_phi(n)
 
 
 def test_rational_arithmetic():
