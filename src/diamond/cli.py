@@ -40,7 +40,7 @@ from .rewrite import (
     check_confluence,
     normal_form,
 )
-from .scalars import CyclotomicField, common_denominator
+from .scalars import CyclotomicField, common_denominator, entries
 
 
 class ExprError(ValueError):
@@ -84,7 +84,8 @@ MAX_CYCLOTOMIC_ORDER = 128
 #: built: at most this many terms ((a+x)^16 is the largest power of a+x),
 #: words of at most this many letters, and coefficients of at most this
 #: many bits (``coefficient_bits``), well inside the 4,300 digits that
-#: Python turns into text
+#: Python turns into text; the bit bound also holds for every normal form
+#: and difference a command prints (``_check_output``)
 MAX_EXPR_TERMS = 2**16
 MAX_EXPR_LETTERS = 1_000
 MAX_EXPR_BITS = 10_000
@@ -290,10 +291,22 @@ def coefficient_bits(poly: NcPoly) -> int:
     coefficients of ``poly`` are N_w / D over their common denominator D.
     Over Q(zeta_N) the rationals are the entries of the residues.  A text
     form prints no integer of more bits."""
-    entries = [e for _, c in poly.items() for e in getattr(c, "coeffs", (c,))]
-    den = common_denominator(entries)
-    top = max((abs(e.numerator) * (den // e.denominator) for e in entries), default=0)
+    values = [e for _, c in poly.items() for e in entries(c)]
+    den = common_denominator(values)
+    top = max((abs(e.numerator) * (den // e.denominator) for e in values), default=0)
     return max(den, top).bit_length()
+
+
+def _check_output(polys) -> None:
+    """Refuse to print polynomials whose coefficients have more than
+    MAX_EXPR_BITS bits: reduction can grow the coefficients of an accepted
+    input past what Python turns into text."""
+    bits = max(map(coefficient_bits, polys), default=0)
+    if bits > MAX_EXPR_BITS:
+        raise UsageError(
+            f"resource guard: the result has coefficients of {bits} bits, "
+            f"more than {MAX_EXPR_BITS}"
+        )
 
 
 def constant_of(poly: NcPoly):
@@ -396,6 +409,7 @@ def _cmd_confluence(args, argv) -> int:
     if args.budget is not None:
         pres.system.budget = args.budget
     report = check_confluence(pres.system)
+    _check_output(res.difference for res in report.resolutions)
     doc = report.to_json_dict()
     print(f"system: {doc['system']}")
     print(
@@ -430,6 +444,7 @@ def _cmd_nf(args, argv) -> int:
     if args.budget is not None:
         pres.system.budget = args.budget
     nf = normal_form(poly, pres.system)
+    _check_output([nf])
     print(nf.render(pres.system.order))
     _write_json(
         args,

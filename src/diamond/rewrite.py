@@ -48,27 +48,31 @@ depend only on the rule words and the order, not on the coefficients.
 order from a memo of at most ``MEMO_SIZE`` shapes: the g of one degree
 differ only in their coefficients, so ``diamond verify all`` needs few.
 
-A system over Q reduces in the integers.  Let D be the lcm of its
-coefficient denominators and, for a letter set T, let e(w) count the
-letters of w in T.  The algebra automorphism w -> D^(-e(w)) * w sends each
-rule lhs -> sum c_w w to a scalar multiple of the rule
-lhs -> sum c_w D^(e(lhs) - e(w)) w, and for the first T (in the order
-empty set, singletons, pairs, ...) that makes every such coefficient an
-integer, the system reduces with these ``int`` right sides, its reducts
-(the exponents e(lhs) - e(w) are kept on the rule shape, per letter set).
-The public rules stay as given; the reducts are the one working copy.
-Every reduction starts from a term map in Z and its multiplier m, the
+A system over Q reduces in the integers, and one over Q(zeta_N) in
+Z[zeta_N].  Let D be the lcm of the denominators of the coefficients'
+rational entries (a residue's entries, or the rational itself) and, for a
+letter set T, let e(w) count the letters of w in T.  The algebra
+automorphism w -> D^(-e(w)) * w sends each rule lhs -> sum c_w w to a
+scalar multiple of the rule lhs -> sum c_w D^(e(lhs) - e(w)) w, and for the
+first T (in the order empty set, singletons, pairs, ...) that makes every
+such coefficient integral, the system reduces with these right sides, its
+reducts: ``int``s, or residues with ``int`` entries (the exponents
+e(lhs) - e(w) are kept on the rule shape, per letter set and rule).  The
+rules are monic in their left sides and Phi_N is monic over Z, so the loop
+never divides and the reducts' coefficients stay integral.  The public
+rules stay as given; the reducts are the one working copy.  Every reduction
+starts from a term map in the integral domain and its multiplier m, the
 map in being c -> c * m / D^e(w).  ``normal_form`` maps its input in
 (m clearing denominators); the two one-step rewrites of an ambiguity on
 A B C, built from the reducts, are D^e(ABC) times their rescaled images,
-so they are in Z already.  ``_reduce_back`` then divides out the common
-factor of m and the content, runs the one loop ``_reduce``, and maps the
-result back (c -> c * D^e(w) / m).  A system with no such T, or over
-Q(zeta_N), reduces with its coefficients as given, with m = 1 and no map.
-The helpers live in ``scalars``; ``int`` shares the arithmetic protocol of
-``Fraction`` and the term maps use the integers 1 and 0 as units, so no
-``Fraction`` is built between the two maps (the fraction-free idea of
-Bareiss 1968).
+so they are integral already.  ``_reduce_back`` then divides out the
+common factor of m and the entries, runs the one loop ``_reduce``, and
+maps the result back (c -> c * D^e(w) / m).  A system with no such T
+reduces with its coefficients as given, with m = 1 and no map.  The
+helpers live in ``scalars``; ``int`` shares the arithmetic protocol of
+``Fraction``, ``Cyclotomic`` keeps ``int`` entries as ``int``, and the term
+maps use the integers 1 and 0 as units, so no ``Fraction`` is built
+between the two maps (the fraction-free idea of Bareiss 1968).
 """
 
 from __future__ import annotations
@@ -78,11 +82,18 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import gcd
 
 from .freealg import Alphabet, NcPoly, Word, render_word
 from .ordering import check_compatibility
-from .scalars import common_denominator, letter_count, rescale, scaled_integer, unscale
+from .scalars import (
+    common_denominator,
+    divide_content,
+    entries,
+    letter_count,
+    rescale,
+    scaled_integer,
+    unscale,
+)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -222,18 +233,20 @@ def _scaled(coeffs, scale: int, powers):
 
 def _rescaling(rules, shape):
     """(D, T, scaled reducts) for the first letter set T, in the order empty
-    set, singletons, pairs, ..., whose rescaling makes every coefficient an
-    integer; None when the coefficients are not rational or no T does.  The
-    reducts map each left side to its (word, int) pairs in term order."""
+    set, singletons, pairs, ..., whose rescaling makes every coefficient
+    integral; None when no T does.  D is the lcm of the denominators of the
+    coefficients' rational entries.  The reducts map each left side to its
+    (word, integral coefficient) pairs in term order."""
     coeffs = [tuple(c for _, c in rule.rhs.items()) for rule in rules]
-    scale = common_denominator(c for row in coeffs for c in row)
+    scale = common_denominator(e for row in coeffs for c in row for e in entries(c))
     if scale is None:
         return None
-    for size in range(shape.k + 1):
+    # the empty set leaves every coefficient as it is: integral when D = 1
+    for size in range(0 if scale == 1 else 1, shape.k + 1):
         for letters in combinations(range(shape.k), size):
             reducts = {}
-            for row, powers, (lhs, rwords) in zip(coeffs, shape.exponents(letters), shape.words):
-                values = _scaled(row, scale, powers)
+            for rule, (row, (lhs, rwords)) in enumerate(zip(coeffs, shape.words)):
+                values = _scaled(row, scale, shape.exponents(letters, rule))
                 if values is None:
                     break
                 reducts[lhs] = tuple(zip(rwords, values))
@@ -266,17 +279,18 @@ class RuleShape:
         self.triples = {}
         self._exponents = {}
 
-    def exponents(self, letters) -> tuple:
-        """Per rule, e(lhs) - e(w) for each right-side word w in term order,
-        where e counts the letters in ``letters``; kept per letter set."""
-        rows = self._exponents.get(letters)
-        if rows is None:
-            rows = []
-            for lhs, rwords in self.words:
-                top = letter_count(lhs, letters)
-                rows.append(tuple(top - letter_count(w, letters) for w in rwords))
-            rows = self._exponents[letters] = tuple(rows)
-        return rows
+    def exponents(self, letters, rule: int) -> tuple:
+        """e(lhs) - e(w) for each right-side word w of rule number ``rule``,
+        in term order, where e counts the letters in ``letters``; kept per
+        letter set and rule, so a letter set that fails at its first rules
+        computes no others."""
+        key = letters, rule
+        row = self._exponents.get(key)
+        if row is None:
+            lhs, rwords = self.words[rule]
+            top = letter_count(lhs, letters)
+            row = self._exponents[key] = tuple(top - letter_count(w, letters) for w in rwords)
+        return row
 
     @cached_property
     def automaton(self) -> ObstructionAutomaton:
@@ -291,10 +305,10 @@ class ReductionSystem:
     """Oriented rules over one alphabet together with a compatible order.
 
     The coefficient domain is chosen here (see the module docstring):
-    ``rescaling`` is (D, T) when the system reduces with ``int`` reducts
-    rescaled by D on the letters in T, and None when it reduces with its
-    coefficients as given.  ``rules`` are the given rules, with the
-    caller's scalars.
+    ``rescaling`` is (D, T) when the system reduces with integral reducts
+    (``int`` over Q, ``int`` residues over Q(zeta_N)) rescaled by D on the
+    letters in T, and None when it reduces with its coefficients as given.
+    ``rules`` are the given rules, with the caller's scalars.
     """
 
     def __init__(self, alphabet: Alphabet, order, rules, name=""):
@@ -389,14 +403,10 @@ def normal_form(
 def _reduce_back(terms: dict, m: int, system: ReductionSystem, stats=None) -> dict:
     """The normal form of ``terms`` / ``m``, where ``terms`` is a term map in
     the system's reduction domain, mapped back out of it.  A multiplier
-    m > 1 comes with ``int`` terms; their common factor with m is divided
-    out first, so that m is the least that clears the denominators and the
-    result has the coefficient types of ``unscale``."""
-    if m > 1:
-        common = gcd(m, *terms.values())
-        if common > 1:
-            m //= common
-            terms = {w: k // common for w, k in terms.items()}
+    m > 1 comes with integral terms; their common factor with m is divided
+    out first (``divide_content``), so that m is the least that clears the
+    denominators and the result has the coefficient types of ``unscale``."""
+    terms, m = divide_content(terms, m)
     terms = _reduce(terms, system, stats)
     if system.rescaling is None:
         return terms

@@ -8,6 +8,12 @@ field object: ints and Fractions mix with residues through the operators of
 ``Cyclotomic``.  ``CyclotomicField`` only names the zero, the one and the
 root ``q`` of one order.
 
+Residue entries keep their type.  Phi_N is monic with integer coefficients,
+so sums, differences and products of residues with ``int`` entries have
+``int`` entries: Z[q]/Phi_N(q) = Z[zeta_N] computes with no ``Fraction``.
+The diagonal rescaling at the end of this module moves a system over Q
+into Z and one over Q(zeta_N) into Z[zeta_N], where ``rewrite`` reduces.
+
 One polynomial core serves the residues: ``_divmod_monic`` divides by a
 monic polynomial (the exactness check of ``cyclotomic_polynomial``, the
 reduction mod Phi_N and each step of the extended Euclid in
@@ -63,11 +69,9 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_rational(value):
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"cannot coerce {value!r} into a cyclotomic coefficient")
 
 
@@ -76,18 +80,30 @@ class Cyclotomic:
 
     Mixed arithmetic with ints and Fractions coerces them into the ring, so
     polynomial code can stay agnostic about which field it is running over.
+    Residue entries are ints or Fractions, kept as given: integer residues
+    stay ``int`` through ``+``, ``-`` and ``*``, so Z[q]/Phi_N(q) computes
+    with no ``Fraction``.  Equality and hashing compare values, not types.
     """
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
         phi = euler_phi(order)
-        coeffs = [_as_fraction(c) for c in coeffs]
+        coeffs = [_as_rational(c) for c in coeffs]
         if len(coeffs) > phi:
             coeffs = _divmod_monic(coeffs, cyclotomic_polynomial(order))[1]
-        coeffs += [Fraction(0)] * (phi - len(coeffs))
+        coeffs += [0] * (phi - len(coeffs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
+
+    @classmethod
+    def _reduced(cls, order: int, coeffs: tuple) -> "Cyclotomic":
+        # a residue that is already reduced, a tuple of length phi(order)
+        # of ints and Fractions: the operators build their results here
+        self = object.__new__(cls)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("Cyclotomic elements are immutable")
@@ -102,7 +118,7 @@ class Cyclotomic:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, [other])
+            return Cyclotomic._reduced(self.order, (other,) + (0,) * (len(self.coeffs) - 1))
         return None
 
     # -- ring operations ---------------------------------------------------
@@ -111,18 +127,18 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return Cyclotomic._reduced(self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-a for a in self.coeffs])
+        return Cyclotomic._reduced(self.order, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return Cyclotomic._reduced(self.order, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -134,13 +150,14 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        prod = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(o.coeffs):
                     if b:
                         prod[i + j] += a * b
-        return Cyclotomic(self.order, prod)
+        residue = _divmod_monic(prod, cyclotomic_polynomial(self.order))[1]
+        return Cyclotomic._reduced(self.order, tuple(residue))
 
     __rmul__ = __mul__
 
@@ -248,13 +265,28 @@ class CyclotomicField:
         self.q = Cyclotomic(order, [0, 1])
 
 
-# -- the diagonal rescaling of a rational system ----------------------------
+# -- the diagonal rescaling of a system over Q or Q(zeta_N) -----------------
 #
 # Scaling the letters in a set T by D is the algebra automorphism
 # w -> D^(-e(w)) * w, where e(w) counts the letters of w that lie in T.  It
-# can turn a system over Q into one with integer coefficients; these helpers
-# find out whether it does, and move polynomials into and out of the
-# integral system, with int arithmetic only.
+# can turn a system over Q into one with integer coefficients, and one over
+# Q(zeta_N) into one over Z[zeta_N]; these helpers find out whether it
+# does, and move polynomials into and out of the integral system, with int
+# arithmetic only.  They read a scalar by its rational entries
+# (``entries``): the residue of a ``Cyclotomic``, or the rational itself.
+
+
+def entries(value) -> tuple:
+    """The rational entries of a scalar: a residue's, or the int or
+    Fraction itself."""
+    return value.coeffs if isinstance(value, Cyclotomic) else (value,)
+
+
+def _with_entries(value, new):
+    # the scalar of value's kind whose entries are the list new
+    if isinstance(value, Cyclotomic):
+        return Cyclotomic._reduced(value.order, tuple(new))
+    return new[0]
 
 
 def common_denominator(values) -> int | None:
@@ -270,16 +302,18 @@ def common_denominator(values) -> int | None:
     return out
 
 
-def scaled_integer(value, scale: int, power: int) -> int | None:
-    """value * scale^power when that is an integer, else None.  ``value`` is
-    an int or a Fraction; ``power`` may be negative."""
-    num, den = value.numerator, value.denominator
-    if power >= 0:
-        num *= scale**power
-    else:
-        den *= scale**-power
-    quo, rem = divmod(num, den)
-    return None if rem else quo
+def scaled_integer(value, scale: int, power: int):
+    """value * scale^power when that is integral, else None: an int for an
+    int or a Fraction, and for a ``Cyclotomic`` one with int entries.
+    ``power`` may be negative."""
+    mul, div = (scale**power, 1) if power >= 0 else (1, scale**-power)
+    out = []
+    for entry in entries(value):
+        quo, rem = divmod(entry.numerator * mul, entry.denominator * div)
+        if rem:
+            return None
+        out.append(quo)
+    return _with_entries(value, out)
 
 
 def letter_count(word, letters) -> int:
@@ -290,36 +324,50 @@ def letter_count(word, letters) -> int:
 def rescale(terms, scale: int, letters) -> tuple[dict, int]:
     """Move (word, c) pairs into the rescaled system:
     c -> c * m / scale^e(word), with m the least positive integer that makes
-    every image an int.  Returns the images and m.
-
-    ``terms`` is iterated twice (pass ``NcPoly.items()``).  A coefficient
-    that is not rational has no common denominator with the others: then
-    m = 1 and every coefficient is divided exactly.
-    """
+    every image integral.  Returns the images and m; the image of a
+    ``Cyclotomic`` has int entries, that of a rational is an int."""
     rows = []
     m = 1
     for word, c in terms:
-        if getattr(c, "denominator", None) is None:
-            return {w: c * Fraction(1, scale ** letter_count(w, letters)) for w, c in terms}, 1
-        num, den = c.numerator, c.denominator
         e = letter_count(word, letters)
-        if e:
-            den *= scale**e
-            common = gcd(num, den)
-            num, den = num // common, den // common
-        rows.append((word, num, den))
-        if den != 1:
-            m = m // gcd(m, den) * den
-    return {word: num * (m // den) for word, num, den in rows}, m
+        row = []
+        for entry in entries(c):
+            num, den = entry.numerator, entry.denominator
+            if e:
+                den *= scale**e
+                common = gcd(num, den)
+                num, den = num // common, den // common
+            row.append((num, den))
+            if den != 1:
+                m = m // gcd(m, den) * den
+        rows.append((word, c, row))
+    return {w: _with_entries(c, [n * (m // d) for n, d in row]) for w, c, row in rows}, m
+
+
+def divide_content(terms: dict, m: int) -> tuple[dict, int]:
+    """``terms``, whose entries are integers, and the multiplier m, both
+    divided by the gcd of m and every entry."""
+    if m == 1:
+        return terms, m
+    common = gcd(m, *(k for c in terms.values() for k in entries(c)))
+    if common > 1:
+        m //= common
+        terms = {w: _with_entries(c, [k // common for k in entries(c)]) for w, c in terms.items()}
+    return terms, m
 
 
 def unscale(terms: dict, scale: int, letters, m: int) -> dict:
-    """The inverse of ``rescale``: c -> c * scale^e(word) / m."""
-    if m == 1:
-        if scale == 1:
-            return terms
-        return {w: c * scale ** letter_count(w, letters) for w, c in terms.items()}
-    return {w: Fraction(c * scale ** letter_count(w, letters), m) for w, c in terms.items()}
+    """The inverse of ``rescale``: c -> c * scale^e(word) / m, entry by
+    entry; each entry is an int when m = 1 and a Fraction otherwise."""
+    if m == 1 and scale == 1:
+        return terms
+    out = {}
+    for w, c in terms.items():
+        f = scale ** letter_count(w, letters)
+        out[w] = _with_entries(
+            c, [k * f if m == 1 else Fraction(k * f, m) for k in entries(c)]
+        )
+    return out
 
 
 def scalar_str(value) -> str:

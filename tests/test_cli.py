@@ -402,6 +402,28 @@ def test_parser_coefficient_guard(capsys):
     capsys.readouterr()
 
 
+def test_printed_results_are_bounded(capsys):
+    # the input guard bounds the parsed g and expression, not what reduction
+    # makes of them: this normal form holds the square of a 9,991-bit
+    # coefficient, past the 4,300 digits that Python turns into text
+    argv = ["nf", "--g", "x^2 + (2^999)^10*x", "--expr", "(a*x)^2", "--json", "-"]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: resource guard: the result has coefficients")
+    # residue entries count too
+    argv = ["nf", "--g", "x^2 + (2^999)^10*q*x", "--cyclotomic", "8", "--expr", "(a*x)^2"]
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err.startswith("error: resource guard: the result")
+    # the g itself, and a normal form at the bound, still print
+    assert run_command(["present", "--g", "x^2 + (2^999)^10*x"]) == 0
+    assert str(2**9990) in capsys.readouterr().out
+    assert run_command(["nf", "--g", "x^2 + (2^999)^10*x", "--expr", "a*x"]) == 0
+    big = 2**9990
+    assert capsys.readouterr().out == f"-x*a + {big}*a^2 - {big}*a\n"
+
+
 def test_parser_depth_guard(capsys):
     # the parser recurses on each '(' and each unary '-'; deep nesting used
     # to end in a RecursionError traceback

@@ -36,7 +36,7 @@ from diamond.rewrite import (
     ReductionStats,
     resolve_ambiguity,
 )
-from diamond.scalars import Cyclotomic, CyclotomicField
+from diamond.scalars import Cyclotomic, CyclotomicField, euler_phi
 from test_analysis import power_poly, scan_match
 
 A, X = 0, 1
@@ -463,9 +463,36 @@ def rational_systems_and_inputs(draw):
     return system, draw(inputs)
 
 
-@settings(max_examples=40, deadline=None)
-@given(rational_systems_and_inputs())
+def zeta8_quintic():
+    # the system of a quintic over Q(zeta_8)
+    field = CyclotomicField(8)
+    half = Fraction(1, 2)
+    g = DefiningPolynomial(
+        (field.q, Cyclotomic(8, [half, 0, -1]), field.zero, Cyclotomic(8, [1, 0, 0, half]), 1)
+    )
+    return build_system(g).system
+
+
+zeta8_scalars = st.lists(fractions_, min_size=4, max_size=4).map(lambda e: Cyclotomic(8, e))
+
+
+@st.composite
+def zeta8_systems_and_inputs(draw):
+    """The system of a random g over Q(zeta_8) and an input to it with
+    rational and Q(zeta_8) coefficients, which ``rescale`` maps in."""
+    system = draw_zeta8_system(draw)
+    n = len(system.rules) + 1
+    words = st.lists(st.integers(0, 1), min_size=n - 1, max_size=n + 2).map(tuple)
+    coeffs = st.one_of(fractions_, zeta8_scalars)
+    return system, NcPoly(AX, draw(st.dictionaries(words, coeffs, min_size=1, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(rational_systems_and_inputs(), zeta8_systems_and_inputs()))
+@example((zeta8_quintic(), mono(A, A, X, X, X, X, A, X).scale(CyclotomicField(8).q / 3)))
 def test_rescaled_reduction_matches_fraction_reference(case):
+    # a Q(zeta_8) system and its input are mapped into Z[zeta_8] by the
+    # rescaling (D, T), as a rational one is mapped into Z
     system, poly = case
     assert_matches_reference(poly, system)
 
@@ -591,24 +618,25 @@ def test_normal_form_is_linear(case):
         reject()
 
 
-def zeta8_quintic():
-    # the system of a quintic over Q(zeta_8)
-    field = CyclotomicField(8)
-    half = Fraction(1, 2)
-    g = DefiningPolynomial(
-        (field.q, Cyclotomic(8, [half, 0, -1]), field.zero, Cyclotomic(8, [1, 0, 0, half]), 1)
-    )
-    return build_system(g).system
+def with_extra_x(system, c):
+    """``system`` with c x added to the right side of sigma_1."""
+    first, *rest = system.rules
+    extra = NcPoly.monomial(AX, (X,), c)
+    rules = [Rule(first.lhs, first.rhs + extra, first.label), *rest]
+    return ReductionSystem(AX, system.order, rules, name=system.name)
 
 
 def not_confluent_quartic():
     """The system of g = x^4 - 2/3 x^2 + 1/2 x with 1/3 x added to the right
     side of sigma_1: still rescaled (D = 6, T = {x}), and not confluent."""
-    system = system_for(Fraction(1, 2), Fraction(-2, 3), 0, 1)
-    first, *rest = system.rules
-    extra = NcPoly.monomial(AX, (X,), Fraction(1, 3))
-    rules = [Rule(first.lhs, first.rhs + extra, first.label), *rest]
-    return ReductionSystem(AX, system.order, rules, name=system.name)
+    return with_extra_x(system_for(Fraction(1, 2), Fraction(-2, 3), 0, 1), Fraction(1, 3))
+
+
+def zeta8_not_confluent():
+    """``zeta8_quintic`` with q/3 x added to the right side of sigma_1:
+    rescaled (D = 6, T = {x}), and not confluent, with nonzero Q(zeta_8)
+    differences."""
+    return with_extra_x(zeta8_quintic(), Cyclotomic(8, [0, Fraction(1, 3)]))
 
 
 # two letters rescaled: D = 60, T = {x, y}
@@ -671,6 +699,7 @@ def typed(poly) -> dict:
 @example(TENSOR_TWO_LETTERS)
 @example(zeta8_quintic())
 @example(not_confluent_quartic())
+@example(zeta8_not_confluent())
 def test_s_polynomial_gives_the_two_normal_forms_difference(system):
     # resolve_ambiguity and left_normal build the rewrites from the reducts;
     # the reference builds both one-step rewrites from the public rules
@@ -699,8 +728,11 @@ def test_s_polynomial_examples_cover_their_cases():
     assert CONTENT_SYSTEM.rescaling == (2, (2,))
     (res,) = check_confluence(CONTENT_SYSTEM).resolutions
     assert typed(res.difference) == {(0, 0, 2): (int, 2), (2, 0, 0): (int, -2)}
-    assert zeta8_quintic().rescaling is None
+    assert zeta8_quintic().rescaling == (2, (X,))
     system = not_confluent_quartic()
+    assert system.rescaling == (6, (X,))
+    assert not check_confluence(system).overall
+    system = zeta8_not_confluent()
     assert system.rescaling == (6, (X,))
     assert not check_confluence(system).overall
 
@@ -730,6 +762,43 @@ def test_check_confluence_builds_no_polynomial_product(monkeypatch):
                 normal_form(NcPoly.monomial(alphabet, res.ambiguity.word()), report.system)
                 for res in report.resolutions
             ]
+
+
+@pytest.mark.parametrize("order", [3, 5, 12, 16])
+def test_cyclotomic_differences_match_the_fraction_reference(order):
+    # every order reduces in Z[zeta_N]; the reference reduces each
+    # product-built S-polynomial over the public rules, with no rescaling
+    rng = random.Random(order)
+    phi = euler_phi(order)
+
+    def residue():
+        entries = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(phi)]
+        return Cyclotomic(order, entries)
+
+    confluent = build_system(DefiningPolynomial((residue(), residue(), residue(), 1))).system
+    perturbed = with_extra_x(confluent, CyclotomicField(order).q / 3)
+    for system in (confluent, perturbed):
+        assert system.rescaling is not None
+        differences = []
+        for ambiguity in find_ambiguities(system):
+            left, right = product_rewrites(ambiguity, system)
+            res = resolve_ambiguity(ambiguity, system)
+            assert res.difference == reference_normal_form(left - right, system)[0]
+            differences.append(res.difference)
+        assert any(differences) == (system is perturbed)
+
+
+def test_zeta8_confluence_builds_no_fraction(monkeypatch):
+    # a Q(zeta_8) system reduces in Z[zeta_8]: a confluent one never leaves
+    # the integers, since a zero difference needs no map back
+    systems = [zeta8_quintic(), build_system(same_word_quintics()[2]).system]
+    assert all(system.rescaling == (2, (X,)) for system in systems)
+
+    def fraction(*args, **kwargs):
+        raise AssertionError("Fraction built in check_confluence")
+
+    monkeypatch.setattr(Fraction, "__new__", fraction)
+    assert all(check_confluence(system).overall for system in systems)
 
 
 @settings(max_examples=80, deadline=None)
@@ -867,7 +936,7 @@ def test_systems_with_the_same_words_share_a_sound_shape():
     systems = [budgeted(build_system(g).system) for g in gs]
     assert systems[0]._shape is systems[1]._shape is systems[2]._shape
     assert systems[0].rescaling == (1, ()) and systems[1].rescaling[1]
-    assert systems[2].rescaling is None
+    assert systems[2].rescaling == (2, (X,))
     # the systems take turns filling one walk memo
     for i, p in enumerate(SHAPE_INPUTS):
         for system, expected in zip(systems, alone):
@@ -933,6 +1002,7 @@ GOLDEN = Path(__file__).parent / "golden"
             lambda: build_tensor_presentation(power_poly(2), power_poly(3)).system,
         ),
         ("confluence_not_confluent_deg4", not_confluent_quartic),
+        ("confluence_zeta8_not_confluent", zeta8_not_confluent),
     ],
 )
 def test_confluence_report_matches_golden(name, make_system):

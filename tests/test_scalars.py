@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from diamond.scalars import (
     CyclotomicField,
     common_denominator,
     cyclotomic_polynomial,
+    divide_content,
+    entries,
     euler_phi,
     rescale,
     scalar_str,
@@ -152,6 +155,44 @@ def test_rational_cyclotomic_hashes_like_the_rational():
     assert Cyclotomic(8, [0, 1]) in {Cyclotomic(8, [0, 1])}
 
 
+def test_int_and_fraction_residues_are_one_key():
+    # an element keeps int residues as int, but is one value and one key
+    # whatever the types of its entries
+    ints = Cyclotomic(8, [1, 0, -2, 3])
+    fracs = Cyclotomic(8, [Fraction(1), Fraction(0), Fraction(-2), Fraction(3)])
+    assert [type(c) for c in ints.coeffs] == [int] * 4
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert {fracs: "found"}[ints] == "found"
+    assert len({ints, fracs}) == 1
+    three = Cyclotomic(8, [3])
+    assert three.coeffs == (3, 0, 0, 0) and three == 3 == Cyclotomic(8, [Fraction(3)])
+    assert hash(three) == hash(3) == hash(Cyclotomic(8, [Fraction(3)]))
+    assert {3: "int"}[three] == "int"
+    assert str(ints) == str(fracs) and scalar_str(three) == "3"
+
+
+@pytest.mark.parametrize("order", [3, 5, 8, 12, 16])
+def test_operators_agree_with_the_constructor(order):
+    # the operators build reduced residues directly; the constructor reduces
+    # the full product mod Phi_N itself
+    rng = random.Random(order)
+    phi = euler_phi(order)
+    for _ in range(40):
+        a = [rng.randint(-9, 9) for _ in range(phi)]
+        b = [rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 4))) for _ in range(phi)]
+        full = [0] * (2 * phi - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                full[i + j] += x * y
+        x, y = Cyclotomic(order, a), Cyclotomic(order, b)
+        assert x * y == Cyclotomic(order, full)
+        assert x + y == Cyclotomic(order, [s + t for s, t in zip(a, b)])
+        assert x - y == Cyclotomic(order, [s - t for s, t in zip(a, b)])
+        assert -y == Cyclotomic(order, [-t for t in b])
+        assert {type(c) for c in (x * x - x + 2 * x).coeffs} == {int}
+        assert len((x * y).coeffs) == phi
+
+
 def test_rescaling_helpers():
     assert common_denominator([1, Fraction(1, 6), Fraction(3, 4)]) == 12
     assert common_denominator([]) == 1
@@ -166,7 +207,15 @@ def test_rescaling_helpers():
     assert (images, m) == ({(1, 1): 1, (0,): 216}, 72)
     assert unscale(images, 6, (1,), m) == terms
     assert unscale({(1,): 2}, 3, (1,), 1) == {(1,): 6}
+    # a residue moves into Z[q] entry by entry, with the multiplier m
     q = Cyclotomic(8, [0, 1])
-    images, m = rescale({(1,): q}.items(), 2, (1,))
-    assert (images, m) == ({(1,): q * Fraction(1, 2)}, 1)
-    assert unscale(images, 2, (1,), m) == {(1,): q}
+    images, m = rescale({(1,): q, (0,): Fraction(1, 3)}.items(), 2, (1,))
+    assert (images, m) == ({(1,): 3 * q, (0,): 2}, 6)
+    assert [type(k) for k in images[(1,)].coeffs] == [int] * 4
+    assert unscale(images, 2, (1,), m) == {(1,): q, (0,): Fraction(1, 3)}
+    assert scaled_integer(Cyclotomic(8, [Fraction(1, 2), 0, 3]), 2, 1) == Cyclotomic(8, [1, 0, 6])
+    assert scaled_integer(Cyclotomic(8, [Fraction(1, 4), 1]), 2, 1) is None
+    assert entries(q) == (0, 1, 0, 0) and entries(Fraction(1, 2)) == (Fraction(1, 2),)
+    # the content common to m and every entry is divided out of both
+    assert divide_content({(0,): 6 * q + 4, (1,): 2}, 4) == ({(0,): 3 * q + 2, (1,): 1}, 2)
+    assert divide_content({(0,): 3}, 1) == ({(0,): 3}, 1)
