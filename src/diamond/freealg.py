@@ -6,7 +6,10 @@ construction.  ``TensorPoly`` is the same map on pairs of words, with the
 componentwise key product; it models the tensor square of the free algebra.
 Neither fixes a coefficient domain: their units are the plain integers 1
 and 0, which ``Fraction`` and ``Cyclotomic`` absorb, so a system with
-integral rules computes in ``int`` end to end.
+integral rules computes in ``int`` end to end.  The constructor is the one
+loop that sums terms: a sum hands it the terms of both operands and a
+product the key product and scalar product of every pair of terms, and it
+adds up repeated keys and drops those that sum to zero.
 
 The module also provides the structured sums this package revolves
 around: ``bidegree_sum(j, i)``, the sum P(j, i) of all words containing j
@@ -40,7 +43,7 @@ equality of the two polynomials, whatever order the words come in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 Word = tuple  # tuple[int, ...]
 
@@ -93,15 +96,21 @@ class NcPoly:
 
     def __init__(self, alphabet: Alphabet, terms=None):
         """``terms`` is a dict or an iterable of (key, scalar) pairs; repeated
-        keys are summed and zero scalars dropped."""
+        keys are summed and zero scalars dropped.  This loop builds every
+        sum and product of the module: a key keeps the place it first took,
+        and one that cancels and comes back goes to the end."""
         object.__setattr__(self, "alphabet", alphabet)
         clean = {}
         if terms:
             for key, coeff in terms.items() if isinstance(terms, dict) else terms:
-                if coeff:
-                    clean[key] = clean[key] + coeff if key in clean else coeff
-                    if not clean[key]:
+                if key in clean:
+                    total = clean[key] + coeff
+                    if total:
+                        clean[key] = total
+                    else:
                         del clean[key]
+                elif coeff:
+                    clean[key] = coeff
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, *_):
@@ -170,14 +179,7 @@ class NcPoly:
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._check(other)
-        terms = dict(self._terms)
-        for k, c in other._terms.items():
-            s = terms.get(k, 0) + c
-            if s:
-                terms[k] = s
-            elif k in terms:
-                del terms[k]
-        return self._make(terms)
+        return type(self)(self.alphabet, chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self):
         return self._make({k: -c for k, c in self._terms.items()})
@@ -190,16 +192,10 @@ class NcPoly:
     def __mul__(self, other):
         if isinstance(other, NcPoly):
             self._check(other)
-            terms = {}
-            for w1, c1 in self._terms.items():
-                for w2, c2 in other._terms.items():
-                    w = w1 + w2
-                    s = terms.get(w, 0) + c1 * c2
-                    if s:
-                        terms[w] = s
-                    elif w in terms:
-                        del terms[w]
-            return self._make(terms)
+            mine, theirs = self._terms.items(), other._terms.items()
+            return type(self)(self.alphabet, (
+                (w1 + w2, c1 * c2) for w1, c1 in mine for w2, c2 in theirs
+            ))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -233,20 +229,16 @@ class NcPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def sorted_terms(self, key=None):
-        """Terms sorted descending; default key is length-then-letterwise."""
-        if key is None:
-            key = lambda w: (len(w), tuple(-c for c in w))
-        return sorted(self._terms.items(), key=lambda item: key(item[0]), reverse=True)
-
     def render(self, order=None) -> str:
+        """Terms in descending order: by ``order``, else by length and then
+        letterwise."""
         from .scalars import scalar_str
 
         if not self._terms:
             return "0"
-        key = order.sort_key if order is not None else None
+        key = order.sort_key if order is not None else lambda w: (len(w), tuple(-c for c in w))
         parts = []
-        for word, coeff in self.sorted_terms(key):
+        for word, coeff in sorted(self._terms.items(), key=lambda kv: key(kv[0]), reverse=True):
             body = render_word(self.alphabet, word)
             cs = scalar_str(coeff)
             negative = cs.startswith("-")
@@ -402,23 +394,13 @@ class TensorPoly(NcPoly):
     def one(cls, alphabet: Alphabet) -> "TensorPoly":
         return cls(alphabet, {((), ()): 1})
 
-    @classmethod
-    def simple(cls, alphabet: Alphabet, left: Word, right: Word, coeff=1):
-        return cls(alphabet, {(tuple(left), tuple(right)): coeff})
-
     def __mul__(self, other):
         if isinstance(other, NcPoly):
             self._check(other)
-            terms = {}
-            for (l1, r1), c1 in self._terms.items():
-                for (l2, r2), c2 in other._terms.items():
-                    key = (l1 + l2, r1 + r2)
-                    s = terms.get(key, 0) + c1 * c2
-                    if s:
-                        terms[key] = s
-                    elif key in terms:
-                        del terms[key]
-            return self._make(terms)
+            mine, theirs = self._terms.items(), other._terms.items()
+            return type(self)(self.alphabet, (
+                ((l1 + l2, r1 + r2), c1 * c2) for (l1, r1), c1 in mine for (l2, r2), c2 in theirs
+            ))
         return self.scale(other)
 
     def degree(self) -> int:

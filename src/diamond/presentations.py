@@ -43,12 +43,12 @@ class DefiningPolynomial:
         return cls(out)
 
     @classmethod
-    def from_ncpoly(cls, poly: NcPoly, gen: int) -> "DefiningPolynomial":
+    def from_ncpoly(cls, poly: NcPoly) -> "DefiningPolynomial":
         """Extract coefficients from a one-variable polynomial in generator
-        ``gen`` with zero constant term."""
+        0 with zero constant term."""
         coeffs: dict[int, object] = {}
         for word, coeff in poly.items():
-            if any(c != gen for c in word):
+            if any(word):
                 raise ValueError("polynomial involves more than one generator")
             if not word:
                 raise ValueError("defining polynomial must have zero constant term")
@@ -252,7 +252,7 @@ def build_quantum_plane(n: int) -> ReductionSystem:
 DU = Alphabet(("d", "u"))
 
 
-def downup_relations(alpha, beta, gamma, alphabet: Alphabet = DU) -> list:
+def downup_relations(alpha, beta, gamma) -> list:
     """The two down-up relations, as polynomials set to zero:
 
         d^2 u - alpha*d u d - beta*u d^2 - gamma*d,
@@ -261,7 +261,7 @@ def downup_relations(alpha, beta, gamma, alphabet: Alphabet = DU) -> list:
     d, u = 0, 1
 
     def mono(*letters):
-        return NcPoly.monomial(alphabet, letters)
+        return NcPoly.monomial(DU, letters)
 
     first = mono(d, d, u) - alpha * mono(d, u, d) - beta * mono(u, d, d) - gamma * mono(d)
     second = mono(d, u, u) - alpha * mono(u, d, u) - beta * mono(u, u, d) - gamma * mono(u)

@@ -99,6 +99,33 @@ def test_parse_errors():
     assert err is not None and "position" in str(err)
 
 
+def test_numbers_are_decimal_digits(capsys):
+    # a number is what int() reads, the str.isdecimal digits: a superscript
+    # digit is an unexpected character, an Arabic-Indic digit is a number
+    with pytest.raises(ExprError, match="unexpected character '²'") as info:
+        parse_expr("x^²", AX)
+    assert info.value.position == 2
+    assert parse_expr("x^٣ + １", AX) == mono(X, X, X) + NcPoly.one(AX)
+    assert run_command(["nf", "--g", "x^2", "--expr", "x^²"]) == 2
+    assert capsys.readouterr().err == "error: unexpected character '²' (at position 2)\n"
+    assert run_command(["present", "--g", "1,²"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unexpected character '²'" in err
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.text(alphabet="ax+-*/^() 0123456789q²٣１é_", max_size=12),
+    st.sampled_from([None, CyclotomicField(4)]),
+)
+def test_parse_expr_returns_a_poly_or_raises_expr_error(text, field):
+    try:
+        result = parse_expr(text, AX, field)
+    except ExprError:
+        return
+    assert isinstance(result, NcPoly)
+
+
 def test_coefficient_list_entries_are_constant_expressions():
     # each entry of a list is read by the expression grammar
     field = CyclotomicField(8)

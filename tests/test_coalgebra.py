@@ -28,8 +28,9 @@ def mono(*letters):
     return NcPoly.monomial(AX, letters)
 
 
-def simple(left, right):
-    return TensorPoly.simple(AX, left, right)
+def simple(left, right, coeff=1, alphabet=AX):
+    """The simple tensor coeff * left (x) right."""
+    return TensorPoly(alphabet, {(tuple(left), tuple(right)): coeff})
 
 
 def tensor(left, right):
@@ -51,8 +52,8 @@ def letter_product_coproduct(poly):
 
     def letter(c):
         if c % 2 == 0:
-            return TensorPoly.simple(alphabet, (c,), (c,))
-        return TensorPoly.simple(alphabet, (), (c,)) + TensorPoly.simple(alphabet, (c,), (c - 1,))
+            return simple((c,), (c,), alphabet=alphabet)
+        return simple((), (c,), alphabet=alphabet) + simple((c,), (c - 1,), alphabet=alphabet)
 
     total = TensorPoly.zero(alphabet)
     for word, coeff in poly.items():
@@ -159,7 +160,7 @@ def test_grouped_relation_coproduct():
                 if c:
                     summed = summed + bidegree_sum(AX, j, i - j).scale(c)
             reduced = tensor_normal_form(coproduct(summed), pres.system)
-            expected = TensorPoly.simple(AX, (A,) * n, (A,) * n, g.coefficient(j))
+            expected = simple((A,) * n, (A,) * n, g.coefficient(j))
             assert reduced == expected
 
 
@@ -193,10 +194,8 @@ def test_four_generator_context():
     alphabet = tensor_alphabet(2, 3)
     a, _, b, y = range(4)
     delta_y = coproduct(NcPoly.generator(alphabet, y))
-    assert delta_y == TensorPoly.simple(alphabet, (), (y,)) + TensorPoly.simple(
-        alphabet, (y,), (b,)
-    )
-    assert coproduct(NcPoly.generator(alphabet, b)) == TensorPoly.simple(alphabet, (b,), (b,))
+    assert delta_y == simple((), (y,), alphabet=alphabet) + simple((y,), (b,), alphabet=alphabet)
+    assert coproduct(NcPoly.generator(alphabet, b)) == simple((b,), (b,), alphabet=alphabet)
     assert counit(NcPoly.monomial(alphabet, (b, y, a))) == 0
     assert counit(NcPoly.monomial(alphabet, (b, a, b))) == 1
     p = NcPoly.monomial(alphabet, (y, a, y))

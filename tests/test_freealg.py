@@ -20,6 +20,7 @@ from diamond.freealg import (
     check_splitting_identity,
     render_word,
 )
+from diamond.scalars import Cyclotomic
 
 AX = Alphabet(("a", "x"))
 A, X = 0, 1
@@ -27,6 +28,11 @@ A, X = 0, 1
 
 def mono(*letters):
     return NcPoly.monomial(AX, letters)
+
+
+def simple(left, right, coeff=1):
+    """The simple tensor coeff * left (x) right over AX."""
+    return TensorPoly(AX, {(tuple(left), tuple(right)): coeff})
 
 
 def words_of(poly):
@@ -311,17 +317,17 @@ def test_splitting_check_builds_no_term_map():
 
 
 def test_tensor_examples():
-    aa = TensorPoly.simple(AX, (A,), (A,))
-    assert aa * aa == TensorPoly.simple(AX, (A, A), (A, A))
-    t = TensorPoly.simple(AX, (), (X,)) + TensorPoly.simple(AX, (X,), (A,))
+    aa = simple((A,), (A,))
+    assert aa * aa == simple((A, A), (A, A))
+    t = simple((), (X,)) + simple((X,), (A,))
     square = (
-        TensorPoly.simple(AX, (), (X, X))
-        + TensorPoly.simple(AX, (X,), (X, A))
-        + TensorPoly.simple(AX, (X,), (A, X))
-        + TensorPoly.simple(AX, (X, X), (A, A))
+        simple((), (X, X))
+        + simple((X,), (X, A))
+        + simple((X,), (A, X))
+        + simple((X, X), (A, A))
     )
     assert t * t == square
-    uv = TensorPoly.simple(AX, (A, X), (X,))
+    uv = simple((A, X), (X,))
     assert uv * TensorPoly.one(AX) == uv
     assert uv ** 0 == TensorPoly.one(AX) and uv ** 2 == uv * uv
     with pytest.raises(ValueError):
@@ -330,8 +336,8 @@ def test_tensor_examples():
 
 def test_tensor_poly_render_and_degree():
     assert TensorPoly.zero(AX).render() == "0"
-    assert TensorPoly.simple(AX, (A,), (X,)).render() == "1*a(x)x"
-    t = TensorPoly.simple(AX, (A, X), (X, A)) + TensorPoly.simple(AX, (), (X,), Fraction(-1, 2))
+    assert simple((A,), (X,)).render() == "1*a(x)x"
+    t = simple((A, X), (X, A)) + simple((), (X,), Fraction(-1, 2))
     assert t.render() == "-1/2*1(x)x + 1*a*x(x)x*a"
     with pytest.raises(TypeError):
         t.degree()
@@ -351,6 +357,82 @@ def test_term_map_shared_by_words_and_pairs():
             op(word_poly, tensor)
     with pytest.raises(AttributeError):
         tensor.alphabet = AX
+
+
+# The loops that NcPoly.__add__, NcPoly.__mul__ and TensorPoly.__mul__ ran
+# before the constructor summed every term: the reference for the values and
+# for the key order, which the curve rule's right side passes on to the
+# rule shape.
+
+
+def reference_sum(p, q):
+    terms = dict(p.items())
+    for k, c in q.items():
+        s = terms.get(k, 0) + c
+        if s:
+            terms[k] = s
+        elif k in terms:
+            del terms[k]
+    return terms
+
+
+def reference_product(p, q):
+    terms = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            w = w1 + w2
+            s = terms.get(w, 0) + c1 * c2
+            if s:
+                terms[w] = s
+            elif w in terms:
+                del terms[w]
+    return terms
+
+
+def reference_tensor_product(p, q):
+    terms = {}
+    for (l1, r1), c1 in p.items():
+        for (l2, r2), c2 in q.items():
+            key = (l1 + l2, r1 + r2)
+            s = terms.get(key, 0) + c1 * c2
+            if s:
+                terms[key] = s
+            elif key in terms:
+                del terms[key]
+    return terms
+
+
+def typed_items(terms):
+    return [(key, type(c), c) for key, c in terms.items()]
+
+
+# few words, few small coefficients: products repeat keys, and sums cancel
+POOL = [(), (A,), (X,), (A, X), (X, A)]
+DOMAINS = [
+    st.integers(-2, 2),
+    st.fractions(min_value=-1, max_value=1, max_denominator=2),
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)).map(lambda t: Cyclotomic(8, t)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sums_and_products_match_the_reference_loops(data):
+    domain = data.draw(st.sampled_from(DOMAINS))
+    word_terms = st.lists(st.tuples(st.sampled_from(POOL), domain), max_size=6)
+    pair_terms = st.lists(st.tuples(st.tuples(*[st.sampled_from(POOL)] * 2), domain), max_size=5)
+    p, q = NcPoly(AX, data.draw(word_terms)), NcPoly(AX, data.draw(word_terms))
+    s, t = TensorPoly(AX, data.draw(pair_terms)), TensorPoly(AX, data.draw(pair_terms))
+    for result, reference in (
+        (p + q, reference_sum(p, q)),
+        (p - q, reference_sum(p, -q)),
+        (p * q, reference_product(p, q)),
+        (s + t, reference_sum(s, t)),
+        (s - t, reference_sum(s, -t)),
+        (s * t, reference_tensor_product(s, t)),
+    ):
+        assert result == type(result)(AX, reference)
+        assert typed_items(result) == typed_items(reference)
 
 
 def test_render():

@@ -6,10 +6,11 @@ The term-map layers take their coefficient domain from their inputs, so
 they may not import ``fractions``: a ``Fraction`` unit there would pull
 integral systems back into rational arithmetic.  ``rewrite`` has one
 automaton walk loop, ``ObstructionAutomaton.walk``; no other function there
-may step the transition table.  Every top-level definition is referenced by
-other code of the package, so nothing is kept for the tests alone; a
-re-export in ``__init__.py`` is not a use, and ``__all__`` lists exactly
-the names ``__init__.py`` imports.
+may step the transition table.  ``freealg`` has one loop that sums terms,
+``NcPoly.__init__``; no other function there may delete a key.  Every
+top-level definition is referenced by other code of the package, so
+nothing is kept for the tests alone; a re-export in ``__init__.py`` is not
+a use, and ``__all__`` lists exactly the names ``__init__.py`` imports.
 ``bidegree_words``, ``bidegree_masks`` and ``bidegree_sum`` enumerate the
 words by definition: built from a peel identity, the splitting claims would
 check that identity against itself.
@@ -77,24 +78,27 @@ def test_imports_fractions_detects_both_forms():
     assert not imports_fractions(ast.parse("from .scalars import Cyclotomic\n"))
 
 
+def scoped_nodes(tree, scope=()):
+    """(qualified name of the enclosing classes and functions, node) of every
+    node below ``tree`` but the class and function definitions."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from scoped_nodes(child, scope + (child.name,))
+        else:
+            yield ".".join(scope), child
+            yield from scoped_nodes(child, scope)
+
+
 def transition_steps(tree) -> list:
     """(function, line) of every ``delta[s][c]``: a subscript of a subscript
     of a name or attribute called ``delta``, by enclosing qualified name."""
     out = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Subscript) and isinstance(child.value, ast.Subscript):
-                table = child.value.value
-                name = table.id if isinstance(table, ast.Name) else getattr(table, "attr", None)
-                if name == "delta":
-                    out.append((".".join(scope), child.lineno))
-            visit(child, scope)
-
-    visit(tree, ())
+    for scope, node in scoped_nodes(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript):
+            table = node.value.value
+            name = table.id if isinstance(table, ast.Name) else getattr(table, "attr", None)
+            if name == "delta":
+                out.append((scope, node.lineno))
     return out
 
 
@@ -111,6 +115,41 @@ def test_transition_steps_detects_each_form():
         "row = delta[0]\n"
     )
     assert transition_steps(ast.parse(code)) == [("f", 2), ("A.g", 5)]
+
+
+def subscript_deletes(tree) -> list:
+    """(function, line) of every ``del m[k]``, by enclosing qualified name:
+    the step of a loop that sums terms and drops the keys that cancel."""
+    return [
+        (scope, node.lineno)
+        for scope, node in scoped_nodes(tree)
+        if isinstance(node, ast.Delete)
+        and any(isinstance(target, ast.Subscript) for target in node.targets)
+    ]
+
+
+def test_freealg_has_one_accumulation_loop():
+    path = next(path for path in SOURCES if path.name == "freealg.py")
+    deletes = subscript_deletes(ast.parse(path.read_text(), path.name))
+    assert deletes and {scope for scope, _ in deletes} == {"NcPoly.__init__"}
+
+
+def test_subscript_deletes_detects_an_accumulation_loop():
+    code = (
+        "class T:\n"
+        "    def __mul__(self, other):\n"
+        "        terms = {}\n"
+        "        for key, c in pairs(self, other):\n"
+        "            s = terms.get(key, 0) + c\n"
+        "            if s:\n"
+        "                terms[key] = s\n"
+        "            elif key in terms:\n"
+        "                del terms[key]\n"
+        "        return terms\n"
+        "del cache\n"
+        "del self._terms[()], other\n"
+    )
+    assert subscript_deletes(ast.parse(code)) == [("T.__mul__", 9), ("", 12)]
 
 
 # ``ideal_span_contains`` is the membership oracle of the tests, kept while a
