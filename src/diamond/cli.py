@@ -64,20 +64,25 @@ MAX_BASIS_WORDS = 100_000
 #: squared (8.8 MB printed for n = 6 at length 8,000)
 MAX_GROWTH_LEN = 1_000
 
-#: resource guard for --g and --f: build_system creates 2^n - 2 words
-#: (with Python 3.11 on 2 cores, degree 16 builds in about 2 s and 38 MiB,
-#: degree 19 in 16 s and 235 MiB); --n keeps the same bound
+#: resource guard for --g and --f: build_system creates 2^n - 2 words for
+#: x^n and about twice as many for a dense g (Python 3.11.7 on a shared
+#: 2-core AMD EPYC host, fresh interpreter: x^16 builds in 0.27 s and
+#: 39 MiB, a dense degree-16 g in 0.38 s and 62 MiB; x^19 in 1.5 s and
+#: 214 MiB, a dense degree-19 g in 2.9 s and 390 MiB); --n keeps the same
+#: bound
 MAX_DEGREE = 16
 
 #: resource guard for ``hopf-ideal``: the coproducts of the relations have
-#: about 10x more leg pairs for every 2 degrees (with Python 3.11 on 2
-#: cores, x^10 checks in 1.3 s and 26 MiB, x^12 in 12.6 s and 101 MiB)
+#: about 10x more leg pairs for every 2 degrees (same host: x^10 checks in
+#: 0.20 s and 26 MiB, x^11 in 0.68 s and 44 MiB, x^12 in 2.2 s and 103 MiB)
 MAX_HOPF_DEGREE = 10
 
 #: resource guard for --cyclotomic: a residue has phi(N) rational entries,
 #: a product of two dense residues takes phi(N)^2 multiplications and an
-#: inverse more (with Python 3.11 on 2 cores, N = 127, phi = 126: 0.16 s
-#: per product, 0.8 s per inverse; N = 251: 0.67 s and 6.1 s)
+#: inverse more (same host, entries in -9..9: N = 127, phi = 126: 2 ms per
+#: product, 0.33 s per inverse; N = 251: 6 ms and 2.9 s; with fractional
+#: entries of denominator up to 9, N = 127: 0.06 s and 1.0 s, N = 251:
+#: 0.19 s and 12.3 s)
 MAX_CYCLOTOMIC_ORDER = 128
 
 #: resource guards for expression parsing, checked before each product is
@@ -276,7 +281,7 @@ class _Parser:
             if text == "q" and self.field is not None:
                 return NcPoly.one(self.alphabet).scale(self.field.q)
             if text in self.alphabet.names:
-                return NcPoly.generator(self.alphabet, self.alphabet.index(text))
+                return NcPoly.generator(self.alphabet, self.alphabet.names.index(text))
             raise ExprError(f"unknown symbol {text!r}", pos)
         raise ExprError(f"unexpected {text!r}", pos)
 
@@ -321,13 +326,19 @@ def parse_defining(text: str, letter: str = "x", field=None) -> DefiningPolynomi
     are constant expressions."""
     alphabet = Alphabet((letter,))
     if "," in text:
-        coeffs = []
-        for entry in text.split(","):
-            entry = entry.strip()
+        coeffs, start = [], 0
+        for raw in text.split(","):
+            entry = raw.strip()
+            offset = start + len(raw) - len(raw.lstrip())
+            start += len(raw) + 1
             try:
                 value = constant_of(parse_expr(entry, alphabet, field))
             except ExprError as exc:
-                raise UsageError(f"coefficient {entry!r}: {exc}") from None
+                # the parser counts from the entry; report the place in the text
+                message = str(exc).removesuffix(f" (at position {exc.position})")
+                raise UsageError(
+                    f"coefficient {entry!r}: {message} (at position {offset + exc.position})"
+                ) from None
             if value is None:
                 raise UsageError(f"coefficient {entry!r} is not a constant")
             coeffs.append(value)
@@ -714,7 +725,7 @@ def run_command(argv) -> int:
     try:
         _check_json_path(getattr(args, "json", None))
         return args.handler(args, argv)
-    except (ExprError, UsageError, ValueError, KeyError) as exc:
+    except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ReductionBudgetExceeded as exc:

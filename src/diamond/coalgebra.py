@@ -80,8 +80,9 @@ def tensor_normal_form(tensor: TensorPoly, system: ReductionSystem) -> TensorPol
     """
     terms, nf = [], {}  # each distinct leg word is reduced once
     for (left, right), coeff in tensor.items():
-        for word in {left, right} - nf.keys():
-            nf[word] = normal_form(NcPoly.monomial(system.alphabet, word), system)
+        for word in (left, right):
+            if word not in nf:
+                nf[word] = normal_form(NcPoly.monomial(system.alphabet, word), system)
         terms.extend(
             ((wl, wr), coeff * (cl * cr))
             for wl, cl in nf[left].items()

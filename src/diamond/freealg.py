@@ -66,9 +66,6 @@ class Alphabet:
     def __len__(self):
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
 
 def render_word(alphabet: Alphabet, word: Word) -> str:
     if not word:
@@ -406,16 +403,5 @@ class TensorPoly(NcPoly):
     def degree(self) -> int:
         raise TypeError("a tensor has a bidegree, not a word length")
 
-    def render(self) -> str:
-        """Terms as ``c*u(x)v``, both legs named in the map's alphabet."""
-        from .scalars import scalar_str
-
-        if not self._terms:
-            return "0"
-        bits = []
-        for (wl, wr), c in sorted(
-            self._terms.items(), key=lambda kv: (len(kv[0][0]) + len(kv[0][1]), kv[0])
-        ):
-            body = f"{render_word(self.alphabet, wl)}(x){render_word(self.alphabet, wr)}"
-            bits.append(f"{scalar_str(c)}*{body}")
-        return " + ".join(bits)
+    def __repr__(self):
+        return f"TensorPoly({self._terms!r})"

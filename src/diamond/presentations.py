@@ -105,8 +105,9 @@ def _bidegree_words(j: int, i: int, pair) -> tuple:
 
 
 def _relation_terms(g: DefiningPolynomial, j: int, alphabet: Alphabet, pair):
-    """The clean term dicts of sigma_j = ``defining_relation(g, j)`` and of
-    -sigma_j, built in one pass over the word groups P(j, i - j) of r_i != 0."""
+    """The clean term dicts of sigma_j = ``defining_relation(g, j)``, written
+    in the letters ``pair`` = (a-like, x-like), and of -sigma_j, built in one
+    pass over the word groups P(j, i - j) of r_i != 0."""
     n = g.degree
     if not 1 <= j <= n - 1:
         raise ValueError(f"relation index {j} outside 1..{n - 1}")
@@ -126,16 +127,15 @@ def _relation_terms(g: DefiningPolynomial, j: int, alphabet: Alphabet, pair):
     return sigma, negated
 
 
-def defining_relation(
-    g: DefiningPolynomial, j: int, alphabet: Alphabet = AX, pair=(0, 1)
-) -> NcPoly:
-    """The j-th relation of the skew-primitive presentation of g:
+def defining_relation(g: DefiningPolynomial, j: int) -> NcPoly:
+    """The j-th relation of the skew-primitive presentation of g over
+    ``AX``:
 
         sum_{i=j}^{n} r_i * bidegree_sum(j, i - j)  -  r_j * a^n,
 
-    for 1 <= j <= n - 1, written in the letters ``pair`` = (a-like, x-like).
+    for 1 <= j <= n - 1.
     """
-    return NcPoly.zero(alphabet)._make(_relation_terms(g, j, alphabet, pair)[0])
+    return NcPoly.zero(AX)._make(_relation_terms(g, j, AX, (0, 1))[0])
 
 
 @dataclass
@@ -179,10 +179,8 @@ def _skew_primitive_rules(gm: DefiningPolynomial, name: str, alphabet: Alphabet,
     for j in range(1, n):
         sigma, rhs = _relation_terms(gm, j, alphabet, pair)
         lhs = (first,) * j + (second,) * (n - j)
-        # sigma holds lhs once, from r_n P(j, n - j), so the rule's right
-        # side lhs - sigma is -sigma without that term
-        if sigma.get(lhs) != 1:
-            raise ValueError(f"{name}_{j} does not hold its left side with coefficient 1")
+        # sigma holds lhs once, from r_n P(j, n - j) with r_n = 1, so the
+        # rule's right side lhs - sigma is -sigma without that term
         del rhs[lhs]
         rules.append(Rule(lhs, zero._make(rhs), f"{name}_{j}"))
         relations.append((f"{name}_{j}", zero._make(sigma)))

@@ -436,8 +436,8 @@ def _reduce(terms: dict, system: ReductionSystem, stats: ReductionStats | None) 
         item = heapq.heappop(heap)
         word = item.word
         coeff = terms.get(word)
+        # no map here holds a zero: a falsy coeff means the word left the map
         if not coeff:
-            terms.pop(word, None)
             continue
         lhs, pos = item.found
         del terms[word]

@@ -28,7 +28,6 @@ from functools import lru_cache
 from math import gcd
 
 
-@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler's totient, the degree of the n-th cyclotomic polynomial; a
     ``ValueError`` for n < 1."""

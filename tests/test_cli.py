@@ -113,6 +113,19 @@ def test_numbers_are_decimal_digits(capsys):
     assert err.count("\n") == 1 and "unexpected character '²'" in err
 
 
+def test_coefficient_list_errors_point_into_the_text(capsys):
+    # the position counts from the start of --g, not from the stripped entry
+    for text, entry, message, position in (
+        ("1,²", "²", "unexpected character '²'", 2),
+        ("1, 2, x^", "x^", "expected 'int', found ''", 8),
+        ("1/2,  1/0", "1/0", "zero denominator", 7),
+        (" 1 ,(2", "(2", "expected ')', found ''", 6),
+    ):
+        assert run_command(["present", "--g", text]) == 2
+        expected = f"error: coefficient {entry!r}: {message} (at position {position})\n"
+        assert capsys.readouterr().err == expected
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     st.text(alphabet="ax+-*/^() 0123456789q²٣１é_", max_size=12),

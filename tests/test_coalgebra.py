@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import islice
 
 from diamond.analysis import random_ncpoly
 from diamond.coalgebra import (
@@ -19,6 +21,7 @@ from diamond.presentations import (
     defining_relation,
     tensor_alphabet,
 )
+from diamond.rewrite import normal_form
 from diamond.scalars import CyclotomicField
 
 A, X = 0, 1
@@ -130,6 +133,37 @@ def test_tensor_normal_form():
 
     sigma = defining_relation(g, 1)
     assert tensor_normal_form(tensor(sigma, NcPoly.one(AX)), pres.system).is_zero()
+
+
+def per_term_normal_form(tensor, system):
+    """The reduction term by term: c u (x) v becomes c nf(u) (x) nf(v), and
+    ``TensorPoly`` sums the products."""
+    nf = cache(lambda word: normal_form(NcPoly.monomial(system.alphabet, word), system))
+    return TensorPoly(tensor.alphabet, [
+        ((wl, wr), coeff * (cl * cr))
+        for (left, right), coeff in tensor.items()
+        for wl, cl in nf(left).items()
+        for wr, cr in nf(right).items()
+    ])
+
+
+def test_tensor_normal_form_matches_the_per_term_reduction():
+    # x^10 has the largest coproducts ``hopf-ideal`` accepts: every
+    # Delta(sigma_j) reduces to zero, while the coproduct of a single word
+    # of sigma_j, scaled by a Fraction, does not
+    for g, words in ((DefiningPolynomial.from_coefficients((0,) * 9 + (1,)), 3),
+                     (DefiningPolynomial.from_coefficients((1, Fraction(-1, 2), 0, 3)), 9)):
+        pres = build_system(g)
+        for j in range(1, g.degree):
+            sigma = defining_relation(g.monic(), j)
+            tensors = [coproduct(sigma)] + [
+                coproduct(mono(*word).scale(Fraction(-2, 3)))
+                for word in islice(sigma.support(), words)
+            ]
+            reduced = [tensor_normal_form(tensor, pres.system) for tensor in tensors]
+            for tensor, nf in zip(tensors, reduced):
+                assert list(nf.items()) == list(per_term_normal_form(tensor, pres.system).items())
+            assert reduced[0].is_zero() and not reduced[1].is_zero()
 
 
 def test_skew_primitivity_of_defining_polynomial():

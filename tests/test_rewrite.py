@@ -497,6 +497,29 @@ def test_rescaled_reduction_matches_fraction_reference(case):
     assert_matches_reference(poly, system)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(rational_systems_and_inputs(), zeta8_systems_and_inputs()))
+def test_reduce_sees_and_returns_no_zero_coefficient(case):
+    # _reduce skips a popped word whose coefficient is falsy without removing
+    # it: sound only while no map from rescale, divide_content or the merge
+    # in resolve_ambiguity holds a zero, and it stores none itself
+    system, poly = case
+    reduce, calls = rewrite._reduce, []
+
+    def checked(terms, system, stats):
+        assert all(terms.values())
+        result = reduce(terms, system, stats)
+        assert all(result.values())
+        calls.append(len(result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rewrite, "_reduce", checked)
+        normal_form(poly, system)
+        check_confluence(system)
+    assert calls
+
+
 ABC = Alphabet(("a", "b", "c"))
 
 
