@@ -23,8 +23,9 @@ refuses to certify otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product, repeat
 
-from .freealg import NcPoly, TensorPoly, bidegree_sum
+from .freealg import NcPoly, TensorPoly, _bidegree_words, bidegree_sum
 from .presentations import AX, DefiningPolynomial, Presentation, build_system
 from .rewrite import ReductionSystem, check_confluence, normal_form
 
@@ -62,14 +63,12 @@ def check_coproduct_bidegree(j: int, t: int) -> bool:
     letter, since P(0, t) = x^t.
     """
     lhs = coproduct(bidegree_sum(AX, j, t))
-    terms = []
-    for ell in range(t + 1):
-        left = bidegree_sum(AX, j, ell)
-        right = bidegree_sum(AX, j + ell, t - ell)
-        terms.extend(
-            ((wl, wr), cl * cr) for wl, cl in left.items() for wr, cr in right.items()
-        )
-    return lhs == TensorPoly(AX, terms)
+    # every word of a bidegree sum has coefficient 1, so each pair has 1
+    pairs = chain.from_iterable(
+        product(_bidegree_words(j, ell, (0, 1)), _bidegree_words(j + ell, t - ell, (0, 1)))
+        for ell in range(t + 1)
+    )
+    return lhs == TensorPoly(AX, zip(pairs, repeat(1)))
 
 
 def tensor_normal_form(tensor: TensorPoly, system: ReductionSystem) -> TensorPoly:

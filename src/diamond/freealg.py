@@ -33,19 +33,33 @@ with (h, t) = (0, 1) for "tail1", (0, 2) "tail2", (2, 0) "head2",
 "q_tail1", the one-letter recursion of the rest-sums.
 ``check_splitting_identity`` checks any of them exactly, in the letters
 a = 0 and x = 1, so they can be property-tested wholesale.  It builds no
-term map and no tuple: both sides are streams of masks with coefficient
-1, and each mask w of the left side is routed by its head u and tail v,
-read off with shifts, to the right-side part u * P(...) * v, whose next
-mask must be the middle of w.  A one-to-one pairing of the two streams is
-equality of the two polynomials, whatever order the words come in.
+term map and no tuple.  Each bidegree set is enumerated once per process:
+``_mask_stream`` keeps the masks of ``bidegree_masks(j, i)`` as a read-only
+view of one ``array("Q")`` of 8-byte items, in a memo of at most
+``MEMO_SIZE`` entries, so a word has at most ``MASK_BITS`` = 64 letters.
+Both sides of an identity are iterators over these streams, each mask with
+coefficient 1.  Each mask w of the left side is routed by the int
+u << t | v of its head u and tail v, read off with shifts, to the
+right-side part u * P(...) * v, whose next mask must be the middle of w.
+A one-to-one pairing of the two streams is equality of the two
+polynomials, whatever order the words come in.  ``_bidegree_words`` is the
+same memo for the tuple words, shared by the relation builders of
+``presentations`` and the coproduct closed forms of ``coalgebra``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, islice
 
 Word = tuple  # tuple[int, ...]
+
+#: the most entries a memo keeps; the least recently used goes
+MEMO_SIZE = 128
+
+#: the most letters of a word in a mask stream: one unsigned 8-byte item
+MASK_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -283,10 +297,27 @@ def bidegree_masks(j: int, i: int):
     return map(sum, combinations([1 << (i + j - 1 - p) for p in range(i + j)], j))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _bidegree_words(j: int, i: int, pair) -> tuple:
+    # kept for the next caller: the rule words of a presentation depend on
+    # the degree of g, not on g, and a coproduct closed form reads each
+    # P(j, i) more than once
+    return tuple(bidegree_words(j, i, pair))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _mask_stream(j: int, i: int) -> memoryview:
+    # bidegree_masks(j, i) in 8 bytes a mask, kept for the next identity
+    # that reads P(j, i); every caller gets the same stream, so it is read-only
+    from array import array  # an extension module: loaded only by a process that needs it
+
+    return memoryview(array("Q", bidegree_masks(j, i))).toreadonly()
+
+
 def _rest_masks(m: int, q: int):
     # the masks of bidegree_masks(m, q) but its first, the sorted a^m x^q:
     # the rest-sum Q(m, q)
-    return islice(bidegree_masks(m, q), 1, None)
+    return islice(_mask_stream(m, q), 1, None)
 
 
 def check_pair(alphabet: Alphabet, pair):
@@ -325,7 +356,8 @@ PEELS = {
 
 def _routed_match(masks, length: int, h: int, t: int, parts: dict) -> bool:
     """Whether the ``length``-letter masks of ``masks`` are, with multiplicity,
-    the words u * m * v for m from ``parts[(u, v)]``, each an iterator of masks.
+    the words u * m * v for m from ``parts[u << t | v]``, each an iterator of
+    masks.
 
     Every word w is routed by its head u = w >> (length - h) and tail
     v = w & (2^t - 1) to one part, whose next mask must be w's middle; then
@@ -334,11 +366,12 @@ def _routed_match(masks, length: int, h: int, t: int, parts: dict) -> bool:
     """
     cut, mid = length - h, length - h - t
     tail, middle = (1 << t) - 1, (1 << max(mid, 0)) - 1
+    route = parts.get
     for mask in masks:
         if mid < 0:
             return False
-        part = parts.get((mask >> cut, mask & tail))
-        if part is None or next(part, None) != (mask >> t) & middle:
+        part = route(mask >> cut << t | mask & tail)
+        if part is None or next(part, None) != mask >> t & middle:
             return False
     return all(next(part, None) is None for part in parts.values())
 
@@ -359,22 +392,25 @@ def check_splitting_identity(kind: str, r: int, s: int) -> bool:
     right side is then a^r).
 
     No sum is built: ``_routed_match`` pairs the left side's masks with the
-    masks of the right-side parts as both are enumerated.
+    masks of the right-side parts, read from the memoised streams.  A word
+    has r + s letters, so r + s may be at most ``MASK_BITS``.
     """
     if r < 0 or s < 0:
         raise ValueError("indices must be nonnegative")
+    if r + s > MASK_BITS:
+        raise ValueError(f"r + s = {r + s} exceeds the {MASK_BITS} letters a mask holds")
     if kind == "q_tail1":
-        parts = {(0, 0): _rest_masks(r, s - 1), (0, 1): bidegree_masks(r - 1, s)}  # tails x, a
+        parts = {0: _rest_masks(r, s - 1), 1: iter(_mask_stream(r - 1, s))}  # tails x, a
         return _routed_match(_rest_masks(r, s), r + s, 0, 1, parts)
     if kind not in PEELS:
         raise ValueError(f"unknown identity kind {kind!r}")
     h, t = PEELS[kind]
-    # uv is the mask of the h + t peeled letters; divmod splits it into (u, v)
+    # uv = u << t | v is the mask of the h + t peeled letters
     parts = {
-        divmod(uv, 1 << t): bidegree_masks(r - uv.bit_count(), s - h - t + uv.bit_count())
+        uv: iter(_mask_stream(r - uv.bit_count(), s - h - t + uv.bit_count()))
         for uv in range(1 << (h + t))
     }
-    return _routed_match(bidegree_masks(r, s), r + s, h, t, parts)
+    return _routed_match(_mask_stream(r, s), r + s, h, t, parts)
 
 
 class TensorPoly(NcPoly):
@@ -402,6 +438,9 @@ class TensorPoly(NcPoly):
 
     def degree(self) -> int:
         raise TypeError("a tensor has a bidegree, not a word length")
+
+    def render(self, order=None) -> str:
+        raise TypeError("a tensor has no rendering as a sum of words; use repr()")
 
     def __repr__(self):
         return f"TensorPoly({self._terms!r})"

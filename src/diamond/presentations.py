@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
-from .freealg import Alphabet, NcPoly, bidegree_words, check_pair
+from .freealg import Alphabet, NcPoly, _bidegree_words, check_pair
 from .ordering import GrlexPlus, ProductGrlex
-from .rewrite import MEMO_SIZE, ReductionSystem, Rule
+from .rewrite import ReductionSystem, Rule
 from .scalars import CyclotomicField
 
 AX = Alphabet(("a", "x"))
@@ -96,12 +95,6 @@ class DefiningPolynomial:
 
     def render(self, name: str = "x") -> str:
         return self.as_ncpoly(Alphabet((name,)), 0).render()
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _bidegree_words(j: int, i: int, pair) -> tuple:
-    # kept for the next g: the rule words depend on the degree, not on g
-    return tuple(bidegree_words(j, i, pair))
 
 
 def _relation_terms(g: DefiningPolynomial, j: int, alphabet: Alphabet, pair):

@@ -83,7 +83,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .freealg import Alphabet, NcPoly, Word, render_word
+from .freealg import MEMO_SIZE, Alphabet, NcPoly, Word, render_word
 from .ordering import check_compatibility
 from .scalars import (
     common_denominator,
@@ -96,9 +96,6 @@ from .scalars import (
 )
 
 DEFAULT_BUDGET = 10_000_000
-
-#: the most entries a memo of rule words keeps; the least recently used goes
-MEMO_SIZE = 128
 
 RESOLVABLE = "resolvable"
 NOT_CONFLUENT = "not_confluent"

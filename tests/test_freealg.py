@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diamond import claims
 from diamond.freealg import (
+    MASK_BITS,
     PEELS,
     Alphabet,
     NcPoly,
     TensorPoly,
+    _mask_stream,
     _rest_masks,
     _routed_match,
     bidegree_masks,
@@ -186,6 +189,17 @@ def test_unknown_identity_kind():
             check_splitting_identity(kind, -1, 2)
 
 
+def test_splitting_indices_fit_one_mask():
+    # a word of r + s letters is one 8-byte mask: a^64 fits, and one letter
+    # more is refused at once, before any enumeration
+    assert MASK_BITS == 64
+    assert check_splitting_identity("tail1", 64, 0)
+    assert check_splitting_identity("q_tail1", 0, 64)
+    for kind, r, s in (("tail1", 65, 0), ("head2", 1, 64), ("q_tail1", 40, 40)):
+        with pytest.raises(ValueError, match="exceeds the 64 letters"):
+            check_splitting_identity(kind, r, s)
+
+
 def term_map_check(kind, r, s, alphabet, pair):
     """The splitting identity compared as two full term maps, the right side
     summed from the bidegree sums: the oracle of the routed word match."""
@@ -257,9 +271,10 @@ def test_masks_decode_to_the_enumerated_words():
 
 def peel_parts(r, s, h, t):
     """The right-side parts of a peel identity on (a, x), as mask lists keyed
-    by the masks of their head and tail, encoded from the tuple words."""
+    by the int u << t | v of the masks of their head u and tail v, encoded
+    from the tuple words."""
     return {
-        (encode(u), encode(v)): [
+        encode(u) << t | encode(v): [
             encode(w) for w in bidegree_words(r - (u + v).count(A), s - (u + v).count(X))
         ]
         for u in product((A, X), repeat=h)
@@ -276,7 +291,7 @@ def test_routed_match_negative_controls():
     words = [encode(w) for w in bidegree_words(3, 3)]
     parts = peel_parts(3, 3, h, t)
     assert routed(words, 6, h, t, parts)
-    key = (encode((A,)), encode((X, X)))
+    key = encode((A,)) << t | encode((X, X))
     middles = parts[key]
     assert len(middles) == 3
     # a part that drops one middle, yields one twice, yields one extra, or
@@ -292,11 +307,11 @@ def test_routed_match_negative_controls():
     # a left word that names no part, or is shorter than h + t
     assert not routed(words, 6, h, t, {k: p for k, p in parts.items() if k != key})
     assert not routed([encode((A, X))], 2, h, t, parts)
-    assert not routed([0], 0, 0, 1, {(0, 1): [], (0, 0): []})
+    assert not routed([0], 0, 0, 1, {1: [], 0: []})
     # the pairing is one to one, not an order: a word twice on both sides
     # is a coefficient 2 on both sides
     ax, a = encode((A, X)), encode((A,))
-    assert routed([ax, ax], 2, 0, 1, {(0, encode((X,))): [a, a], (0, encode((A,))): []})
+    assert routed([ax, ax], 2, 0, 1, {encode((X,)): [a, a], encode((A,)): []})
 
 
 def traced_peak(check):
@@ -311,9 +326,34 @@ def traced_peak(check):
 
 def test_splitting_check_builds_no_term_map():
     # P(8, 8) has C(16, 8) = 12,870 words of length 16; held as a term map
-    # on both sides, the check peaked at about 6 MiB
+    # on both sides, the check peaked at about 6 MiB.  The memo is emptied
+    # first, so the peak includes building the streams of P(8, 8), P(8, 7)
+    # and P(7, 8)
     for kind in ("tail1", "q_tail1"):
+        _mask_stream.cache_clear()
         assert traced_peak(lambda: check_splitting_identity(kind, 8, 8)) < 256 * 1024, kind
+
+
+def test_splitting_suite_enumerates_each_bidegree_once():
+    # the cases of claims.splitting_suite; each reads its left side and one
+    # stream per part, and the rest-sums read the stream of their bidegree
+    cases = [("tail1", r, s) for r in range(9) for s in range(9) if (r, s) != (0, 0)]
+    cases += [("q_tail1", r, s) for r in range(9) for s in range(1, 9)]
+    for depth in (2, 3):
+        kinds = [kind for kind, d in PEEL_DEPTH.items() if d == depth]
+        cases += [(kind, r, s) for kind in kinds for r in range(depth, 7) for s in range(depth, 7)]
+    bidegrees, reads = set(), 0
+    for kind, r, s in cases:
+        depth = 1 if kind == "q_tail1" else sum(PEELS[kind])
+        bidegrees.add((r, s))
+        bidegrees.update((r - k, s - depth + k) for k in range(depth + 1))
+        reads += 3 if kind == "q_tail1" else 1 + 2 ** depth
+    _mask_stream.cache_clear()
+    assert all(claim["verdict"] == claims.PASS for claim in claims.splitting_suite(1))
+    info = _mask_stream.cache_info()
+    assert len(bidegrees) <= info.maxsize
+    assert info.misses == len(bidegrees)
+    assert info.hits + info.misses == reads
 
 
 def test_tensor_examples():
@@ -339,6 +379,14 @@ def test_tensor_poly_repr_and_degree():
     assert repr(t) == "TensorPoly({((0, 1), (1, 0)): 1, ((), (1,)): Fraction(-1, 2)})"
     with pytest.raises(TypeError):
         t.degree()
+
+
+def test_tensor_poly_refuses_word_rendering():
+    # the inherited render sorts keys as words; a pair of words is refused
+    # with a plain message, for the zero tensor too
+    for t in (simple((A,), (X,)), TensorPoly.zero(AX)):
+        with pytest.raises(TypeError, match="tensor has no rendering"):
+            t.render()
 
 
 def test_term_map_shared_by_words_and_pairs():

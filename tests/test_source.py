@@ -12,7 +12,8 @@ top-level definition is referenced by other code of the package, so
 nothing is kept for the tests alone; a re-export in ``__init__.py`` is not
 a use, and ``__all__`` lists exactly the names ``__init__.py`` imports.
 ``bidegree_words``, ``bidegree_masks`` and ``bidegree_sum`` enumerate the
-words by definition: built from a peel identity, the splitting claims would
+words by definition, and so do their memos ``_bidegree_words`` and
+``_mask_stream``: built from a peel identity, the splitting claims would
 check that identity against itself.
 """
 
@@ -247,9 +248,9 @@ def test_imported_names_reads_from_imports():
     assert imported_names(ast.parse(code)) == {"b", "d", "e"}
 
 
-#: what ``bidegree_words``, ``bidegree_masks`` and ``bidegree_sum`` may not
-#: be built from: the sum itself, the rest-sum mask stream, and the peel
-#: identities the splitting claims check against them
+#: what ``bidegree_words``, ``bidegree_masks``, ``bidegree_sum`` and their
+#: memos may not be built from: the sum itself, the rest-sum mask stream,
+#: and the peel identities the splitting claims check against them
 PEEL_NAMES = {
     "bidegree_sum",
     "_rest_masks",
@@ -274,6 +275,8 @@ def test_bidegree_sum_is_a_direct_enumeration():
     assert peel_references(tree) == set()
     assert peel_references(tree, "bidegree_words") == set()
     assert peel_references(tree, "bidegree_masks") == set()
+    assert peel_references(tree, "_bidegree_words") == set()
+    assert peel_references(tree, "_mask_stream") == set()
 
 
 def test_peel_references_detects_a_recursive_sum():
@@ -305,6 +308,10 @@ def test_peel_references_detects_a_peeled_word_stream():
         "    assert check_splitting_identity('tail1', j, i)\n"
         "    yield from (m << 1 for m in bidegree_masks(j, i - 1))\n"
         "    yield from (m << 1 | 1 for m in _rest_masks(j - 1, i))\n"
+        "\n"
+        "@lru_cache(maxsize=MEMO_SIZE)\n"
+        "def _mask_stream(j, i):\n"
+        "    return array('Q', chain(_mask_stream(j, i - 1), _rest_masks(j, i)))\n"
     )
     tree = ast.parse(peeled)
     assert peel_references(tree, "bidegree_words") == {
@@ -317,3 +324,5 @@ def test_peel_references_detects_a_peeled_word_stream():
         "bidegree_masks",
         "check_splitting_identity",
     }
+    # a memo is a decorated definition, and is read like any other
+    assert peel_references(tree, "_mask_stream") == {"_rest_masks", "_mask_stream"}
