@@ -29,6 +29,9 @@ from .freealg import NcPoly, TensorPoly, _bidegree_words, bidegree_sum
 from .presentations import AX, DefiningPolynomial, Presentation, build_system
 from .rewrite import ReductionSystem, check_confluence, normal_form
 
+#: most letters j + t in ``check_coproduct_bidegree``; its left side has C(j + t, j) 2^t terms
+COPRODUCT_MAX_LETTERS = 12
+
 
 def coproduct(poly: NcPoly) -> TensorPoly:
     """Algebra-map extension of the letter coproducts, in closed form: the
@@ -60,8 +63,10 @@ def check_coproduct_bidegree(j: int, t: int) -> bool:
         Delta(P(j, t)) = sum_l  P(j, l) (x) P(j + l, t - l).
 
     At j = 0 this is the closed form for the powers of the skew-primitive
-    letter, since P(0, t) = x^t.
+    letter, since P(0, t) = x^t.  j + t is at most ``COPRODUCT_MAX_LETTERS``.
     """
+    if j + t > COPRODUCT_MAX_LETTERS:
+        raise ValueError(f"j + t = {j + t} exceeds the {COPRODUCT_MAX_LETTERS} letters of a check")
     lhs = coproduct(bidegree_sum(AX, j, t))
     # every word of a bidegree sum has coefficient 1, so each pair has 1
     pairs = chain.from_iterable(

@@ -8,8 +8,10 @@ two-polynomial tensor system over four generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
 from .freealg import Alphabet, NcPoly, _bidegree_words, check_pair
 from .ordering import GrlexPlus, ProductGrlex
@@ -133,12 +135,16 @@ def defining_relation(g: DefiningPolynomial, j: int) -> NcPoly:
 
 @dataclass
 class Presentation:
-    """A relation set plus its oriented, compatibility-checked system."""
+    """Relations, their compatibility-checked system, and ``metadata`` made on first read."""
 
     alphabet: Alphabet
     relations: list  # [(label, NcPoly)]
     system: ReductionSystem
-    metadata: dict = field(default_factory=dict)
+    render_metadata: Callable[[], dict] = dict
+
+    @cached_property
+    def metadata(self) -> dict:
+        return self.render_metadata()
 
     def relation(self, label: str) -> NcPoly:
         for name, poly in self.relations:
@@ -198,16 +204,19 @@ def build_system(g: DefiningPolynomial, alphabet: Alphabet = AX) -> Presentation
     gm = g.monic()
     order = GrlexPlus(alphabet, weight_letter=1, lex_top=0)
     rules, relations = _skew_primitive_rules(gm, "sigma", alphabet, (0, 1))
-    rendered = gm.render(alphabet.names[1])
-    system = ReductionSystem(alphabet, order, rules, name=f"Sigma[{rendered}]")
+    # e(w) = #x makes every reduct integral; verify reads no name or metadata
+    x = alphabet.names[1]
+    system = ReductionSystem(
+        alphabet, order, rules, name=lambda: f"Sigma[{gm.render(x)}]", exponents=(0, 1)
+    )
     return Presentation(
         alphabet,
         relations,
         system,
-        metadata={
+        lambda: {
             "construction": "skew-primitive",
             "degree": n,
-            "defining_polynomial": rendered,
+            "defining_polynomial": gm.render(x),
             "scale": scale,
         },
     )
@@ -218,11 +227,7 @@ def rescale_letter(poly: NcPoly, lam, letter: int) -> NcPoly:
     which is sent to lam * letter."""
     if not lam:
         raise ValueError("rescaling factor must be nonzero")
-    terms = {}
-    for word, coeff in poly.items():
-        count = sum(1 for c in word if c == letter)
-        terms[word] = coeff * lam ** count
-    return NcPoly(poly.alphabet, terms)
+    return NcPoly(poly.alphabet, {w: c * lam ** w.count(letter) for w, c in poly.items()})
 
 
 def build_quantum_plane(n: int) -> ReductionSystem:
@@ -331,17 +336,20 @@ def build_tensor_presentation(g: DefiningPolynomial, f: DefiningPolynomial) -> P
     rules.append(Rule(curve_lhs, curve_rhs, "curve"))
     relations.append(("curve", g_x - f.as_ncpoly(alphabet, y)))
 
+    # e(w) = #x + n #y puts each term whose coefficient is not +-1 at least one
+    # step below its left side (the curve's x^i at mn - i): reducts are integral
     system = ReductionSystem(
         alphabet,
         order,
         rules,
-        name=f"A[{g.render('x')} | {f.render('y')}]",
+        name=lambda: f"A[{g.render('x')} | {f.render('y')}]",
+        exponents=(0, 1, 0, n),
     )
     return Presentation(
         alphabet,
         relations,
         system,
-        metadata={
+        lambda: {
             "construction": "tensor-pair",
             "degrees": (n, m),
             "g": g.render("x"),

@@ -50,29 +50,31 @@ differ only in their coefficients, so ``diamond verify all`` needs few.
 
 A system over Q reduces in the integers, and one over Q(zeta_N) in
 Z[zeta_N].  Let D be the lcm of the denominators of the coefficients'
-rational entries (a residue's entries, or the rational itself) and, for a
-letter set T, let e(w) count the letters of w in T.  The algebra
-automorphism w -> D^(-e(w)) * w sends each rule lhs -> sum c_w w to a
-scalar multiple of the rule lhs -> sum c_w D^(e(lhs) - e(w)) w, and for the
-first T (in the order empty set, singletons, pairs, ...) that makes every
-such coefficient integral, the system reduces with these right sides, its
-reducts: ``int``s, or residues with ``int`` entries (the exponents
-e(lhs) - e(w) are kept on the rule shape, per letter set and rule).  The
+rational entries (a residue's entries, or the rational itself), and let
+e(w) = sum of k_c #c(w) over the exponents k_c >= 0 that the system's
+builder states per letter: #x for the system of one g, #x + n #y for the
+tensor system of a pair.  The algebra automorphism w -> D^(-e(w)) * w
+sends each rule lhs -> sum c_w w to a scalar multiple of the rule
+lhs -> sum c_w D^(e(lhs) - e(w)) w.  When every such coefficient is
+integral the system reduces with these right sides, its reducts: ``int``s,
+or residues with ``int`` entries, made in one pass that scales each run of
+terms with one coefficient object and one exponent once.  Nothing is
+searched: otherwise, or with no exponents, the system reduces with its
+coefficients as given (as ``int``s when D = 1), with m = 1 and no map.  The
 rules are monic in their left sides and Phi_N is monic over Z, so the loop
-never divides and the reducts' coefficients stay integral.  The public
-rules stay as given; the reducts are the one working copy.  Every reduction
-starts from a term map in the integral domain and its multiplier m, the
-map in being c -> c * m / D^e(w).  ``normal_form`` maps its input in
-(m clearing denominators); the two one-step rewrites of an ambiguity on
-A B C, built from the reducts, are D^e(ABC) times their rescaled images,
-so they are integral already.  ``_reduce_back`` then divides out the
-common factor of m and the entries, runs the one loop ``_reduce``, and
-maps the result back (c -> c * D^e(w) / m).  A system with no such T
-reduces with its coefficients as given, with m = 1 and no map.  The
-helpers live in ``scalars``; ``int`` shares the arithmetic protocol of
-``Fraction``, ``Cyclotomic`` keeps ``int`` entries as ``int``, and the term
-maps use the integers 1 and 0 as units, so no ``Fraction`` is built
-between the two maps (the fraction-free idea of Bareiss 1968).
+never divides and the reducts stay integral.  The public rules stay as
+given; the reducts are the one working copy.  Every reduction starts from
+a term map in the integral domain and its multiplier m, the map in being
+c -> c * m / D^e(w).  ``normal_form`` maps its input in (m clearing
+denominators); the two one-step rewrites of an ambiguity on A B C, built
+from the reducts, are D^e(ABC) times their rescaled images, so they are
+integral already.  ``_reduce_back`` then divides out the common factor of
+m and the entries, runs the one loop ``_reduce``, and maps the result back
+(c -> c * D^e(w) / m).  The helpers live in ``scalars``; ``int`` shares the
+arithmetic protocol of ``Fraction``, ``Cyclotomic`` keeps ``int`` entries
+as ``int``, and the term maps use the integers 1 and 0 as units, so no
+``Fraction`` is built between the two maps (the fraction-free idea of
+Bareiss 1968).
 """
 
 from __future__ import annotations
@@ -81,7 +83,6 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 from .freealg import MEMO_SIZE, Alphabet, NcPoly, Word, render_word
 from .ordering import check_compatibility
@@ -89,7 +90,7 @@ from .scalars import (
     common_denominator,
     divide_content,
     entries,
-    letter_count,
+    exponent,
     rescale,
     scaled_integer,
     unscale,
@@ -217,39 +218,24 @@ class ObstructionAutomaton:
         return state, best, end
 
 
-def _scaled(coeffs, scale: int, powers):
-    # the values c * scale^power, or None when one is not an integer
-    out = []
-    for c, power in zip(coeffs, powers):
-        value = scaled_integer(c, scale, power)
-        if value is None:
-            return None
-        out.append(value)
-    return out
-
-
-def _rescaling(rules, shape):
-    """(D, T, scaled reducts) for the first letter set T, in the order empty
-    set, singletons, pairs, ..., whose rescaling makes every coefficient
-    integral; None when no T does.  D is the lcm of the denominators of the
-    coefficients' rational entries.  The reducts map each left side to its
-    (word, integral coefficient) pairs in term order."""
-    coeffs = [tuple(c for _, c in rule.rhs.items()) for rule in rules]
-    scale = common_denominator(e for row in coeffs for c in row for e in entries(c))
-    if scale is None:
-        return None
-    # the empty set leaves every coefficient as it is: integral when D = 1
-    for size in range(0 if scale == 1 else 1, shape.k + 1):
-        for letters in combinations(range(shape.k), size):
-            reducts = {}
-            for rule, (row, (lhs, rwords)) in enumerate(zip(coeffs, shape.words)):
-                values = _scaled(row, scale, shape.exponents(letters, rule))
-                if values is None:
-                    break
-                reducts[lhs] = tuple(zip(rwords, values))
-            else:
-                return scale, letters, reducts
-    return None
+def _scaled_reduct(rule: Rule, scale: int, weights):
+    """The (word, c D^(e(lhs) - e(w))) pairs of ``rule`` in term order, or
+    None when one is not integral; each run of terms with one coefficient
+    object and one exponent is scaled once."""
+    words = rule.rhs.support()
+    powers = [exponent(rule.lhs, weights)] * len(words)
+    for letter, k in weights:
+        powers = [p - k * w.count(letter) for p, w in zip(powers, words)]
+    row = []
+    last = power = None
+    for (word, c), e in zip(rule.rhs.items(), powers):
+        if c is not last or e != power:
+            last, power = c, e
+            value = scaled_integer(c, scale, e)
+            if value is None:
+                return None
+        row.append((word, value))
+    return tuple(row)
 
 
 class RuleShape:
@@ -257,8 +243,7 @@ class RuleShape:
     docstring).  ``words`` lists (lhs, right-side words in term order) per
     rule; ``violations`` is ``check_compatibility``'s, ``ranks`` the rule
     indices by descending left side, and ``walks`` maps (lhs, state) to the
-    walks of lhs's right-side words from state; ``triples`` interns them.
-    ``exponents`` gives the rescaling exponents of the right-side words."""
+    walks of lhs's right-side words from state; ``triples`` interns them."""
 
     def __init__(self, k: int, order, words):
         seen = set()
@@ -274,20 +259,6 @@ class RuleShape:
         self.ranks = sorted(range(len(words)), key=keys.__getitem__, reverse=True)
         self.walks = {}
         self.triples = {}
-        self._exponents = {}
-
-    def exponents(self, letters, rule: int) -> tuple:
-        """e(lhs) - e(w) for each right-side word w of rule number ``rule``,
-        in term order, where e counts the letters in ``letters``; kept per
-        letter set and rule, so a letter set that fails at its first rules
-        computes no others."""
-        key = letters, rule
-        row = self._exponents.get(key)
-        if row is None:
-            lhs, rwords = self.words[rule]
-            top = letter_count(lhs, letters)
-            row = self._exponents[key] = tuple(top - letter_count(w, letters) for w in rwords)
-        return row
 
     @cached_property
     def automaton(self) -> ObstructionAutomaton:
@@ -301,34 +272,49 @@ _rule_shape = lru_cache(maxsize=MEMO_SIZE)(RuleShape)
 class ReductionSystem:
     """Oriented rules over one alphabet together with a compatible order.
 
-    The coefficient domain is chosen here (see the module docstring):
-    ``rescaling`` is (D, T) when the system reduces with integral reducts
-    (``int`` over Q, ``int`` residues over Q(zeta_N)) rescaled by D on the
-    letters in T, and None when it reduces with its coefficients as given.
-    ``rules`` are the given rules, with the caller's scalars.
+    The coefficient domain is chosen here (see the module docstring) from
+    ``exponents``, one rescaling exponent k >= 0 per letter, or none.
+    ``rescaling`` is (D, weights) when the system reduces with integral
+    reducts (``int`` over Q, ``int`` residues over Q(zeta_N)) rescaled by D
+    with the (letter, k) pairs of k > 0 (no pairs if D = 1), and None when it
+    reduces with its coefficients as given.  ``rules`` are the given rules,
+    with the caller's scalars; ``name`` is a string, or a function to render it.
     """
 
-    def __init__(self, alphabet: Alphabet, order, rules, name=""):
+    def __init__(self, alphabet: Alphabet, order, rules, name="", exponents=()):
         rules = list(rules)
         words = tuple((rule.lhs, tuple(rule.rhs.support())) for rule in rules)
         shape = _rule_shape(len(alphabet), order, words)
         if shape.violations:
             raise IncompatibleSystem(shape.violations, rules, alphabet)
+        if len(exponents) not in (0, len(alphabet)) or not all(
+            type(k) is int and k >= 0 for k in exponents
+        ):
+            raise ValueError(f"exponents must be one integer >= 0 per letter, got {exponents!r}")
+        weights = tuple((c, k) for c, k in enumerate(exponents) if k)
+        # a builder shares one coefficient object per word group: D, the lcm
+        # of the denominators of the rational entries, is read off those
+        coeffs = {id(c): c for rule in rules for _, c in rule.rhs.items()}
+        scale = common_denominator(v for c in coeffs.values() for v in entries(c))
+        rows = [None] if scale is None else [_scaled_reduct(r, scale, weights) for r in rules]
         # _reducts: what _reduce substitutes for each left side, in the
         # order of the given terms, so aligned with the shape's words and walks
-        found = _rescaling(rules, shape)
-        if found is None:
+        if None in rows:
             self.rescaling = None
             self._reducts = {rule.lhs: tuple(rule.rhs.items()) for rule in rules}
         else:
-            scale, letters, self._reducts = found
-            self.rescaling = (scale, letters)
+            self.rescaling = (scale, weights if scale > 1 else ())
+            self._reducts = {rule.lhs: row for rule, row in zip(rules, rows)}
         self.alphabet = alphabet
         self.order = order
         self.rules = tuple(rules)
         self._shape = shape
-        self.name = name
+        self._name = name
         self.budget = DEFAULT_BUDGET
+
+    @cached_property
+    def name(self) -> str:
+        return self._name() if callable(self._name) else self._name
 
     @property
     def automaton(self) -> ObstructionAutomaton:
@@ -550,8 +536,8 @@ def _multiplier(ambiguity: Ambiguity, system: ReductionSystem) -> int:
     """D^e(ABC), the multiplier of the streams of ``_rewrites``: a reduct of
     the rule W holds c_w D^(e(W) - e(w)).  It is 1 when the system reduces
     with its coefficients as given."""
-    scale, letters = system.rescaling or (1, ())
-    return scale ** letter_count(ambiguity.word(), letters)
+    scale, weights = system.rescaling or (1, ())
+    return scale ** exponent(ambiguity.word(), weights)
 
 
 @dataclass

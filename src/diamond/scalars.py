@@ -266,12 +266,13 @@ class CyclotomicField:
 
 # -- the diagonal rescaling of a system over Q or Q(zeta_N) -----------------
 #
-# Scaling the letters in a set T by D is the algebra automorphism
-# w -> D^(-e(w)) * w, where e(w) counts the letters of w that lie in T.  It
-# can turn a system over Q into one with integer coefficients, and one over
-# Q(zeta_N) into one over Z[zeta_N]; these helpers find out whether it
-# does, and move polynomials into and out of the integral system, with int
-# arithmetic only.  They read a scalar by its rational entries
+# Scaling by D is the algebra automorphism w -> D^(-e(w)) * w, where
+# e(w) = sum of k #c(w) over the pairs (c, k) of ``weights``: the exponents
+# k > 0 that a system's builder states per letter c.  It turns the systems
+# of the builders over Q into ones with integer coefficients, and those over
+# Q(zeta_N) into ones over Z[zeta_N]; ``scaled_integer`` checks each value,
+# and these helpers move polynomials into and out of the integral system,
+# with int arithmetic only.  They read a scalar by its rational entries
 # (``entries``): the residue of a ``Cyclotomic``, or the rational itself.
 
 
@@ -315,12 +316,12 @@ def scaled_integer(value, scale: int, power: int):
     return _with_entries(value, out)
 
 
-def letter_count(word, letters) -> int:
-    """e(word): how many letters of ``word`` lie in ``letters``."""
-    return sum(map(word.count, letters))
+def exponent(word, weights) -> int:
+    """e(word): the sum of k #c(word) over the (c, k) pairs of ``weights``."""
+    return sum(k * word.count(c) for c, k in weights)
 
 
-def rescale(terms, scale: int, letters) -> tuple[dict, int]:
+def rescale(terms, scale: int, weights) -> tuple[dict, int]:
     """Move (word, c) pairs into the rescaled system:
     c -> c * m / scale^e(word), with m the least positive integer that makes
     every image integral.  Returns the images and m; the image of a
@@ -328,7 +329,7 @@ def rescale(terms, scale: int, letters) -> tuple[dict, int]:
     rows = []
     m = 1
     for word, c in terms:
-        e = letter_count(word, letters)
+        e = exponent(word, weights)
         row = []
         for entry in entries(c):
             num, den = entry.numerator, entry.denominator
@@ -355,14 +356,14 @@ def divide_content(terms: dict, m: int) -> tuple[dict, int]:
     return terms, m
 
 
-def unscale(terms: dict, scale: int, letters, m: int) -> dict:
+def unscale(terms: dict, scale: int, weights, m: int) -> dict:
     """The inverse of ``rescale``: c -> c * scale^e(word) / m, entry by
     entry; each entry is an int when m = 1 and a Fraction otherwise."""
     if m == 1 and scale == 1:
         return terms
     out = {}
     for w, c in terms.items():
-        f = scale ** letter_count(w, letters)
+        f = scale ** exponent(w, weights)
         out[w] = _with_entries(
             c, [k * f if m == 1 else Fraction(k * f, m) for k in entries(c)]
         )

@@ -3,8 +3,12 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice
 
+import pytest
+
+from diamond import coalgebra
 from diamond.analysis import random_ncpoly
 from diamond.coalgebra import (
+    COPRODUCT_MAX_LETTERS,
     check_coproduct_bidegree,
     coassociativity_holds,
     coproduct,
@@ -113,6 +117,21 @@ def test_closed_forms():
     for j in range(6):
         for t in range(6 - j):
             assert check_coproduct_bidegree(j, t)
+
+
+def test_coproduct_check_is_bounded(monkeypatch):
+    # words of j + t = 12 letters are checked; one letter more is refused at
+    # once, before the left side is enumerated
+    assert COPRODUCT_MAX_LETTERS == 12
+    assert check_coproduct_bidegree(0, 12) and check_coproduct_bidegree(12, 0)
+
+    def enumerated(*args):
+        raise AssertionError("bidegree sum built past the bound")
+
+    monkeypatch.setattr(coalgebra, "bidegree_sum", enumerated)
+    for j, t in ((0, 13), (5, 9), (6, 10), (40, 40)):
+        with pytest.raises(ValueError, match="exceeds the 12 letters"):
+            check_coproduct_bidegree(j, t)
 
 
 def test_counit():

@@ -244,6 +244,28 @@ def test_degenerate_degree_rejected():
         build_system(DefiningPolynomial.from_coefficients((1,)))
 
 
+def test_builders_render_g_only_when_read(monkeypatch):
+    # verify never reads a system's name or its metadata, so the builders
+    # leave g unrendered; a read renders the same bytes
+    calls = []
+    render = DefiningPolynomial.render
+
+    def counted(self, name="x"):
+        calls.append(name)
+        return render(self, name)
+
+    monkeypatch.setattr(DefiningPolynomial, "render", counted)
+    g = DefiningPolynomial((Fraction(1, 2), 0, 2))
+    f = DefiningPolynomial((Fraction(-1, 3), 1))
+    single, pair = build_system(g), build_tensor_presentation(g, f)
+    assert calls == []
+    assert single.system.describe() == "Sigma[x^3 + 1/4*x]"
+    assert single.metadata["defining_polynomial"] == "x^3 + 1/4*x"
+    assert pair.system.describe() == "A[2*x^3 + 1/2*x | y^2 - 1/3*y]"
+    assert (pair.metadata["g"], pair.metadata["f"]) == ("2*x^3 + 1/2*x", "y^2 - 1/3*y")
+    assert pair.metadata["degrees"] == (3, 2)
+
+
 def test_rescaling():
     g = DefiningPolynomial.from_coefficients((1, 1))
     lam = Fraction(2)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,7 @@ from diamond.rewrite import (
     ReductionStats,
     resolve_ambiguity,
 )
-from diamond.scalars import Cyclotomic, CyclotomicField, euler_phi
+from diamond.scalars import Cyclotomic, CyclotomicField, entries, euler_phi
 from test_analysis import power_poly, scan_match
 
 A, X = 0, 1
@@ -548,7 +549,9 @@ def draw_deglex_system(draw):
     ``Deglex``: each right side is a sum of words below its left side.  One
     left side ``small`` occurs inside a right-side word of a longer left
     side ``big``, so rewrites create new occurrences of left sides.  Most
-    such systems are not confluent.  Returns the system, with step budget
+    such systems are not confluent.  The rescaling exponents are drawn too,
+    so some systems reduce in the integers and others with their
+    coefficients as given.  Returns the system, with step budget
     ``DEGLEX_BUDGET``, and a strategy for inputs to it."""
     small = draw(abc_words.filter(lambda w: len(w) <= 2))
     big = draw(st.lists(st.integers(0, 2), min_size=len(small) + 1, max_size=4).map(tuple))
@@ -566,7 +569,8 @@ def draw_deglex_system(draw):
             words.append(tuple(fill[:cut]) + small + tuple(fill[cut:]))
         terms = {w: draw(small_coefficients) for w in words}
         rules.append(Rule(lhs, NcPoly(ABC, terms), f"r{i}"))
-    system = ReductionSystem(ABC, Deglex(ABC), rules)
+    exponents = draw(st.tuples(*[st.integers(0, 2)] * 3))
+    system = ReductionSystem(ABC, Deglex(ABC), rules, exponents=exponents)
     system.budget = DEGLEX_BUDGET
     # input words glued from left sides, right-side words and letters
     pieces = st.sampled_from(
@@ -583,9 +587,9 @@ def deglex_systems_and_inputs(draw):
     return system, draw(inputs)
 
 
-def deglex_system(rules):
+def deglex_system(rules, exponents=()):
     rules = [Rule(lhs, NcPoly(ABC, rhs), f"r{i}") for i, (lhs, rhs) in enumerate(rules)]
-    system = ReductionSystem(ABC, Deglex(ABC), rules)
+    system = ReductionSystem(ABC, Deglex(ABC), rules, exponents=exponents)
     system.budget = DEGLEX_BUDGET
     return system
 
@@ -646,34 +650,37 @@ def with_extra_x(system, c):
     first, *rest = system.rules
     extra = NcPoly.monomial(AX, (X,), c)
     rules = [Rule(first.lhs, first.rhs + extra, first.label), *rest]
-    return ReductionSystem(AX, system.order, rules, name=system.name)
+    return ReductionSystem(AX, system.order, rules, name=system.name, exponents=(0, 1))
 
 
 def not_confluent_quartic():
     """The system of g = x^4 - 2/3 x^2 + 1/2 x with 1/3 x added to the right
-    side of sigma_1: still rescaled (D = 6, T = {x}), and not confluent."""
+    side of sigma_1: still rescaled (D = 6, e(w) = #x), and not confluent."""
     return with_extra_x(system_for(Fraction(1, 2), Fraction(-2, 3), 0, 1), Fraction(1, 3))
 
 
 def zeta8_not_confluent():
     """``zeta8_quintic`` with q/3 x added to the right side of sigma_1:
-    rescaled (D = 6, T = {x}), and not confluent, with nonzero Q(zeta_8)
+    rescaled (D = 6, e(w) = #x), and not confluent, with nonzero Q(zeta_8)
     differences."""
     return with_extra_x(zeta8_quintic(), Cyclotomic(8, [0, Fraction(1, 3)]))
 
 
-# two letters rescaled: D = 60, T = {x, y}
+# two letters rescaled: D = 60, e(w) = #x + 3 #y
 TENSOR_TWO_LETTERS = build_tensor_presentation(
     DefiningPolynomial((Fraction(1, 2), Fraction(1, 5), 1)),
     DefiningPolynomial((Fraction(3, 4), Fraction(-1, 3), 1)),
 ).system
-# b inside cbc: an inclusion and an overlap, rescaled by D = 6 on {b, c}
+# b inside cbc: an inclusion and an overlap, rescaled by D = 6 with
+# e(w) = #b + #c
 INCLUSION_SYSTEM = deglex_system(
-    [((2, 1, 2), {(0,): Fraction(1, 2), (1, 1): 1}), ((1,), {(0,): Fraction(1, 3)})]
+    [((2, 1, 2), {(0,): Fraction(1, 2), (1, 1): 1}), ((1,), {(0,): Fraction(1, 3)})],
+    exponents=(0, 1, 1),
 )
-# cc -> 2 aa + 1/2, rescaled by D = 2 on {c}: the S-polynomial of ccc is
-# 8 aac - 8 caa, whose content 8 = D^3 maps it back with int coefficients
-CONTENT_SYSTEM = deglex_system([((2, 2), {(0, 0): 2, (): Fraction(1, 2)})])
+# cc -> 2 aa + 1/2, rescaled by D = 2 with e(w) = #c: the S-polynomial of
+# ccc is 8 aac - 8 caa, whose content 8 = D^3 maps it back with int
+# coefficients
+CONTENT_SYSTEM = deglex_system([((2, 2), {(0, 0): 2, (): Fraction(1, 2)})], exponents=(0, 0, 1))
 
 
 def draw_zeta8_system(draw):
@@ -744,19 +751,19 @@ def test_s_polynomial_gives_the_two_normal_forms_difference(system):
 
 
 def test_s_polynomial_examples_cover_their_cases():
-    assert TENSOR_TWO_LETTERS.rescaling == (60, (X, 3))
-    assert INCLUSION_SYSTEM.rescaling == (6, (1, 2))
+    assert TENSOR_TWO_LETTERS.rescaling == (60, ((X, 1), (3, 3)))
+    assert INCLUSION_SYSTEM.rescaling == (6, ((1, 1), (2, 1)))
     kinds = {amb.kind for amb in find_ambiguities(INCLUSION_SYSTEM)}
     assert kinds == {OVERLAP, INCLUSION}
-    assert CONTENT_SYSTEM.rescaling == (2, (2,))
+    assert CONTENT_SYSTEM.rescaling == (2, ((2, 1),))
     (res,) = check_confluence(CONTENT_SYSTEM).resolutions
     assert typed(res.difference) == {(0, 0, 2): (int, 2), (2, 0, 0): (int, -2)}
-    assert zeta8_quintic().rescaling == (2, (X,))
+    assert zeta8_quintic().rescaling == (2, ((X, 1),))
     system = not_confluent_quartic()
-    assert system.rescaling == (6, (X,))
+    assert system.rescaling == (6, ((X, 1),))
     assert not check_confluence(system).overall
     system = zeta8_not_confluent()
-    assert system.rescaling == (6, (X,))
+    assert system.rescaling == (6, ((X, 1),))
     assert not check_confluence(system).overall
 
 
@@ -811,11 +818,34 @@ def test_cyclotomic_differences_match_the_fraction_reference(order):
         assert any(differences) == (system is perturbed)
 
 
+def zeta8_pair():
+    """The tensor system of the Q(zeta_8) pair (q/2 x + x^2/3 + x^3 | q/5 y + y^2).
+    Its curve rule y^2 -> ... holds x^3: e(w) = #x + #y would put x^3 above
+    the left side, e(w) = #x + 3 #y puts it 3 steps below."""
+    q = CyclotomicField(8).q
+    g = DefiningPolynomial((q / 2, Fraction(1, 3), 1))
+    return build_tensor_presentation(g, DefiningPolynomial((q / 5, 1))).system
+
+
+def non_monic_tensor():
+    # g = 3x^3 + 2/3 x^2 + 1/2 x and f = 5/2 y^2 + 1/4 y: non-monic, so the
+    # sigma, tau and curve rules all carry Fractions
+    g = DefiningPolynomial((Fraction(1, 2), Fraction(2, 3), 3))
+    f = DefiningPolynomial((Fraction(1, 4), Fraction(5, 2)))
+    return build_tensor_presentation(g, f).system
+
+
 def test_zeta8_confluence_builds_no_fraction(monkeypatch):
     # a Q(zeta_8) system reduces in Z[zeta_8]: a confluent one never leaves
-    # the integers, since a zero difference needs no map back
+    # the integers, since a zero difference needs no map back; so do the
+    # tensor systems of a non-monic rational pair and of a Q(zeta_8) pair
     systems = [zeta8_quintic(), build_system(same_word_quintics()[2]).system]
-    assert all(system.rescaling == (2, (X,)) for system in systems)
+    assert all(system.rescaling == (2, ((X, 1),)) for system in systems)
+    systems += [non_monic_tensor(), zeta8_pair()]
+    assert [system.rescaling for system in systems[2:]] == [
+        (90, ((X, 1), (3, 3))),
+        (30, ((X, 1), (3, 3))),
+    ]
 
     def fraction(*args, **kwargs):
         raise AssertionError("Fraction built in check_confluence")
@@ -864,11 +894,11 @@ def test_power_system_reduces_only_adjacent_overlaps():
 
 
 def test_rational_system_reduces_in_int_rules():
-    # g = x^3 - 2/3 x^2 + 1/2 x: D = 6 and T = {x}, the grading of
+    # g = x^3 - 2/3 x^2 + 1/2 x: D = 6 and e(w) = #x, the grading of
     # g~(t) = 6^3 g(t/6); the public rules stay as given, the Fractions of
     # g's lower coefficients and the int 1 of its top one
     system = system_for(Fraction(1, 2), Fraction(-2, 3), 1)
-    assert system.rescaling == (6, (X,))
+    assert system.rescaling == (6, ((X, 1),))
     assert coefficient_types(rule.rhs for rule in system.rules) == {Fraction, int}
     assert {type(c) for rhs in system._reducts.values() for _, c in rhs} == {int}
     assert scan_match(system, (A, A, X, X)) == system.match((A, A, X, X))
@@ -894,10 +924,12 @@ def test_integral_system_keeps_the_given_fractions():
 
 
 def test_system_without_integral_grading_keeps_its_coefficients():
-    # ab -> 1/2 ba keeps both letter counts, so no rescaling clears the 1/2
+    # ab -> 1/2 ba keeps both letter counts, so no exponents clear the 1/2;
+    # with none given the system is not rescaled either
     AB = Alphabet(("a", "b"))
     order = GrlexPlus(AB, weight_letter=1, lex_top=0)
     rule = Rule((0, 1), NcPoly.monomial(AB, (1, 0), Fraction(1, 2)), "half")
+    assert ReductionSystem(AB, order, [rule], exponents=(1, 2)).rescaling is None
     system = ReductionSystem(AB, order, [rule])
     assert system.rescaling is None
     assert system.rules == (rule,)
@@ -913,6 +945,97 @@ def test_cyclotomic_input_in_a_rescaled_system():
     assert normal_form(NcPoly.monomial(AX, word, q), system) == normal_form(
         mono(*word), system
     ).scale(q)
+
+
+def oracle_reducts(system, exponents):
+    """(D, reducts) from the public rules in ``Fraction`` arithmetic: D is
+    the lcm of the denominators of the rules' rational entries, and each
+    term c w of the rule lhs -> ... becomes c D^(e(lhs) - e(w)) w, where
+    e(w) sums the ``exponents`` of the letters of w."""
+    scale = 1
+    for rule in system.rules:
+        for _, c in rule.rhs.items():
+            for entry in c.coeffs if isinstance(c, Cyclotomic) else (c,):
+                scale = math.lcm(scale, Fraction(entry).denominator)
+
+    def e(word):
+        return sum(exponents[c] for c in word)
+
+    return scale, {
+        rule.lhs: tuple(
+            (w, exact(c) * Fraction(scale) ** (e(rule.lhs) - e(w))) for w, c in rule.rhs.items()
+        )
+        for rule in system.rules
+    }
+
+
+def oracle_cases():
+    """(system, the builder's exponents): seeded g of degree 2..9 with int,
+    Fraction and non-monic tops, a Q(zeta_8) and a Q(zeta_12) g, and
+    seeded rational, non-monic and Q(zeta_8) tensor pairs."""
+    rng = random.Random(32)
+
+    def fraction():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    for n in range(2, 10):
+        lower = [fraction() for _ in range(n - 1)]
+        for top in (1, Fraction(1), Fraction(-7, 4), 3):
+            yield build_system(DefiningPolynomial((*lower, top))).system, (0, 1)
+        ints = [rng.randint(-9, 9) for _ in range(n - 1)]
+        yield build_system(DefiningPolynomial((*ints, 2))).system, (0, 1)
+    for order in (8, 12):
+        coeffs = [Cyclotomic(order, [fraction() for _ in range(4)]) for _ in range(3)]
+        # a residue with a nonzero entry is nonzero: phi(8) = phi(12) = 4
+        coeffs.append(Cyclotomic(order, [Fraction(rng.randint(1, 9), 2), fraction(), 0, 1]))
+        yield build_system(DefiningPolynomial(tuple(coeffs))).system, (0, 1)
+    for _ in range(6):
+        g, f = (
+            DefiningPolynomial((*(fraction() for _ in range(rng.randint(1, 3))), top))
+            for top in (rng.choice((1, 2, Fraction(-5, 3))), rng.choice((1, 3, Fraction(2, 7))))
+        )
+        yield build_tensor_presentation(g, f).system, (0, 1, 0, g.degree)
+    yield non_monic_tensor(), (0, 1, 0, 3)
+    yield zeta8_pair(), (0, 1, 0, 3)
+
+
+def test_reducts_match_the_fraction_oracle():
+    # every system the builders make rescales with the builder's exponents,
+    # and its reducts are the oracle's values, as ints
+    for system, exponents in oracle_cases():
+        scale, expected = oracle_reducts(system, exponents)
+        weights = tuple((c, k) for c, k in enumerate(exponents) if k) if scale > 1 else ()
+        assert system.rescaling == (scale, weights)
+        assert system._reducts == expected
+        values = [c for rhs in system._reducts.values() for _, c in rhs]
+        assert {type(k) for c in values for k in entries(c)} == {int}
+
+
+def test_building_scales_each_run_of_terms_once(monkeypatch):
+    # a dense degree-9 rational g: the right side of sigma_j is n - j + 2
+    # runs of one coefficient object and one exponent (the word groups
+    # P(j, i - j) of r_i for i = j..n, and r_j a^n), 52 runs for 1,012 terms
+    g = DefiningPolynomial(tuple(Fraction(i, i + 1) for i in range(1, 9)) + (Fraction(7, 3),))
+    calls = []
+    scaled = rewrite.scaled_integer
+
+    def counted(*args):
+        calls.append(args)
+        return scaled(*args)
+
+    monkeypatch.setattr(rewrite, "scaled_integer", counted)
+    system = build_system(g).system
+    assert system.rescaling == (5880, ((X, 1),))
+    assert sum(len(rule.rhs.support()) for rule in system.rules) == 1_012
+    assert len(calls) == 52 == sum(9 - j + 2 for j in range(1, 9))
+
+
+def test_exponents_are_one_integer_per_letter():
+    rule = Rule((X, X), mono(A), "down")
+    order = GrlexPlus(AX, weight_letter=1, lex_top=0)
+    for exponents in ((1,), (0, 1, 2), (0, -1), (0, Fraction(1, 2))):
+        with pytest.raises(ValueError, match="one integer >= 0 per letter"):
+            ReductionSystem(AX, order, [rule], exponents=exponents)
 
 
 # -- shared rule shapes ----------------------------------------------------
@@ -959,7 +1082,7 @@ def test_systems_with_the_same_words_share_a_sound_shape():
     systems = [budgeted(build_system(g).system) for g in gs]
     assert systems[0]._shape is systems[1]._shape is systems[2]._shape
     assert systems[0].rescaling == (1, ()) and systems[1].rescaling[1]
-    assert systems[2].rescaling == (2, (X,))
+    assert systems[2].rescaling == (2, ((X, 1),))
     # the systems take turns filling one walk memo
     for i, p in enumerate(SHAPE_INPUTS):
         for system, expected in zip(systems, alone):

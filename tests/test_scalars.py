@@ -14,6 +14,7 @@ from diamond.scalars import (
     cyclotomic_polynomial,
     divide_content,
     entries,
+    exponent,
     euler_phi,
     rescale,
     scalar_str,
@@ -203,16 +204,21 @@ def test_rescaling_helpers():
     assert scaled_integer(6, 4, -1) is None
     # e counts letter 1; 1/2 * (1, 1) -> 1/2 / 6^2, 3 * (0,) -> 3
     terms = {(1, 1): Fraction(1, 2), (0,): 3}
-    images, m = rescale(terms.items(), 6, (1,))
+    images, m = rescale(terms.items(), 6, ((1, 1),))
     assert (images, m) == ({(1, 1): 1, (0,): 216}, 72)
-    assert unscale(images, 6, (1,), m) == terms
-    assert unscale({(1,): 2}, 3, (1,), 1) == {(1,): 6}
+    assert unscale(images, 6, ((1, 1),), m) == terms
+    assert unscale({(1,): 2}, 3, ((1, 1),), 1) == {(1,): 6}
+    # weighted: e(w) = #1 + 2 #2, so e((1, 2, 2)) = 5
+    assert exponent((1, 2, 2, 0), ((1, 1), (2, 2))) == 5
+    images, m = rescale({(1, 2, 2): Fraction(1, 2), (2,): 1}.items(), 2, ((1, 1), (2, 2)))
+    assert (images, m) == ({(1, 2, 2): 1, (2,): 16}, 64)
+    assert unscale(images, 2, ((1, 1), (2, 2)), m) == {(1, 2, 2): Fraction(1, 2), (2,): 1}
     # a residue moves into Z[q] entry by entry, with the multiplier m
     q = Cyclotomic(8, [0, 1])
-    images, m = rescale({(1,): q, (0,): Fraction(1, 3)}.items(), 2, (1,))
+    images, m = rescale({(1,): q, (0,): Fraction(1, 3)}.items(), 2, ((1, 1),))
     assert (images, m) == ({(1,): 3 * q, (0,): 2}, 6)
     assert [type(k) for k in images[(1,)].coeffs] == [int] * 4
-    assert unscale(images, 2, (1,), m) == {(1,): q, (0,): Fraction(1, 3)}
+    assert unscale(images, 2, ((1, 1),), m) == {(1,): q, (0,): Fraction(1, 3)}
     assert scaled_integer(Cyclotomic(8, [Fraction(1, 2), 0, 3]), 2, 1) == Cyclotomic(8, [1, 0, 6])
     assert scaled_integer(Cyclotomic(8, [Fraction(1, 4), 1]), 2, 1) is None
     assert entries(q) == (0, 1, 0, 0) and entries(Fraction(1, 2)) == (Fraction(1, 2),)
