@@ -43,7 +43,7 @@ u << t | v of its head u and tail v, read off with shifts, to the
 right-side part u * P(...) * v, whose next mask must be the middle of w.
 A one-to-one pairing of the two streams is equality of the two
 polynomials, whatever order the words come in.  ``_bidegree_words`` is the
-same memo for the tuple words, shared by the relation builders of
+same memo for the tuple words, shared by the rule builders of
 ``presentations`` and the coproduct closed forms of ``coalgebra``.
 """
 

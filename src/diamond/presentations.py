@@ -3,7 +3,9 @@
 Everything here turns defining polynomial data into oriented reduction
 systems: the skew-primitive systems generated by a single polynomial g, the
 one-rule root-of-unity plane, down-up relation sets, and the combined
-two-polynomial tensor system over four generators.
+two-polynomial tensor system over four generators.  The builders state
+rules only: a rule lhs -> rhs presents the relation lhs - rhs, which
+``Presentation.relations`` reads off when it is first read.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ AX = Alphabet(("a", "x"))
 class DefiningPolynomial:
     """A polynomial sum r_i t^i, i = 1..n, with r_n != 0 and no constant term.
 
-    The coefficients keep the caller's scalars, so an integral g builds its
-    relations and rules in ``int``; ``monic`` is where they are divided,
-    exactly."""
+    The coefficients keep the caller's scalars, so a monic integral g builds
+    its rules, and so its relations, in ``int``; ``monic`` is where they are
+    divided, exactly."""
 
     coefficients: tuple  # (r_1, ..., r_n)
 
@@ -99,27 +101,24 @@ class DefiningPolynomial:
         return self.as_ncpoly(Alphabet((name,)), 0).render()
 
 
-def _relation_terms(g: DefiningPolynomial, j: int, alphabet: Alphabet, pair):
-    """The clean term dicts of sigma_j = ``defining_relation(g, j)``, written
-    in the letters ``pair`` = (a-like, x-like), and of -sigma_j, built in one
-    pass over the word groups P(j, i - j) of r_i != 0."""
-    n = g.degree
+def _relation_terms(coefficients, j: int, pair) -> dict:
+    """The clean term dict of sigma_j = ``defining_relation(g, j)`` of the g
+    with ``coefficients`` (r_1, ..., r_n), written in the letters ``pair`` =
+    (a-like, x-like): one pass over the word groups P(j, i - j) of r_i != 0,
+    each word group sharing one coefficient object."""
+    n = len(coefficients)
     if not 1 <= j <= n - 1:
         raise ValueError(f"relation index {j} outside 1..{n - 1}")
-    check_pair(alphabet, pair)
     # the groups for distinct i have distinct lengths and none holds a^n, so
     # no word repeats
-    sigma, negated = {}, {}
-    for i, c in enumerate(g.coefficients[j - 1 :], j):
+    sigma = {}
+    for i, c in enumerate(coefficients[j - 1 :], j):
         if c:
-            words = _bidegree_words(j, i - j, pair)
-            sigma.update(dict.fromkeys(words, c))
-            negated.update(dict.fromkeys(words, -c))
-    rj = g.coefficients[j - 1]
+            sigma.update(dict.fromkeys(_bidegree_words(j, i - j, pair), c))
+    rj = coefficients[j - 1]
     if rj:
         sigma[(pair[0],) * n] = -rj
-        negated[(pair[0],) * n] = rj
-    return sigma, negated
+    return sigma
 
 
 def defining_relation(g: DefiningPolynomial, j: int) -> NcPoly:
@@ -130,17 +129,32 @@ def defining_relation(g: DefiningPolynomial, j: int) -> NcPoly:
 
     for 1 <= j <= n - 1.
     """
-    return NcPoly.zero(AX)._make(_relation_terms(g, j, AX, (0, 1))[0])
+    return NcPoly.zero(AX)._make(_relation_terms(g.coefficients, j, (0, 1)))
 
 
 @dataclass
 class Presentation:
-    """Relations, their compatibility-checked system, and ``metadata`` made on first read."""
+    """A compatibility-checked system and the presentation it states: each
+    rule lhs -> rhs gives the relation lhs - rhs.  ``relations`` and
+    ``metadata`` are made on first read."""
 
-    alphabet: Alphabet
-    relations: list  # [(label, NcPoly)]
     system: ReductionSystem
     render_metadata: Callable[[], dict] = dict
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.system.alphabet
+
+    @cached_property
+    def relations(self) -> list:
+        """[(label, lhs - rhs)] per rule, in rule order.  The lhs takes the
+        unit of its right side's scalars, so a relation keeps its rule's
+        coefficient types."""
+        out = []
+        for rule in self.system.rules:
+            one = next((c for _, c in rule.rhs.items()), 1) ** 0
+            out.append((rule.label, NcPoly.monomial(self.alphabet, rule.lhs, one) - rule.rhs))
+        return out
 
     @cached_property
     def metadata(self) -> dict:
@@ -167,23 +181,23 @@ class Presentation:
         }
 
 
-def _skew_primitive_rules(gm: DefiningPolynomial, name: str, alphabet: Alphabet, pair):
+def _skew_primitive_rules(gm: DefiningPolynomial, name: str, alphabet: Alphabet, pair) -> list:
     """The family of monic ``gm`` in the letters ``pair``: for j = 1..n-1 the
-    rule a^j x^(n-j) -> a^j x^(n-j) - sigma_j and the relation sigma_j, both
-    labelled ``name_j``.  Returns (rules, relations)."""
+    rule a^j x^(n-j) -> a^j x^(n-j) - sigma_j, labelled ``name_j``."""
+    check_pair(alphabet, pair)
     first, second = pair
     n = gm.degree
-    rules, relations = [], []
+    # sigma_j is linear in g and holds its lhs once, from r_n P(j, n - j)
+    # with r_n = 1, so the right side is sigma_j(-gm) without its lhs term
+    negated = tuple(-c for c in gm.coefficients)
     zero = NcPoly.zero(alphabet)
+    rules = []
     for j in range(1, n):
-        sigma, rhs = _relation_terms(gm, j, alphabet, pair)
+        rhs = _relation_terms(negated, j, pair)
         lhs = (first,) * j + (second,) * (n - j)
-        # sigma holds lhs once, from r_n P(j, n - j) with r_n = 1, so the
-        # rule's right side lhs - sigma is -sigma without that term
         del rhs[lhs]
         rules.append(Rule(lhs, zero._make(rhs), f"{name}_{j}"))
-        relations.append((f"{name}_{j}", zero._make(sigma)))
-    return rules, relations
+    return rules
 
 
 def build_system(g: DefiningPolynomial, alphabet: Alphabet = AX) -> Presentation:
@@ -203,15 +217,13 @@ def build_system(g: DefiningPolynomial, alphabet: Alphabet = AX) -> Presentation
     scale = g.coefficients[-1]
     gm = g.monic()
     order = GrlexPlus(alphabet, weight_letter=1, lex_top=0)
-    rules, relations = _skew_primitive_rules(gm, "sigma", alphabet, (0, 1))
+    rules = _skew_primitive_rules(gm, "sigma", alphabet, (0, 1))
     # e(w) = #x makes every reduct integral; verify reads no name or metadata
     x = alphabet.names[1]
     system = ReductionSystem(
         alphabet, order, rules, name=lambda: f"Sigma[{gm.render(x)}]", exponents=(0, 1)
     )
     return Presentation(
-        alphabet,
-        relations,
         system,
         lambda: {
             "construction": "skew-primitive",
@@ -284,11 +296,12 @@ def tensor_alphabet(n: int, m: int) -> Alphabet:
 def build_tensor_presentation(g: DefiningPolynomial, f: DefiningPolynomial) -> Presentation:
     """The combined system for the pair (g, f) on generators a, x, b, y.
 
-    Relations: the four cross commutators (oriented with first-factor
-    letters leftmost), both skew-primitive families, the group relation
-    b^m -> a^n and the curve relation y^m -> (g(x) - f(y))/s_m + y^m.
-    All rules are oriented under the product order and compatibility is
-    checked at construction.
+    Rules: the four cross commutators (oriented with first-factor letters
+    leftmost), both skew-primitive families, the group rule b^m -> a^n and
+    the curve rule y^m -> g(x)/s_m - (f(y)/s_m - y^m), whose relation
+    f(y)/s_m - g(x)/s_m is -1/s_m times g(x) - f(y).  All rules are
+    oriented under the product order and compatibility is checked at
+    construction.
     """
     n, m = g.degree, f.degree
     if n < 2 or m < 2:
@@ -301,27 +314,15 @@ def build_tensor_presentation(g: DefiningPolynomial, f: DefiningPolynomial) -> P
     def mono(*letters):
         return NcPoly.monomial(alphabet, letters)
 
-    rules = []
-    relations = []
-
-    commutators = [
-        ("comm_ya", (y, a), (a, y)),
-        ("comm_yx", (y, x), (x, y)),
-        ("comm_ba", (b, a), (a, b)),
-        ("comm_bx", (b, x), (x, b)),
+    rules = [
+        Rule((y, a), mono(a, y), "comm_ya"),
+        Rule((y, x), mono(x, y), "comm_yx"),
+        Rule((b, a), mono(a, b), "comm_ba"),
+        Rule((b, x), mono(x, b), "comm_bx"),
     ]
-    for label, lhs, rhs in commutators:
-        rules.append(Rule(lhs, mono(*rhs), label))
-        relations.append((label, mono(*lhs) - mono(*rhs)))
-
-    sigma_rules, sigma_relations = _skew_primitive_rules(gm, "sigma", alphabet, (a, x))
-    tau_rules, tau_relations = _skew_primitive_rules(fm, "tau", alphabet, (b, y))
-    rules += sigma_rules + tau_rules
-    relations += sigma_relations + tau_relations
-
-    group_lhs = (b,) * m
-    rules.append(Rule(group_lhs, mono(*((a,) * n)), "group"))
-    relations.append(("group", mono(*group_lhs) - mono(*((a,) * n))))
+    rules += _skew_primitive_rules(gm, "sigma", alphabet, (a, x))
+    rules += _skew_primitive_rules(fm, "tau", alphabet, (b, y))
+    rules.append(Rule((b,) * m, mono(*((a,) * n)), "group"))
 
     # curve relation g(x) = f(y), oriented to eliminate y^m; dividing by the
     # top coefficient s_m of f leaves the ideal unchanged
@@ -334,7 +335,6 @@ def build_tensor_presentation(g: DefiningPolynomial, f: DefiningPolynomial) -> P
         + NcPoly.monomial(alphabet, curve_lhs)
     )
     rules.append(Rule(curve_lhs, curve_rhs, "curve"))
-    relations.append(("curve", g_x - f.as_ncpoly(alphabet, y)))
 
     # e(w) = #x + n #y puts each term whose coefficient is not +-1 at least one
     # step below its left side (the curve's x^i at mn - i): reducts are integral
@@ -346,8 +346,6 @@ def build_tensor_presentation(g: DefiningPolynomial, f: DefiningPolynomial) -> P
         exponents=(0, 1, 0, n),
     )
     return Presentation(
-        alphabet,
-        relations,
         system,
         lambda: {
             "construction": "tensor-pair",

@@ -592,6 +592,26 @@ def test_determinism_across_processes():
     assert runs[0] == runs[1]
 
 
+CLI_GOLDENS = {
+    "present_rational_nonmonic.json": ["present", "--g", "3*x^3 - 2/3*x^2 + 1/2*x"],
+    "present_zeta8.json": [
+        "present", "--g", "q/2*x + x^2/3 + (q^3 - 1)*x^3", "--cyclotomic", "8",
+    ],
+    "tensor_nodal.json": ["tensor", "--g", "x^3 + x^2", "--f", "y^2"],
+    "tensor_rational.json": ["tensor", "--g", "x^2 - 1/2*x", "--f", "2/3*y^3 + y"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
+def test_cli_json_matches_golden(name, tmp_path, capsys):
+    # the relations, rules and metadata of `present` and `tensor`, byte for byte
+    out = tmp_path / name
+    assert run_command([*CLI_GOLDENS[name], "--json", str(out)]) == 0
+    capsys.readouterr()
+    golden = Path(__file__).parent / "golden" / name
+    assert out.read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")
+
+
 GOLDEN_CLAIMS = Path(__file__).parent / "golden" / "verify_claims.json"
 
 

@@ -10,6 +10,7 @@ from diamond.freealg import Alphabet, NcPoly, bidegree_sum
 from diamond.presentations import (
     AX,
     DefiningPolynomial,
+    _relation_terms,
     _skew_primitive_rules,
     build_quantum_plane,
     build_system,
@@ -158,6 +159,69 @@ def test_defining_relation_matches_textbook_formula(g):
             assert all(type(c) is int for _, c in sigma.items())
 
 
+def check_read_off_rules(pres):
+    # each relation is its rule's lhs - rhs, in rule order
+    assert [label for label, _ in pres.relations] == [rule.label for rule in pres.system.rules]
+    for (_, relation), rule in zip(pres.relations, pres.system.rules):
+        assert relation == NcPoly.monomial(pres.alphabet, rule.lhs) - rule.rhs
+
+
+def check_skew_family(pres, name, g, letters):
+    # name_j is defining_relation(g.monic(), j) in the letters ``letters``,
+    # in value and in the type of every coefficient
+    for j in range(1, g.degree):
+        relation = pres.relation(f"{name}_{j}")
+        expected = {
+            tuple(letters[c] for c in w): c for w, c in defining_relation(g.monic(), j).items()
+        }
+        assert dict(relation.items()) == expected
+        assert {w: type(c) for w, c in relation.items()} == {
+            w: type(c) for w, c in expected.items()
+        }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(integral_g, rational_g, zeta8_g))
+def test_relations_are_read_off_the_rules(g):
+    pres = build_system(g)
+    check_read_off_rules(pres)
+    check_skew_family(pres, "sigma", g, (A, X))
+
+
+def draw_g(rng, degree):
+    kind = rng.choice(("int", "fraction", "zeta8"))
+    coeffs = [rng.choice((0, 1, -2, 3)) for _ in range(degree - 1)] + [rng.choice((1, -1, 2, 3))]
+    if kind == "fraction":
+        coeffs = [Fraction(c, rng.randint(1, 4)) for c in coeffs]
+    elif kind == "zeta8":
+        coeffs = [c * ZETA8 ** rng.randint(0, 7) for c in coeffs]
+    return DefiningPolynomial(tuple(coeffs))
+
+
+def test_tensor_relations_are_read_off_the_rules():
+    rng = random.Random(33)
+    a, x, b, y = 0, 1, 2, 3
+    for _ in range(12):
+        g, f = draw_g(rng, rng.randint(2, 4)), draw_g(rng, rng.randint(2, 3))
+        pres = build_tensor_presentation(g, f)
+        check_read_off_rules(pres)
+        check_skew_family(pres, "sigma", g, (a, x))
+        check_skew_family(pres, "tau", f, (b, y))
+
+        def tmono(*letters):
+            return NcPoly.monomial(pres.alphabet, letters)
+
+        for label, (u, v) in (("comm_ya", (y, a)), ("comm_yx", (y, x)),
+                              ("comm_ba", (b, a)), ("comm_bx", (b, x))):
+            assert list(pres.relation(label).items()) == [((u, v), 1), ((v, u), -1)]
+        assert pres.relation("group") == tmono(*(b,) * f.degree) - tmono(*(a,) * g.degree)
+        # the curve relation is -1/s_m times g(x) - f(y): the same ideal
+        sm = f.coefficients[-1]
+        assert pres.relation("curve").scale(-sm) == (
+            g.as_ncpoly(pres.alphabet, x) - f.as_ncpoly(pres.alphabet, y)
+        )
+
+
 def summed_relation(g, j, alphabet, pair):
     """The relation sigma_j as built from whole bidegree sums: each
     ``bidegree_sum(j, i - j).support()`` with coefficient r_i, then
@@ -174,21 +238,26 @@ def summed_relation(g, j, alphabet, pair):
 
 
 def test_relations_and_rules_match_the_summed_construction():
-    # the relation and the rule right side -(sigma_j - lhs), dict order too
+    # the rule right side -(sigma_j - lhs) and defining_relation, dict order
+    # too; the relations, read off the rules, as polynomials
     rng = random.Random(23)
-    cases = [(AX, (A, X)), (tensor_alphabet(3, 2), (2, 3))]
     for n in range(2, 10):
         for _ in range(3):
             coeffs = [rng.choice((0, 0, 1, -2, Fraction(1, 3), Fraction(-5, 2))) for _ in range(n)]
             g = DefiningPolynomial((*coeffs[:-1], Fraction(rng.randint(1, 4), rng.randint(1, 3))))
             gm = g.monic()
-            for alphabet, pair in cases:
-                rules, relations = _skew_primitive_rules(gm, "r", alphabet, pair)
+            tensor = build_tensor_presentation(DefiningPolynomial((0, 1)), g)
+            cases = [
+                (AX, (A, X), build_system(g).relations),
+                (tensor.alphabet, (2, 3), [(lb, p) for lb, p in tensor.relations if lb[:3] == "tau"]),
+            ]
+            for alphabet, pair, relations in cases:
+                rules = _skew_primitive_rules(gm, "r", alphabet, pair)
                 for j in range(1, n):
                     old = summed_relation(gm, j, alphabet, pair)
                     if alphabet == AX:
                         assert list(defining_relation(gm, j).items()) == list(old.items())
-                    assert list(relations[j - 1][1].items()) == list(old.items())
+                    assert relations[j - 1][1] == old
                     lhs = rules[j - 1].lhs
                     expected = [(w, -c) for w, c in old.items() if w != lhs]
                     assert list(rules[j - 1].rhs.items()) == expected
@@ -264,6 +333,25 @@ def test_builders_render_g_only_when_read(monkeypatch):
     assert pair.system.describe() == "A[2*x^3 + 1/2*x | y^2 - 1/3*y]"
     assert (pair.metadata["g"], pair.metadata["f"]) == ("2*x^3 + 1/2*x", "y^2 - 1/3*y")
     assert pair.metadata["degrees"] == (3, 2)
+
+
+def test_builders_state_rules_only(monkeypatch):
+    # a builder computes sigma_j once per skew rule and no relation: the
+    # relations are read off the rules when first read
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _relation_terms(*args)
+
+    monkeypatch.setattr("diamond.presentations._relation_terms", counted)
+    g = DefiningPolynomial((Fraction(1, 2), 0, 2))
+    f = DefiningPolynomial((Fraction(-1, 3), 1))
+    single, pair = build_system(g), build_tensor_presentation(g, f)
+    assert calls == [1, 2, 1, 2, 1]
+    assert "relations" not in vars(single) and "relations" not in vars(pair)
+    assert [label for label, _ in single.relations] == ["sigma_1", "sigma_2"]
+    assert len(pair.relations) == 9 and calls == [1, 2, 1, 2, 1]
 
 
 def test_rescaling():
@@ -370,7 +458,8 @@ def test_tensor_presentation_nodal_relations():
 
     assert pres.relation("tau_1") == tmono(b, y) + tmono(y, b)
     assert pres.relation("group") == tmono(b, b) - tmono(a, a, a)
-    assert pres.relation("curve") == tmono(x, x, x) + tmono(x, x) - tmono(y, y)
+    # the curve rule's relation, monic in y^2
+    assert pres.relation("curve") == tmono(y, y) - tmono(x, x, x) - tmono(x, x)
     assert pres.relation("sigma_1") == bidegree_sum(
         pres.alphabet, 1, 1, (a, x)
     ) + bidegree_sum(pres.alphabet, 1, 2, (a, x))
