@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import analysis
 from .analysis import (
+    commutes_with_letter,
     cubic_centre_elements,
     degree_three_centre_element,
     degree_two_identities,
@@ -239,19 +240,15 @@ def pbw_suite(seed: int) -> list:
 
 def centrality_suite(seed: int) -> list:
     rng = random.Random(seed)
-    gen_a, gen_x = NcPoly.generator(AX, 0), NcPoly.generator(AX, 1)
-
-    def commute(p, q, system) -> bool:
-        return normal_form(p * q - q * p, system).is_zero()
 
     def core_failures():
         for _ in range(200):
             degree = rng.randint(2, 5)
             g = random_defining_polynomial(rng, degree)
             system = build_system(g).system
-            if not commute(NcPoly.monomial(AX, (0,) * degree), gen_x, system):
+            if not commutes_with_letter(NcPoly.monomial(AX, (0,) * degree), 1, system):
                 yield {"g": g.render(), "element": "a^n"}
-            if not commute(g.monic().as_ncpoly(AX, 1), gen_a, system):
+            if not commutes_with_letter(g.monic().as_ncpoly(AX, 1), 0, system):
                 yield {"g": g.render(), "element": "g"}
 
     def cubic_failures():

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, product
 from pathlib import Path
@@ -22,6 +23,7 @@ from diamond.analysis import (
     _integer_row,
     _reduce_row,
     _word_column,
+    commutes_with_letter,
     cubic_centre_elements,
     degree_three_centre_element,
     degree_two_identities,
@@ -398,6 +400,33 @@ def test_echelon_work_at_the_largest_bound(n, pivots, entries):
     assert (len(table), sum(map(len, table.values()))) == (pivots, entries)
 
 
+def test_echelon_stores_only_the_rows_reduction_kept():
+    # every other row of a level is a prefix of a kept row, built when
+    # read; for g = x^n the merge reduces nothing, so the pivot table holds
+    # references only
+    kept = 0
+    for n in (2, 3, 4):
+        echelon = _IdealEchelon(power_poly(n).monic())
+        echelon._extend(MAX_ORACLE_BOUND - n)
+        kept += sum(map(len, echelon.kept))
+        assert all(type(ref) is tuple for ref in echelon.pivots.values())
+    assert kept == 630
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_echelon_build_peak_memory(n):
+    # copying every level's rows as a * E and x * E peaked at 2.6 to 3.0 MiB
+    gm = power_poly(n).monic()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _IdealEchelon(gm)._extend(MAX_ORACLE_BOUND - n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_oracle_refuses_a_non_rational_g():
     # the rows are cleared to ints, and a Q(zeta_8) coefficient has no
     # denominator to clear
@@ -539,6 +568,38 @@ def test_is_central():
         assert is_central(NcPoly.monomial(AX, (A,) * n), system)
         assert is_central(g.monic().as_ncpoly(AX, X), system)
         assert not is_central(NcPoly.generator(AX, A), system)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    monic_rational_2_5,
+    rational_polys,
+    st.tuples(*[st.integers(-2, 2)] * 3),
+    st.sampled_from((A, X)),
+)
+def test_commutes_with_letter_matches_the_product_form(g, p, scales, letter):
+    # a^n and g(x) are central, so the central combination tests the True
+    # side and its sum with a random p mostly the False side
+    system = build_system(g).system
+    n = g.degree
+    central = (
+        scales[0] * NcPoly.monomial(AX, (A,) * n)
+        + scales[1] * g.monic().as_ncpoly(AX, X)
+        + NcPoly.monomial(AX, (), scales[2])
+    )
+    c = NcPoly.generator(AX, letter)
+    assert commutes_with_letter(central, letter, system)
+    for poly in (p, p + central):
+        expected = normal_form(poly * c - c * poly, system).is_zero()
+        assert commutes_with_letter(poly, letter, system) == expected
+
+
+def test_a_does_not_commute_with_x_for_x_cubed():
+    system = build_system(power_poly(3)).system
+    a = NcPoly.generator(AX, A)
+    assert commutes_with_letter(a, A, system)
+    assert not commutes_with_letter(a, X, system)
+    assert not is_central(a, system)
 
 
 def test_cubic_centre_element_deformed():
