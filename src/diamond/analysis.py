@@ -408,14 +408,14 @@ class _IdealEchelon:
         self._extend(level)
         return list(self.profiles[level])
 
-    def pivots_at(self, level: int) -> dict:
-        """The pivot table of W_0 + ... + W_level, its rows built.  Pivots
-        are added level by level and never changed, so it is a prefix of the
-        current table; later levels are left out, as lower terms of g may
-        reduce their rows to shorter lengths."""
+    def pivots_at(self, level: int) -> _Rows:
+        """The pivot table of W_0 + ... + W_level, as a view that builds a
+        row when it is read.  Pivots are added level by level and never
+        changed, so it is a prefix of the current table; later levels are
+        left out, as lower terms of g may reduce their rows to shorter
+        lengths."""
         self._extend(level)
-        table = _Rows(self.pivots, self.kept)
-        return {lead: table.get(lead) for lead in islice(self.pivots, self.sizes[level])}
+        return _Rows(dict(islice(self.pivots.items(), self.sizes[level])), self.kept)
 
     def _extend(self, level: int) -> None:
         while len(self.sizes) <= level:

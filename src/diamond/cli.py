@@ -354,17 +354,6 @@ def _check_degree(degree: int) -> None:
         raise UsageError(f"resource guard: the degree must be <= {MAX_DEGREE}, got {degree}")
 
 
-def _field_from_args(args):
-    order = getattr(args, "cyclotomic", None)
-    if order is None:
-        return None
-    if order > MAX_CYCLOTOMIC_ORDER:
-        raise UsageError(
-            f"resource guard: --cyclotomic must be <= {MAX_CYCLOTOMIC_ORDER}, got {order}"
-        )
-    return CyclotomicField(order)
-
-
 def _check_json_path(path) -> None:
     """Refuse a --json path that cannot be written before any work is done:
     its directory is missing or not writable, or it is a directory itself.
@@ -398,10 +387,32 @@ def report_document(argv, claims) -> dict:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_present(args, argv) -> int:
-    field = _field_from_args(args)
+def _presentation(args, max_degree: int = MAX_DEGREE):
+    """The presentation a command runs on, and the field of --cyclotomic
+    (None without it): the system of --g, or A(g, f) when --f is given, in
+    the order it comes with (grlex+, or the product order for A(g, f)), with
+    the --budget of a command that takes one.  A degree of g above
+    ``max_degree`` is refused after parsing, before the system is built."""
+    order = args.cyclotomic
+    if order is not None and order > MAX_CYCLOTOMIC_ORDER:
+        raise UsageError(
+            f"resource guard: --cyclotomic must be <= {MAX_CYCLOTOMIC_ORDER}, got {order}"
+        )
+    field = None if order is None else CyclotomicField(order)
     g = parse_defining(args.g, "x", field)
-    pres = build_system(g)
+    f = parse_defining(args.f, "y", field) if getattr(args, "f", None) else None
+    if g.degree > max_degree:
+        raise UsageError(
+            f"resource guard: {args.command} needs degree <= {max_degree}, got {g.degree}"
+        )
+    pres = build_system(g) if f is None else build_tensor_presentation(g, f)
+    if getattr(args, "budget", None) is not None:
+        pres.system.budget = args.budget
+    return pres, field
+
+
+def _cmd_present(args, argv) -> int:
+    pres, _ = _presentation(args)
     doc = pres.to_json_dict()
     print(f"system: {pres.system.describe()}")
     for entry in doc["relations"]:
@@ -414,11 +425,7 @@ def _cmd_present(args, argv) -> int:
 
 
 def _cmd_confluence(args, argv) -> int:
-    field = _field_from_args(args)
-    g = parse_defining(args.g, "x", field)
-    pres = build_system(g)
-    if args.budget is not None:
-        pres.system.budget = args.budget
+    pres, _ = _presentation(args)
     report = check_confluence(pres.system)
     _check_output(res.difference for res in report.resolutions)
     doc = report.to_json_dict()
@@ -440,20 +447,9 @@ def _cmd_confluence(args, argv) -> int:
     return 0 if report.overall else 1
 
 
-def _build_expression_context(args):
-    # the order comes with the system: product for --f, grlex+ without
-    field = _field_from_args(args)
-    g = parse_defining(args.g, "x", field)
-    if args.f:
-        return build_tensor_presentation(g, parse_defining(args.f, "y", field)), field
-    return build_system(g), field
-
-
 def _cmd_nf(args, argv) -> int:
-    pres, field = _build_expression_context(args)
+    pres, field = _presentation(args)
     poly = parse_expr(args.expr, pres.alphabet, field)
-    if args.budget is not None:
-        pres.system.budget = args.budget
     nf = normal_form(poly, pres.system)
     _check_output([nf])
     print(nf.render(pres.system.order))
@@ -481,32 +477,34 @@ def _power_system(n: int) -> ReductionSystem:
     return ReductionSystem(AX, order, rules)
 
 
-def _check_max_len(args) -> None:
+def _census(args):
+    """The irreducible-word census of x^n, n = --n, to length --max-len.
+    The length is checked first, since the counts may be too long to print."""
     if args.max_len > MAX_GROWTH_LEN:
         raise UsageError(
             f"resource guard: --max-len must be <= {MAX_GROWTH_LEN}, got {args.max_len}"
         )
+    return irreducible_census(_power_system(args.n), args.max_len)
 
 
 def _cmd_basis(args, argv) -> int:
-    _check_max_len(args)  # before the census, whose counts may be too long to print
     # the census counts the same words as pbw_words, in milliseconds
-    counts = irreducible_census(_power_system(args.n), args.max_len).counts
+    counts = _census(args).counts
     if sum(counts) > MAX_BASIS_WORDS:
         raise UsageError(
             f"resource guard: the basis has {sum(counts)} words, more than {MAX_BASIS_WORDS}; "
             "lower --max-len"
         )
-    words = pbw_words(args.n, args.max_len)
+    words = [render_word(AX, word) for word in pbw_words(args.n, args.max_len)]
     for word in words:
-        print(render_word(AX, word))
+        print(word)
     print(f"counts per length: {counts}")
     _write_json(
         args,
         {
             "n": args.n,
             "max_len": args.max_len,
-            "words": [render_word(AX, w) for w in words],
+            "words": words,
             "counts": counts,
         },
     )
@@ -514,8 +512,7 @@ def _cmd_basis(args, argv) -> int:
 
 
 def _cmd_growth(args, argv) -> int:
-    _check_max_len(args)
-    census = irreducible_census(_power_system(args.n), args.max_len)
+    census = _census(args)
     classification = growth_classify(census)
     print(f"counts: {census.counts}")
     if classification.kind == "polynomial":
@@ -535,7 +532,7 @@ def _cmd_growth(args, argv) -> int:
 
 
 def _cmd_central(args, argv) -> int:
-    pres, field = _build_expression_context(args)
+    pres, field = _presentation(args)
     poly = parse_expr(args.expr, pres.alphabet, field)
     central = is_central(poly, pres.system)
     print(f"central: {'yes' if central else 'no'}")
@@ -547,13 +544,8 @@ def _cmd_central(args, argv) -> int:
 
 
 def _cmd_hopf_ideal(args, argv) -> int:
-    field = _field_from_args(args)
-    g = parse_defining(args.g, "x", field)
-    if g.degree > MAX_HOPF_DEGREE:
-        raise UsageError(
-            f"resource guard: hopf-ideal needs degree <= {MAX_HOPF_DEGREE}, got {g.degree}"
-        )
-    report = hopf_ideal_check(g)
+    pres, _ = _presentation(args, MAX_HOPF_DEGREE)
+    report = hopf_ideal_check(pres)
     doc = report.to_json_dict()
     print(f"system: {doc['system']}")
     print(f"confluent (verdicts certified): {doc['confluent']}")
@@ -569,10 +561,7 @@ def _cmd_hopf_ideal(args, argv) -> int:
 def _cmd_tensor(args, argv) -> int:
     if not args.f:
         raise UsageError("tensor needs both --g and --f")
-    field = _field_from_args(args)
-    g = parse_defining(args.g, "x", field)
-    f = parse_defining(args.f, "y", field)
-    pres = build_tensor_presentation(g, f)
+    pres, _ = _presentation(args)
     doc = pres.to_json_dict()
     print(f"alphabet: {', '.join(pres.alphabet.names)}")
     print(f"order: {doc['order']}")

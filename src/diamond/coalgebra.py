@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import chain, product, repeat
 
 from .freealg import NcPoly, TensorPoly, _bidegree_words, bidegree_sum
-from .presentations import AX, DefiningPolynomial, Presentation, build_system
+from .presentations import AX, Presentation
 from .rewrite import ReductionSystem, check_confluence, normal_form
 
 #: most letters j + t in ``check_coproduct_bidegree``; its left side has C(j + t, j) 2^t terms
@@ -130,7 +130,7 @@ def counit_laws_hold(poly: NcPoly) -> bool:
 
 @dataclass
 class HopfIdealReport:
-    """Per-relation bialgebra-ideal verdicts for one defining polynomial."""
+    """Per-relation bialgebra-ideal verdicts for one presentation."""
 
     presentation: Presentation
     confluent: bool
@@ -158,15 +158,16 @@ class HopfIdealReport:
         }
 
 
-def hopf_ideal_check(g: DefiningPolynomial) -> HopfIdealReport:
-    """Check that every defining relation generates a bialgebra ideal:
-    eps(sigma_j) = 0 and Delta(sigma_j) lies in I (x) F + F (x) I.
+def hopf_ideal_check(pres: Presentation) -> HopfIdealReport:
+    """Check that every relation sigma of ``pres`` generates a bialgebra
+    ideal: eps(sigma) = 0 and Delta(sigma) lies in I (x) F + F (x) I.  The
+    presentation may be ``build_system(g)`` over (a, x) or
+    ``build_tensor_presentation(g, f)`` over (a, x, b, y).
 
     Gated on a confluence check of the oriented system; without confluence
     the per-leg reduction is representative-dependent and the zero verdicts
     are not certificates, so the report is marked uncertified.
     """
-    pres = build_system(g)
     confluent = check_confluence(pres.system).overall
     entries = []
     for label, sigma in pres.relations:

@@ -294,7 +294,7 @@ def level_build_leads(g, bound):
     if bound < g.degree:
         return set()
     leads = set()
-    for lead in _echelon(g).pivots_at(bound - g.degree):
+    for lead in _echelon(g).pivots_at(bound - g.degree).refs:
         length, bits = -lead >> 2 * _FIELD, -lead & ((1 << _FIELD) - 1)
         leads.add(tuple((bits >> (length - 1 - i)) & 1 for i in range(length)))
     return leads
@@ -397,7 +397,36 @@ def test_echelon_work_at_the_largest_bound(n, pivots, entries):
     # a column order that kept every profile but filled the pivot rows would
     # slow the oracle down without failing any other test
     table = _echelon(power_poly(n)).pivots_at(MAX_ORACLE_BOUND - n)
-    assert (len(table), sum(map(len, table.values()))) == (pivots, entries)
+    rows = [table.get(lead) for lead in table.refs]
+    assert (len(rows), sum(map(len, rows))) == (pivots, entries)
+
+
+def test_membership_builds_only_the_rows_it_reads(monkeypatch):
+    # the table of x^3 at bound 10 holds 1,886 rows; a membership call
+    # builds only those its reduction reads, not the whole table
+    g = power_poly(3)
+    table = _echelon(g).pivots_at(10 - g.degree)
+    assert len(table.refs) == 1886
+    built = []
+    get = analysis._Rows.get
+
+    def counting(self, lead):
+        row = get(self, lead)
+        if row is not None:
+            built.append(lead)
+        return row
+
+    monkeypatch.setattr(analysis._Rows, "get", counting)
+    sigma_1, sigma_2 = (defining_relation(g, j) for j in (1, 2))
+    spread = (NcPoly.generator(AX, A) + NcPoly.generator(AX, X)) ** 2
+    for poly, member, rows in (
+        (sigma_1, True, 1),
+        (spread * spread * sigma_1 - sigma_2 * spread * spread, True, 26),
+        (spread * sigma_1 + NcPoly.generator(AX, A), False, 4),
+    ):
+        built.clear()
+        assert ideal_span_contains(g, poly, 10) is member
+        assert len(built) == rows
 
 
 def test_echelon_stores_only_the_rows_reduction_kept():

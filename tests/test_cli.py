@@ -330,9 +330,9 @@ def test_hopf_ideal_guard(capsys, monkeypatch):
     # runs on x^2 here, since x^10 takes over a second
     checked = []
 
-    def check(g):
-        checked.append(g.degree)
-        return hopf_ideal_check(DefiningPolynomial.from_coefficients((0, 1)))
+    def check(pres):
+        checked.append(pres.system.describe())
+        return hopf_ideal_check(build_system(DefiningPolynomial.from_coefficients((0, 1))))
 
     monkeypatch.setattr(cli, "hopf_ideal_check", check)
     assert run_command(["hopf-ideal", "--g", f"x^{MAX_HOPF_DEGREE + 1}"]) == 2
@@ -340,7 +340,7 @@ def test_hopf_ideal_guard(capsys, monkeypatch):
     assert err.count("error:") == 1 and f"hopf-ideal needs degree <= {MAX_HOPF_DEGREE}" in err
     assert checked == []
     assert run_command(["hopf-ideal", "--g", f"x^{MAX_HOPF_DEGREE}"]) == 0
-    assert checked == [MAX_HOPF_DEGREE]
+    assert checked == [f"Sigma[x^{MAX_HOPF_DEGREE}]"]
 
 
 def test_cmd_tensor(capsys):
@@ -599,12 +599,19 @@ CLI_GOLDENS = {
     ],
     "tensor_nodal.json": ["tensor", "--g", "x^3 + x^2", "--f", "y^2"],
     "tensor_rational.json": ["tensor", "--g", "x^2 - 1/2*x", "--f", "2/3*y^3 + y"],
+    "hopf_ideal_x3.json": ["hopf-ideal", "--g", "x^3"],
+    "hopf_ideal_zeta3.json": ["hopf-ideal", "--g", "x^3 + q*x^2", "--cyclotomic", "3"],
+    "nf_tensor.json": ["nf", "--g", "x^2 + x", "--f", "y^3 - 1/2*y", "--expr", "(x + y)^3*a*b"],
+    "central_tensor.json": ["central", "--g", "x^2", "--f", "y^3", "--expr", "a^2*b^3"],
+    "basis_n3.json": ["basis", "--n", "3", "--max-len", "4"],
+    "growth_n4.json": ["growth", "--n", "4", "--max-len", "9"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
 def test_cli_json_matches_golden(name, tmp_path, capsys):
-    # the relations, rules and metadata of `present` and `tensor`, byte for byte
+    # the JSON reports of `present`, `tensor`, `hopf-ideal`, `nf`, `central`,
+    # `basis` and `growth`, byte for byte
     out = tmp_path / name
     assert run_command([*CLI_GOLDENS[name], "--json", str(out)]) == 0
     capsys.readouterr()

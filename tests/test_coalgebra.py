@@ -18,14 +18,17 @@ from diamond.coalgebra import (
     tensor_normal_form,
 )
 from diamond.freealg import NcPoly, TensorPoly, bidegree_sum
+from diamond.ordering import GrlexPlus
 from diamond.presentations import (
     AX,
     DefiningPolynomial,
+    Presentation,
     build_system,
+    build_tensor_presentation,
     defining_relation,
     tensor_alphabet,
 )
-from diamond.rewrite import normal_form
+from diamond.rewrite import ReductionSystem, Rule, normal_form
 from diamond.scalars import CyclotomicField
 
 A, X = 0, 1
@@ -219,12 +222,44 @@ def test_grouped_relation_coproduct():
 
 def test_hopf_ideal_check():
     for coeffs in ((0, 0, 1), (1, 1), (1, 0, 2, 0, 1)):
-        report = hopf_ideal_check(DefiningPolynomial.from_coefficients(coeffs))
+        report = hopf_ideal_check(build_system(DefiningPolynomial.from_coefficients(coeffs)))
         assert report.confluent and report.ok
         doc = report.to_json_dict()
         assert doc["certified"] and all(
             e["counit_zero"] and e["coproduct_in_ideal"] for e in doc["relations"]
         )
+
+
+@pytest.mark.parametrize(
+    "g, f",
+    [
+        ((0, 1), (0, 1)),  # x^2 | y^2
+        ((0, 0, 1), (0, 1)),  # x^3 | y^2
+        ((1, 1), (2, 1)),  # x^2 + x | y^2 + 2y
+        ((0, 1, 1), (0, 1)),  # x^3 + x^2 | y^2
+        ((0, 0, 0, 1), (0, 0, 1)),  # x^4 | y^3
+    ],
+)
+def test_hopf_ideal_check_on_the_tensor_presentation(g, f):
+    # the letter pairs (a, x), (b, y) give A(g, f) its coalgebra, so the one
+    # check covers the cross commutators, both families and the group and
+    # curve rules
+    pres = build_tensor_presentation(
+        DefiningPolynomial.from_coefficients(g), DefiningPolynomial.from_coefficients(f)
+    )
+    report = hopf_ideal_check(pres)
+    assert report.confluent and report.ok
+    assert len(report.entries) == len(pres.system.rules)
+
+
+def test_hopf_ideal_check_refuses_a_non_coideal():
+    # Delta(x^2) = 1 (x) x^2 + x (x) (x*a + a*x) + x^2 (x) a^2 leaves the
+    # middle term outside I (x) F + F (x) I for I = (x^2); eps(x^2) = 0
+    order = GrlexPlus(AX, weight_letter=1, lex_top=0)
+    pres = Presentation(ReductionSystem(AX, order, [Rule((X, X), NcPoly.zero(AX), "r")]))
+    report = hopf_ideal_check(pres)
+    assert report.confluent and not report.ok
+    assert report.entries == [("r", True, False)]
 
 
 def test_coalgebra_laws_random():

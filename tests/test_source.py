@@ -7,10 +7,13 @@ they may not import ``fractions``: a ``Fraction`` unit there would pull
 integral systems back into rational arithmetic.  ``rewrite`` has one
 automaton walk loop, ``ObstructionAutomaton.walk``; no other function there
 may step the transition table.  ``freealg`` has one loop that sums terms,
-``NcPoly.__init__``; no other function there may delete a key.  Every
-top-level definition is referenced by other code of the package, so
-nothing is kept for the tests alone; a re-export in ``__init__.py`` is not
-a use, and ``__all__`` lists exactly the names ``__init__.py`` imports.
+``NcPoly.__init__``; no other function there may delete a key.  ``cli``
+has one path from a command's arguments to its presentation,
+``_presentation``; no other function there may call ``parse_defining`` or
+``CyclotomicField``.  Every top-level definition is referenced by other
+code of the package, so nothing is kept for the tests alone; a re-export
+in ``__init__.py`` is not a use, and ``__all__`` lists exactly the names
+``__init__.py`` imports.
 ``bidegree_words``, ``bidegree_masks`` and ``bidegree_sum`` enumerate the
 words by definition, and so do their memos ``_bidegree_words`` and
 ``_mask_stream``: built from a peel identity, the splitting claims would
@@ -151,6 +154,44 @@ def test_subscript_deletes_detects_an_accumulation_loop():
         "del self._terms[()], other\n"
     )
     assert subscript_deletes(ast.parse(code)) == [("T.__mul__", 9), ("", 12)]
+
+
+PRESENTATION_STEPS = ("parse_defining", "CyclotomicField")
+
+
+def calls_to(tree, names) -> list:
+    """(function, line) of every call of a name or attribute in ``names``,
+    by enclosing qualified name."""
+    out = []
+    for scope, node in scoped_nodes(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                out.append((scope, node.lineno))
+    return out
+
+
+def test_cli_has_one_path_to_a_presentation():
+    path = next(path for path in SOURCES if path.name == "cli.py")
+    calls = calls_to(ast.parse(path.read_text(), path.name), PRESENTATION_STEPS)
+    assert calls and {scope for scope, _ in calls} == {"_presentation"}
+
+
+def test_calls_to_detects_a_second_call_site():
+    code = (
+        "def _presentation(args):\n"
+        "    field = CyclotomicField(args.cyclotomic)\n"
+        "    return parse_defining(args.g, 'x', field)\n"
+        "def _cmd_tensor(args, argv):\n"
+        "    return cli.parse_defining(args.f, 'y')\n"
+        "read = parse_defining\n"
+    )
+    assert calls_to(ast.parse(code), PRESENTATION_STEPS) == [
+        ("_presentation", 2),
+        ("_presentation", 3),
+        ("_cmd_tensor", 5),
+    ]
 
 
 # ``ideal_span_contains`` is the membership oracle of the tests, kept while a
