@@ -511,9 +511,10 @@ def dimension_oracle(g: DefiningPolynomial, ell: int) -> DimOracleResult:
     """Filtration dimension of the quotient at degree <= ell, via exact rank.
 
     Reads the row space at bounds ell+s, ell+s+1, ell+s+2, with s =
-    ``ORACLE_SLACK``; the value is certified (``stable``) only when all
-    three agree, since the free algebra gives no a-priori degree bound on
-    ideal elements.  The three bounds are three levels of one level-by-level
+    ``ORACLE_SLACK``; ``stable`` says that all three agree.  That is a
+    heuristic, not a certificate: the free algebra gives no a-priori degree
+    bound on ideal elements, so rows of a longer bound could still lower
+    the value.  The three bounds are three levels of one level-by-level
     build of g, shared with every other call for the same g.  Every bound is
     capped at 12 words of length, as a resource guard.
     """

@@ -29,9 +29,9 @@ class GrlexPlus:
     lex_top: int
 
     def sort_key(self, word: Word):
-        wt = sum(1 for c in word if c == self.weight_letter)
-        lex = tuple(1 if c == self.lex_top else 0 for c in word)
-        return (len(word), wt, lex)
+        top = self.lex_top
+        lex = tuple([1 if c == top else 0 for c in word])
+        return (len(word), word.count(self.weight_letter), lex)
 
     def describe(self) -> str:
         names = self.alphabet.names

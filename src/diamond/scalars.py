@@ -27,6 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .freealg import MEMO_SIZE
+
 
 def euler_phi(n: int) -> int:
     """Euler's totient, the degree of the n-th cyclotomic polynomial; a
@@ -49,12 +51,13 @@ def _divmod_monic(num: list, den) -> tuple[list, list]:
     return quo, num[:deg]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Ascending integer coefficients of the order-th cyclotomic polynomial.
 
     Computed by dividing q^order - 1 by the cyclotomic polynomials of all
-    proper divisors of ``order``.
+    proper divisors of ``order``, each from the memo; one call fills at most
+    d(order) entries, the number of divisors of ``order``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")

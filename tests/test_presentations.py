@@ -10,6 +10,8 @@ from diamond.freealg import Alphabet, NcPoly, bidegree_sum
 from diamond.presentations import (
     AX,
     DefiningPolynomial,
+    Presentation,
+    _filled,
     _relation_terms,
     _skew_primitive_rules,
     build_quantum_plane,
@@ -21,7 +23,7 @@ from diamond.presentations import (
     rescale_letter,
     tensor_alphabet,
 )
-from diamond.rewrite import normal_form
+from diamond.rewrite import ReductionSystem, Rule, normal_form
 from diamond.scalars import Cyclotomic, CyclotomicField
 
 A, X = 0, 1
@@ -336,22 +338,116 @@ def test_builders_render_g_only_when_read(monkeypatch):
 
 
 def test_builders_state_rules_only(monkeypatch):
-    # a builder computes sigma_j once per skew rule and no relation: the
-    # relations are read off the rules when first read
+    # a builder fills each skew rule from its family once and builds no
+    # relation: the relations are read off the rules when first read
     calls = []
 
-    def counted(*args):
-        calls.append(args[1])
-        return _relation_terms(*args)
+    def counted(words, *args):
+        calls.append(words.lhs)
+        return _filled(words, *args)
 
-    monkeypatch.setattr("diamond.presentations._relation_terms", counted)
+    monkeypatch.setattr("diamond.presentations._filled", counted)
     g = DefiningPolynomial((Fraction(1, 2), 0, 2))
     f = DefiningPolynomial((Fraction(-1, 3), 1))
     single, pair = build_system(g), build_tensor_presentation(g, f)
-    assert calls == [1, 2, 1, 2, 1]
+    fills = [(A, X, X), (A, A, X), (A, X, X), (A, A, X), (2, 3)]
+    assert calls == fills
     assert "relations" not in vars(single) and "relations" not in vars(pair)
     assert [label for label, _ in single.relations] == ["sigma_1", "sigma_2"]
-    assert len(pair.relations) == 9 and calls == [1, 2, 1, 2, 1]
+    assert len(pair.relations) == 9 and calls == fills
+
+
+def typed(items) -> list:
+    return [(w, c, type(c)) for w, c in items]
+
+
+def summed_system(pres, families, exponents):
+    """The system of ``pres`` rebuilt from rules that no family filled: the
+    right side of each rule of ``families`` ({label prefix: (monic g, letter
+    pair)}) from ``_relation_terms``, every other rule as given."""
+    system = pres.system
+    rules = []
+    for rule in system.rules:
+        prefix, _, j = rule.label.partition("_")
+        if prefix in families:
+            gm, pair = families[prefix]
+            rhs = _relation_terms(tuple(-c for c in gm.coefficients), int(j), pair)
+            del rhs[rule.lhs]
+            rule = Rule(rule.lhs, NcPoly(pres.alphabet, rhs), rule.label)
+        else:
+            rule = Rule(rule.lhs, rule.rhs, rule.label)
+        rules.append(rule)
+    return ReductionSystem(pres.alphabet, system.order, rules, name=system.name, exponents=exponents)
+
+
+def assert_same_system(pres, summed):
+    system = pres.system
+    assert [(r.lhs, r.label, typed(r.rhs.items())) for r in system.rules] == [
+        (r.lhs, r.label, typed(r.rhs.items())) for r in summed.rules
+    ]
+    assert {lhs: typed(row) for lhs, row in system._reducts.items()} == {
+        lhs: typed(row) for lhs, row in summed._reducts.items()
+    }
+    assert list(system._reducts) == list(summed._reducts)
+    assert system.rescaling == summed.rescaling
+    assert system.name == summed.name
+    assert pres.relations == Presentation(summed).relations
+
+
+def support_cases(n):
+    """For each support of r_1..r_(n-1), a monic int g, a non-monic rational
+    g and a g over Q(zeta_8), all with those nonzero r_i."""
+    field = CyclotomicField(8)
+    q = field.q
+    for support in product((False, True), repeat=n - 1):
+        ints = [(-1) ** i * (i + 2) if on else 0 for i, on in enumerate(support)]
+        rationals = [Fraction(k, i + 2) for i, k in enumerate(ints)]
+        residues = [Cyclotomic(8, [Fraction(1, 2), k]) * q**i if k else field.zero
+                    for i, k in enumerate(ints)]
+        yield support, [
+            DefiningPolynomial((*ints, 1)),
+            DefiningPolynomial((*rationals, Fraction(3, 2))),
+            DefiningPolynomial((*residues, q + 1)),
+        ]
+
+
+def test_family_fills_equal_the_summed_construction():
+    # every support pattern of degrees 2..7 in int, Fraction and Q(zeta_8):
+    # rules in term order, reducts with their types, rescaling, name and
+    # relations equal those of the rules summed by _relation_terms; the
+    # systems of one support share one shape
+    rescalings = set()
+    for n in range(2, 8):
+        for support, gs in support_cases(n):
+            systems = []
+            for g in gs:
+                pres = build_system(g)
+                gm = g.monic()
+                summed = summed_system(pres, {"sigma": (gm, (A, X))}, (0, 1))
+                assert_same_system(pres, summed)
+                assert pres.relations == [
+                    (f"sigma_{j}", defining_relation(gm, j)) for j in range(1, n)
+                ]
+                systems.append(pres.system)
+                rescalings.add(pres.system.rescaling is not None and pres.system.rescaling[0] > 1)
+            assert systems[0]._shape is systems[1]._shape is systems[2]._shape, support
+    # both the rescaled and the unscaled way were taken
+    assert rescalings == {False, True}
+
+
+def test_tensor_family_fills_equal_the_summed_construction():
+    q = CyclotomicField(8).q
+    pairs = [
+        ((0, 1), (0, 1)),
+        ((Fraction(1, 2), 0, 2), (Fraction(-1, 3), 1)),
+        ((1, 0, Fraction(2, 3), 1), (0, 5, 0, Fraction(7, 2))),
+        ((q, 0, 1), (1, q**2, 3)),
+    ]
+    for gc, fc in pairs:
+        g, f = DefiningPolynomial(gc), DefiningPolynomial(fc)
+        pres = build_tensor_presentation(g, f)
+        families = {"sigma": (g.monic(), (0, 1)), "tau": (f.monic(), (2, 3))}
+        assert_same_system(pres, summed_system(pres, families, (0, 1, 0, g.degree)))
 
 
 def test_rescaling():

@@ -10,10 +10,11 @@ may step the transition table.  ``freealg`` has one loop that sums terms,
 ``NcPoly.__init__``; no other function there may delete a key.  ``cli``
 has one path from a command's arguments to its presentation,
 ``_presentation``; no other function there may call ``parse_defining`` or
-``CyclotomicField``.  Every top-level definition is referenced by other
-code of the package, so nothing is kept for the tests alone; a re-export
-in ``__init__.py`` is not a use, and ``__all__`` lists exactly the names
-``__init__.py`` imports.
+``CyclotomicField``.  Every ``lru_cache``, decorator or call, has
+``maxsize=MEMO_SIZE``, so no memo grows without a bound.  Every top-level
+definition is referenced by other code of the package, so nothing is kept
+for the tests alone; a re-export in ``__init__.py`` is not a use, and
+``__all__`` lists exactly the names ``__init__.py`` imports.
 ``bidegree_words``, ``bidegree_masks`` and ``bidegree_sum`` enumerate the
 words by definition, and so do their memos ``_bidegree_words`` and
 ``_mask_stream``: built from a peel identity, the splitting claims would
@@ -191,6 +192,59 @@ def test_calls_to_detects_a_second_call_site():
         ("_presentation", 2),
         ("_presentation", 3),
         ("_cmd_tensor", 5),
+    ]
+
+
+def is_lru_cache(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "lru_cache") or (
+        isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+    )
+
+
+def memo_bounds(tree) -> list:
+    """(line, maxsize) of every ``lru_cache`` in ``tree``, as a decorator or
+    a call: the source of its maxsize argument, "default" when it is called
+    without one, and None when it is not called at all."""
+    called = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and is_lru_cache(node.func):
+            sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+            called[id(node.func)] = ast.unparse(sizes[0]) if sizes else "default"
+    return sorted(
+        ((node.lineno, called.get(id(node))) for node in ast.walk(tree) if is_lru_cache(node)),
+        key=lambda pair: pair[0],
+    )
+
+
+def test_every_memo_is_bounded_by_memo_size():
+    bounds = []
+    for path in SOURCES:
+        bounds += [(path.name, size) for _, size in memo_bounds(ast.parse(path.read_text()))]
+    assert {name for name, _ in bounds} >= {"freealg.py", "presentations.py", "rewrite.py"}
+    assert [(name, size) for name, size in bounds if size != "MEMO_SIZE"] == []
+
+
+def test_memo_bounds_reads_each_form():
+    code = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "@lru_cache(maxsize=MEMO_SIZE)\n"
+        "def a(n):\n    return n\n"
+        "@lru_cache\n"
+        "def b(n):\n    return n\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def c(n):\n    return n\n"
+        "d = lru_cache(maxsize=MEMO_SIZE)(int)\n"
+        "e = lru_cache(256, typed=True)(int)\n"
+        "f = functools.lru_cache()(int)\n"
+    )
+    assert memo_bounds(ast.parse(code)) == [
+        (3, "MEMO_SIZE"),
+        (6, None),
+        (9, "None"),
+        (12, "MEMO_SIZE"),
+        (13, "256"),
+        (14, "default"),
     ]
 
 
