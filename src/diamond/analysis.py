@@ -378,8 +378,10 @@ class _IdealEchelon:
     N_{t-1} * c are reduced, and at level 0 the n - 1 rows sigma_j.  None of
     this needs g homogeneous.  Each level is then merged into the cumulative
     pivot table of W_0 + ... + W_t, the row space at bound t + n.  The merge
-    is free when every row keeps its top length, as for g = x^n; lower terms
-    of g can cancel it, and such rows are reduced against the table.
+    is free when every row keeps its top length, as for g = r_n x^n, whose
+    ideal is graded, so that no level past the bound read can change the
+    profile up to it; lower terms of g can cancel that length, and such
+    rows are reduced against the table.
 
     So every echelon row of W_t is u * r for one r in some N_k, with
     |u| = t - k, and only the rows N_k are stored.  A level is held as its
@@ -504,7 +506,9 @@ ORACLE_SLACK = 2
 class DimOracleResult:
     dimension: int
     stable: bool
-    values: tuple  # dimensions at bounds ell+s, ell+s+1, ell+s+2
+    # dimensions at bounds ell+s, ell+s+1, ell+s+2; for a homogeneous g all
+    # three at bound ell, where the graded ideal makes the value exact
+    values: tuple
 
 
 def dimension_oracle(g: DefiningPolynomial, ell: int) -> DimOracleResult:
@@ -514,9 +518,13 @@ def dimension_oracle(g: DefiningPolynomial, ell: int) -> DimOracleResult:
     ``ORACLE_SLACK``; ``stable`` says that all three agree.  That is a
     heuristic, not a certificate: the free algebra gives no a-priori degree
     bound on ideal elements, so rows of a longer bound could still lower
-    the value.  The three bounds are three levels of one level-by-level
-    build of g, shared with every other call for the same g.  Every bound is
-    capped at 12 words of length, as a resource guard.
+    the value.  A homogeneous g = r_n x^n is the exception: every sigma_j
+    is homogeneous of length n, so the ideal is graded and I cap F_ell is
+    spanned by the rows u * sigma_j * v of length <= ell (Bergman 1978).
+    All three bounds are then ell, and the value and ``stable`` are
+    certified.  The bounds are levels of one level-by-level build of g,
+    shared with every other call for the same g.  Every bound is capped at
+    12 words of length, as a resource guard.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
@@ -524,10 +532,9 @@ def dimension_oracle(g: DefiningPolynomial, ell: int) -> DimOracleResult:
         raise ValueError(
             f"resource guard: ell must be <= {MAX_ORACLE_BOUND - ORACLE_SLACK - 2}"
         )
-    values = tuple(
-        _dimension_at(ideal_filtration_profile(g, ell + ORACLE_SLACK + k), ell)
-        for k in range(3)
-    )
+    low = ell + ORACLE_SLACK
+    bounds = range(low, low + 3) if any(g.coefficients[:-1]) else (ell, ell, ell)
+    values = tuple(_dimension_at(ideal_filtration_profile(g, b), ell) for b in bounds)
     return DimOracleResult(values[-1], len(set(values)) == 1, values)
 
 

@@ -82,7 +82,13 @@ def tensor_normal_form(tensor: TensorPoly, system: ReductionSystem) -> TensorPol
     This computes the image in (F/I) (x) (F/I); its kernel is exactly
     I (x) F + F (x) I.  Representative-independence needs confluence.
     """
-    terms, nf = [], {}  # each distinct leg word is reduced once
+    return _tensor_normal_form(tensor, system, {})
+
+
+def _tensor_normal_form(tensor: TensorPoly, system: ReductionSystem, nf: dict) -> TensorPoly:
+    """``tensor_normal_form``, reading and adding the normal form of each
+    leg word in ``nf``, so that a word is reduced once per ``nf``."""
+    terms = []
     for (left, right), coeff in tensor.items():
         for word in (left, right):
             if word not in nf:
@@ -169,9 +175,9 @@ def hopf_ideal_check(pres: Presentation) -> HopfIdealReport:
     are not certificates, so the report is marked uncertified.
     """
     confluent = check_confluence(pres.system).overall
-    entries = []
+    entries, nf = [], {}  # the relations share leg words: each is reduced once
     for label, sigma in pres.relations:
         eps_zero = not counit(sigma)
-        cop_zero = tensor_normal_form(coproduct(sigma), pres.system).is_zero()
+        cop_zero = _tensor_normal_form(coproduct(sigma), pres.system, nf).is_zero()
         entries.append((label, eps_zero, cop_zero))
     return HopfIdealReport(pres, confluent, entries)

@@ -536,6 +536,48 @@ def test_dimension_oracle_monotone_in_slack():
             assert values == sorted(values, reverse=True)
 
 
+def slack_values(g, ell):
+    """The dimensions at the slack bounds ell+2, ell+3 and ell+4."""
+    return tuple(_dimension_at(ideal_filtration_profile(g, ell + k), ell) for k in (2, 3, 4))
+
+
+@pytest.mark.parametrize("top", [1, 3, Fraction(-2, 5)])
+def test_dimension_oracle_of_a_pure_power_equals_the_slack_values(top):
+    # the ideal of r_n x^n is graded, so its value at bound ell is exact
+    for n in range(2, 7):
+        g = DefiningPolynomial((0,) * (n - 1) + (top,))
+        for ell in range(9):
+            values = slack_values(g, ell)
+            assert len(set(values)) == 1
+            assert dimension_oracle(g, ell) == analysis.DimOracleResult(values[0], True, values)
+
+
+def test_dimension_oracle_of_a_pure_power_builds_no_slack(monkeypatch):
+    # x^4 at ell = 8 builds levels 0..4, the bound 8; not 0..8
+    monkeypatch.setattr(analysis, "_ECHELONS", analysis.WeakKeyDictionary())
+    g = power_poly(4)
+    dimension_oracle(g, 8)
+    assert len(_echelon(g).sizes) <= 5
+
+
+def test_dimension_oracle_bounds(monkeypatch):
+    # a g with lower terms reads the three slack bounds, a pure power ell
+    read = []
+    profile = analysis.ideal_filtration_profile
+
+    def recording(g, bound):
+        read.append(bound)
+        return profile(g, bound)
+
+    monkeypatch.setattr(analysis, "ideal_filtration_profile", recording)
+    for coeffs, ell, bounds in (((1, 1, 1), 4, [6, 7, 8]), ((0, 0, 2), 4, [4, 4, 4])):
+        read.clear()
+        g = DefiningPolynomial.from_coefficients(coeffs)
+        result = dimension_oracle(g, ell)
+        assert read == bounds
+        assert result.values == slack_values(g, ell)
+
+
 def test_ideal_span_soundness():
     # normal_form(w) - w always lies in the span of u * relation * v
     rng = random.Random(41)

@@ -3,6 +3,7 @@ claim's verdict and witness come from its own cases, the first failing
 case being the witness."""
 
 import inspect
+import operator
 import random
 
 import pytest
@@ -88,3 +89,27 @@ def test_claim_suites_share_automata_across_systems(monkeypatch):
     monkeypatch.setattr(rewrite.ObstructionAutomaton, "__init__", counting)
     claims.run_claim_suites(seed=1)
     assert 0 < len(built) <= 30
+
+
+@pytest.mark.parametrize("seed", [1, 2024, 7])
+def test_centrality_does_not_redraw_the_diamond_samples(monkeypatch, seed):
+    # both suites drew from random.Random(seed), so centrality's first 100 g
+    # were the diamond suite's 100, position by position; its stream is now
+    # seeded by the string "centrality:<seed>".  Independent draws still
+    # repeat some g by chance (a monic quadratic has about 100 values), so
+    # the check is by position, not by set.
+    drawn = []
+
+    def recording(rng, degree):
+        drawn[-1].append(random_defining_polynomial(rng, degree))
+        return drawn[-1][-1]
+
+    monkeypatch.setattr(claims, "random_defining_polynomial", recording)
+    for name in ("diamond", "centrality"):
+        drawn.append([])
+        claims.run_claim_suites([name], seed=seed)
+    diamond, centrality = drawn
+    rng = random.Random(f"centrality:{seed}")
+    expected = [random_defining_polynomial(rng, rng.randint(2, 5)) for _ in range(200)]
+    assert centrality == expected + [random_defining_polynomial(rng, 3) for _ in range(50)]
+    assert not any(map(operator.eq, diamond, centrality))

@@ -262,6 +262,49 @@ def test_hopf_ideal_check_refuses_a_non_coideal():
     assert report.entries == [("r", True, False)]
 
 
+def per_relation_verdicts(pres):
+    """The verdicts with every relation's legs reduced afresh."""
+    return [
+        (label, not counit(sigma), tensor_normal_form(coproduct(sigma), pres.system).is_zero())
+        for label, sigma in pres.relations
+    ]
+
+
+def test_hopf_ideal_check_reduces_each_leg_word_once(monkeypatch):
+    # the relations of a presentation share leg words; each is reduced once
+    # per check, with every verdict as when each relation reduces its own
+    zeta = CyclotomicField(8).q
+    order = GrlexPlus(AX, weight_letter=1, lex_top=0)
+    quartic = build_system(DefiningPolynomial((Fraction(1, 2), Fraction(-2, 3), 0, 1))).system
+    first, *rest = quartic.rules
+    bent = Rule(first.lhs, first.rhs + mono(X).scale(Fraction(1, 3)), first.label)
+    presentations = [
+        *(build_system(DefiningPolynomial.from_coefficients(c))
+          for c in ((0, 1), (1, 1), (0, 0, 1), (Fraction(1, 2), 2, 1), (1, 0, 2, 0, 1))),
+        build_system(DefiningPolynomial((zeta, 0, 1))),
+        build_tensor_presentation(DefiningPolynomial((1, 1)), DefiningPolynomial((2, 1))),
+        Presentation(ReductionSystem(AX, order, [Rule((X, X), NcPoly.zero(AX), "r")])),
+        # not confluent: 1/3 x added to the right side of sigma_1
+        Presentation(ReductionSystem(AX, quartic.order, [bent, *rest], exponents=(0, 1))),
+    ]
+    verdicts = set()
+    for pres in presentations:
+        reduced = []
+        monkeypatch.setattr(coalgebra, "normal_form", lambda p, s: reduced.append(p) or normal_form(p, s))
+        report = hopf_ideal_check(pres)
+        monkeypatch.undo()
+        assert report.entries == per_relation_verdicts(pres)
+        legs = {
+            word
+            for _, sigma in pres.relations
+            for pair, _ in coproduct(sigma).items()
+            for word in pair
+        }
+        assert sorted(word for p in reduced for word, _ in p.items()) == sorted(legs)
+        verdicts.update((report.confluent, cop) for _, _, cop in report.entries)
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_coalgebra_laws_random():
     rng = random.Random(31)
     for _ in range(8):
