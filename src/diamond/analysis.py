@@ -565,16 +565,20 @@ def ideal_span_contains(g: DefiningPolynomial, poly: NcPoly, bound: int | None =
 # ---------------------------------------------------------------------------
 
 
-def commutes_with_letter(poly: NcPoly, letter: int, system) -> bool:
-    """poly * c - c * poly reduces to zero for the generator c = ``letter``.
-    The commutator is one sum of the two shifted term streams, with no
-    product or negation built on the way."""
+def commutator(poly: NcPoly, letter: int) -> NcPoly:
+    """poly * c - c * poly for the generator c = ``letter``: one sum of the
+    two shifted term streams, with no product or negation built on the way."""
     c = (letter,)
     terms = poly.items()
-    commutator = NcPoly(
+    return NcPoly(
         poly.alphabet, chain(((w + c, k) for w, k in terms), ((c + w, -k) for w, k in terms))
     )
-    return normal_form(commutator, system).is_zero()
+
+
+def commutes_with_letter(poly: NcPoly, letter: int, system) -> bool:
+    """poly commutes with the generator ``letter``: their ``commutator``
+    reduces to zero."""
+    return normal_form(commutator(poly, letter), system).is_zero()
 
 
 def is_central(poly: NcPoly, system) -> bool:
@@ -769,11 +773,33 @@ def quotient_dimension_tensor(
 # ---------------------------------------------------------------------------
 
 
+def _shifted_generator(alphabet: Alphabet, r: Fraction) -> NcPoly:
+    """x' = x + (r/2)(1 - a), with a and x the letters 0 and 1 of
+    ``alphabet``."""
+    return (
+        NcPoly.generator(alphabet, 1)
+        + NcPoly.one(alphabet).scale(r / 2)
+        - NcPoly.monomial(alphabet, (0,), r / 2)
+    )
+
+
+def degree_two_anticommutes(r, system=None) -> bool:
+    """a x' + x' a reduces to zero, with x' = x + (r/2)(1 - a), in the system
+    of g = t^2 + r t: ``system``, or that of ``build_system`` when none is
+    given."""
+    r = Fraction(r)
+    if system is None:
+        system = build_system(DefiningPolynomial.from_coefficients((r, 1))).system
+    a, x_prime = NcPoly.generator(AX, 0), _shifted_generator(AX, r)
+    return normal_form(a * x_prime + x_prime * a, system).is_zero()
+
+
 def degree_two_identities(r, s) -> tuple:
     """The degree-2 change of variable and the tensor-square identity.
 
-    With x' = x + (r/2)(1 - a):  a x' + x' a  reduces to zero, and in the
-    tensor algebra of the two quadratic factors
+    With x' = x + (r/2)(1 - a):  a x' + x' a  reduces to zero
+    (``degree_two_anticommutes``), and in the tensor algebra of the two
+    quadratic factors
 
         x'^2 - y'^2 = (g - f) + (r^2 - s^2)/4 - (r^2 a^2 - s^2 b^2)/4.
 
@@ -785,25 +811,12 @@ def degree_two_identities(r, s) -> tuple:
     r, s = Fraction(r), Fraction(s)
     g = DefiningPolynomial.from_coefficients((r, 1))
     f = DefiningPolynomial.from_coefficients((s, 1))
-    pres = build_system(g)
-    a, x = 0, 1
-    x_prime = (
-        NcPoly.generator(AX, x)
-        + NcPoly.one(AX).scale(r / 2)
-        - NcPoly.monomial(AX, (a,), r / 2)
-    )
-    anticommute = normal_form(
-        NcPoly.generator(AX, a) * x_prime + x_prime * NcPoly.generator(AX, a),
-        pres.system,
-    ).is_zero()
-
+    left = build_system(g).system
     right = build_system(f, BY).system
+    anticommute = degree_two_anticommutes(r, left)
+    x_prime, y_prime = _shifted_generator(AX, r), _shifted_generator(BY, s)
+    a, x = 0, 1
     b, y = 0, 1
-    y_prime = (
-        NcPoly.generator(BY, y)
-        + NcPoly.one(BY).scale(s / 2)
-        - NcPoly.monomial(BY, (b,), s / 2)
-    )
 
     def legs(p: NcPoly, q: NcPoly) -> TensorPoly:
         """p (x) 1 + 1 (x) q, for p over AX and q over BY."""
@@ -811,9 +824,7 @@ def degree_two_identities(r, s) -> tuple:
             AX, [((w, ()), c) for w, c in p.items()] + [(((), w), c) for w, c in q.items()]
         )
 
-    lhs = legs(
-        normal_form(x_prime * x_prime, pres.system), -normal_form(y_prime * y_prime, right)
-    )
+    lhs = legs(normal_form(x_prime * x_prime, left), -normal_form(y_prime * y_prime, right))
     g_minus_f = legs(g.as_ncpoly(AX, x), -f.as_ncpoly(BY, y))
     correction = legs(
         NcPoly.one(AX).scale((r * r - s * s) / 4) - NcPoly.monomial(AX, (a, a), r * r / 4),

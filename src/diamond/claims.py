@@ -6,12 +6,28 @@ claim's verdict and witness come from its own cases: ``_claim`` reads the
 claim's stream of failing cases, the first failure fails the claim and is
 its witness, and a claim with no failure passes with its summary witness.
 A suite that draws random inputs draws them from ``random.Random(seed)``,
-claim after claim; centrality seeds its stream with the string
-"centrality:<seed>" (hashed by SHA-512, the same in every process), so that
-it does not redraw the diamond suite's g.  Report-only entries carry
-verdicts of computations whose expected outcome is deliberately not
-asserted (known discrepancy candidates and open cases); they never fail a
-run.
+claim after claim; centrality, pbw and rescaling seed their streams with
+the strings "centrality:<seed>", "pbw:<seed>" and "rescaling:<seed>"
+(hashed by SHA-512, the same in every process), so that they do not redraw
+the diamond suite's g.  Report-only entries carry verdicts of computations
+whose expected outcome is deliberately not asserted (known discrepancy
+candidates and open cases); they never fail a run.
+
+The diamond and centrality suites check their sampled g a degree at a
+time, all the samples of one degree in one pass (``_degree_groups``).  Each
+g is first replaced by its ``integral_form`` g~(t) = D^n g(t/D), whose
+system has exactly the integral reducts that ``ReductionSystem`` derives
+for g; then the coefficients r~_i of the samples become one ``Batch`` per
+i, and one ``build_system`` builds the system of them all.  The reduction
+of a word depends only on its coefficient when it is rewritten, and
+``normal_form`` rewrites each word once, at its final coefficient, in a
+fixed word order, so component k of every batched result is what sample k
+gives on its own system, also where some of its coefficients are zero.
+The elements checked, a^n x - x a^n, g~ a - a g~ and the cubic's central
+element of g~, are the images of those of g under x -> D x up to a positive
+factor, so each is zero exactly when the one of g is.  A sample fails when
+its component of some result is nonzero, and a claim's witness is its first
+failing sample in draw order, as if the samples were checked one by one.
 """
 
 from __future__ import annotations
@@ -21,9 +37,10 @@ from fractions import Fraction
 
 from . import analysis
 from .analysis import (
-    commutes_with_letter,
+    commutator,
     cubic_centre_elements,
     degree_three_centre_element,
+    degree_two_anticommutes,
     degree_two_identities,
     dimension_oracle,
     growth_classify,
@@ -52,7 +69,7 @@ from .presentations import (
     rescale_letter,
 )
 from .rewrite import check_confluence, normal_form
-from .scalars import CyclotomicField
+from .scalars import Batch, CyclotomicField, common_denominator, component
 
 PASS, FAIL, REPORT = "pass", "fail", "report-only"
 
@@ -82,36 +99,80 @@ def _power(n: int) -> DefiningPolynomial:
     return DefiningPolynomial.from_coefficients((0,) * (n - 1) + (1,))
 
 
+# -- sampled g, checked a degree at a time -----------------------------------
+
+
+def integral_form(g: DefiningPolynomial) -> DefiningPolynomial:
+    """g~(t) = D^n gm(t/D) for the monic gm of g, with D the lcm of gm's
+    denominators: r~_i = r_i D^(n-i), ints, and r~_n = 1.  Its system
+    reduces with the reducts of g's, which hold c D^(e(lhs) - e(w)) for
+    e(w) = #x (see ``rewrite``): -r_i D^(n-i) and r_j D^(n-j)."""
+    gm = g.monic()
+    n, scale = gm.degree, common_denominator(gm.coefficients)
+    return DefiningPolynomial(
+        tuple(int(c * scale ** (n - i)) for i, c in enumerate(gm.coefficients, 1))
+    )
+
+
+def _degree_groups(samples):
+    """Per degree of the sampled g, ascending: the draw indices of its
+    samples, and the monic g whose r_i, i < n, is the ``Batch`` of their
+    integral forms' r~_i."""
+    indices = {}
+    for i, g in enumerate(samples):
+        indices.setdefault(g.degree, []).append(i)
+    for degree in sorted(indices):
+        forms = zip(*(integral_form(samples[i]).coefficients[:-1] for i in indices[degree]))
+        yield indices[degree], DefiningPolynomial(tuple(map(Batch, forms)) + (1,))
+
+
+def _nonzero_samples(polys, width: int) -> set:
+    """The samples, by place in their batch, whose component of some
+    coefficient of ``polys`` is nonzero."""
+    out = set()
+    for poly in polys:
+        for _, c in poly.items():
+            out.update(k for k in range(width) if component(c, k))
+    return out
+
+
+def _in_draw_order(failures: dict) -> list:
+    """The witnesses of a {draw index: witness} map, first drawn first."""
+    return [failures[i] for i in sorted(failures)]
+
+
 # -- 1. randomized diamond-lemma suite --------------------------------------
 
 
 def diamond_suite(seed: int) -> list:
     rng = random.Random(seed)
-    # each claim's failing cases, kept as witnesses; no report outlives its
-    # sample
-    census, unresolved = [], []
-    for _ in range(100):
-        degree = rng.randint(2, 5)
-        g = random_defining_polynomial(rng, degree)
+    samples = [random_defining_polynomial(rng, rng.randint(2, 5)) for _ in range(100)]
+    # each claim's failing samples, by draw index; no report outlives its
+    # degree
+    census, unresolved = {}, {}
+    for indices, g in _degree_groups(samples):
         report = check_confluence(build_system(g).system)
         overlaps, inclusions = report.overlap_count, report.inclusion_count
-        if overlaps != (degree - 1) * (degree - 2) // 2 or inclusions:
-            census.append({"g": g.render(), "overlaps": overlaps, "inclusions": inclusions})
-        if not report.overall:
-            unresolved.append({"g": g.render()})
+        if overlaps != (g.degree - 1) * (g.degree - 2) // 2 or inclusions:
+            for i in indices:
+                census[i] = {"g": samples[i].render(), "overlaps": overlaps,
+                             "inclusions": inclusions}
+        differences = (res.difference for res in report.resolutions)
+        for k in _nonzero_samples(differences, len(indices)):
+            unresolved[indices[k]] = {"g": samples[indices[k]].render()}
     verdict6 = check_confluence(build_system(_power(6)).system)
     return [
         _claim(
             "diamond-ambiguity-census",
             "every random degree-n system has (n-1)(n-2)/2 overlap and 0 "
             "inclusion ambiguities",
-            census,
+            _in_draw_order(census),
             {"samples": 100},
         ),
         _claim(
             "diamond-resolvable",
             "every ambiguity of every random system of degree 2..5 resolves",
-            unresolved,
+            _in_draw_order(unresolved),
             {"samples": 100},
         ),
         _report(
@@ -184,7 +245,7 @@ def pbw_suite(seed: int) -> list:
                 yield {"n": n, "census": census.counts, "enumerated": per_len}
 
     def polynomial_failures():
-        rng = random.Random(seed)
+        rng = random.Random(f"pbw:{seed}")
         for _ in range(5):
             g = random_defining_polynomial(rng, rng.randint(2, 5))
             system = build_system(g).system
@@ -243,22 +304,32 @@ def pbw_suite(seed: int) -> list:
 
 def centrality_suite(seed: int) -> list:
     rng = random.Random(f"centrality:{seed}")
+    samples = [random_defining_polynomial(rng, rng.randint(2, 5)) for _ in range(200)]
+    cubics = [random_defining_polynomial(rng, 3) for _ in range(50)]
 
     def core_failures():
-        for _ in range(200):
-            degree = rng.randint(2, 5)
-            g = random_defining_polynomial(rng, degree)
+        # a sample's witness names the first element that fails for it
+        failures = {}
+        for indices, g in _degree_groups(samples):
             system = build_system(g).system
-            if not commutes_with_letter(NcPoly.monomial(AX, (0,) * degree), 1, system):
-                yield {"g": g.render(), "element": "a^n"}
-            if not commutes_with_letter(g.monic().as_ncpoly(AX, 1), 0, system):
-                yield {"g": g.render(), "element": "g"}
+            for element, poly, letter in (
+                ("a^n", NcPoly.monomial(AX, (0,) * g.degree), 1),
+                ("g", g.as_ncpoly(AX, 1), 0),
+            ):
+                nf = normal_form(commutator(poly, letter), system)
+                for k in _nonzero_samples([nf], len(indices)):
+                    failures.setdefault(
+                        indices[k], {"g": samples[indices[k]].render(), "element": element}
+                    )
+        return _in_draw_order(failures)
 
     def cubic_failures():
-        for _ in range(50):
-            g = random_defining_polynomial(rng, 3)
-            if not is_central(degree_three_centre_element(g.monic()), build_system(g).system):
-                yield {"g": g.render()}
+        ((indices, g),) = _degree_groups(cubics)
+        system = build_system(g).system
+        element = degree_three_centre_element(g)
+        nfs = [normal_form(commutator(element, letter), system) for letter in (0, 1)]
+        return [{"g": cubics[indices[k]].render()}
+                for k in sorted(_nonzero_samples(nfs, len(indices)))]
 
     cubic = build_system(_power(3)).system
     entries = [[label, is_central(element, cubic)] for label, element in cubic_centre_elements()]
@@ -366,8 +437,7 @@ def small_degree_suite(seed: int) -> list:
     def quadratic_failures():
         for _ in range(20):
             r = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            anticommute, _, _ = degree_two_identities(r, 0)
-            if not anticommute:
+            if not degree_two_anticommutes(r):
                 yield {"r": str(r)}
 
     # d -> a, u -> x keeps indices (0, 1); only the alphabet changes
@@ -437,7 +507,7 @@ def growth_suite(seed: int) -> list:
 
 
 def rescaling_suite(seed: int) -> list:
-    rng = random.Random(seed)
+    rng = random.Random(f"rescaling:{seed}")
 
     def failures():
         for _ in range(100):

@@ -19,6 +19,11 @@ monic polynomial (the exactness check of ``cyclotomic_polynomial``, the
 reduction mod Phi_N and each step of the extended Euclid in
 ``Cyclotomic.inverse``), and ``Cyclotomic.__mul__`` holds the one product
 loop.
+
+A fourth kind, ``Batch``, holds one ``int`` per sampled system and computes
+elementwise, so that one reduction over batched coefficients does the
+reductions of all the samples at once (``claims`` checks each degree's
+random g so).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add, mul, neg, sub
 
 from .freealg import MEMO_SIZE
 
@@ -378,6 +384,79 @@ def unscale(terms: dict, scale: int, weights, m: int) -> dict:
             c, [k * f if m == 1 else Fraction(k * f, m) for k in entries(c)]
         )
     return out
+
+
+# -- one int per sampled system ----------------------------------------------
+
+
+class Batch:
+    """One ``int`` per sampled system, every operation elementwise: ``+``,
+    ``-`` and ``*`` with another ``Batch`` of the same width or with an
+    ``int``, which every component takes.  A ``Batch`` is true when some
+    component is nonzero, so a term map drops a term only when it is zero
+    in every sample.  It has no ``denominator``: a system over batches
+    reduces with its coefficients as given (see ``rewrite``), so component
+    i of every result is what sample i's own system gives.  Never changed
+    once made (a plain slot: the reduction loop builds one per product);
+    equality compares components, and an ``int`` equals a batch all of
+    whose components equal it."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = tuple(values)
+
+    def __add__(self, other):
+        if type(other) is Batch:
+            return Batch(map(add, self.values, other.values))
+        if type(other) is int:
+            return Batch([v + other for v in self.values])
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Batch(map(neg, self.values))
+
+    def __sub__(self, other):
+        if type(other) is Batch:
+            return Batch(map(sub, self.values, other.values))
+        if type(other) is int:
+            return Batch([v - other for v in self.values])
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if type(other) is int:
+            return Batch([other - v for v in self.values])
+        return NotImplemented
+
+    def __mul__(self, other):
+        if type(other) is Batch:
+            return Batch(map(mul, self.values, other.values))
+        if type(other) is int:
+            return Batch([v * other for v in self.values])
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return any(self.values)
+
+    def __eq__(self, other):
+        if type(other) is Batch:
+            return self.values == other.values
+        if type(other) is int:
+            return all(v == other for v in self.values)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"Batch({list(self.values)!r})"
+
+
+def component(value, i: int):
+    """Sample i's scalar of ``value``: a ``Batch``'s component i, and any
+    other scalar itself, which every sample shares."""
+    return value.values[i] if type(value) is Batch else value
 
 
 def scalar_str(value) -> str:

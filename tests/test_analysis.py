@@ -26,6 +26,7 @@ from diamond.analysis import (
     commutes_with_letter,
     cubic_centre_elements,
     degree_three_centre_element,
+    degree_two_anticommutes,
     degree_two_identities,
     dimension_oracle,
     growth_classify,
@@ -796,6 +797,27 @@ def test_degree_two_identities():
     assert degree_two_identities(2, 0) == (True, True, False)
     # equal parameters: the constant correction vanishes but the identity holds
     assert degree_two_identities(Fraction(3, 2), Fraction(3, 2)) == (True, True, False)
+
+
+def test_degree_two_anticommutes_agrees_with_the_identities(monkeypatch):
+    rng = random.Random(38)
+    built = []
+
+    def counting(g, *args):
+        built.append(g)
+        return build_system(g, *args)
+
+    monkeypatch.setattr(analysis, "build_system", counting)
+    for _ in range(20):
+        r, s = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+        built.clear()
+        anticommute = degree_two_identities(r, s)[0]
+        # one system for g and one for f
+        assert [g.coefficients for g in built] == [(r, 1), (s, 1)]
+        assert degree_two_anticommutes(r) is anticommute is True
+        # x' is the change of variable of g's own r only
+        wrong = build_system(DefiningPolynomial((r + 1, 1))).system
+        assert not degree_two_anticommutes(r, wrong)
 
 
 def test_growth_classification():

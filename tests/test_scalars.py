@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from diamond.cli import constant_of, parse_expr
 from diamond.freealg import Alphabet, NcPoly
 from diamond.scalars import (
+    Batch,
     Cyclotomic,
     CyclotomicField,
     common_denominator,
+    component,
     cyclotomic_polynomial,
     divide_content,
     entries,
@@ -225,3 +227,34 @@ def test_rescaling_helpers():
     # the content common to m and every entry is divided out of both
     assert divide_content({(0,): 6 * q + 4, (1,): 2}, 4) == ({(0,): 3 * q + 2, (1,): 1}, 2)
     assert divide_content({(0,): 3}, 1) == ({(0,): 3}, 1)
+
+
+def test_batch_is_elementwise():
+    a, b = Batch([3, 0, -2]), Batch([1, 0, 2])
+    assert (a + b).values == (4, 0, 0)
+    assert (a - b).values == (2, 0, -4)
+    assert (-a).values == (-3, 0, 2)
+    assert (a * b).values == (3, 0, -4)
+    assert (a + 1).values == (1 + a).values == (4, 1, -1)
+    assert (a - 1).values == (2, -1, -3) and (1 - a).values == (-2, 1, 3)
+    assert (a * -2).values == (-2 * a).values == (-6, 0, 4)
+    # true when some component is nonzero, so only an all-zero batch drops
+    assert a and Batch([0, 5, 0]) and not Batch([0, 0, 0]) and not (a - a)
+    assert a == Batch([3, 0, -2]) and a != b
+    assert Batch([2, 2]) == 2 and a != 3
+    assert [component(a, k) for k in range(3)] == [3, 0, -2]
+    assert component(7, 2) == 7
+    # no denominator, so a system over batches reduces them as given
+    assert common_denominator([Fraction(1, 2), a]) is None
+    with pytest.raises(TypeError):
+        a * Fraction(1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20)),
+                min_size=1, max_size=6))
+def test_batch_components_are_their_own_arithmetic(rows):
+    x, y, z = (Batch(col) for col in zip(*rows))
+    got = x * y - z * (x + 3) + (-y)
+    assert got.values == tuple(a * b - c * (a + 3) - b for a, b, c in rows)
+    assert bool(got) == any(a * b - c * (a + 3) - b for a, b, c in rows)
